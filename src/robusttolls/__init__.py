@@ -22,8 +22,7 @@ from .exceptions import (ConvergenceError, FileFormatError, InfeasibleError,
 from .harness import CellResult, ExperimentGrid, Scenario, load_scenario, run_experiment
 from .network import (Edge, IncidenceData, Network, PathSet, ValidationReport, enumerate_paths,
                       incidence, is_feasible_flow, load_network, validate_network)
-from .optim import (LpProblem, SolveReport, SolverOptions, phase_one_point, project_polyhedron,
-                    psd_sqrt, solve_composite, solve_lp, spectral_norm)
+from .optim import LpProblem, SolveReport, phase_one_point, psd_sqrt, solve_lp, spectral_norm
 from .uncertainty import (DisturbanceModel, GelbrichPoint, SampleSet, estimate_nominal,
                           gelbrich_distance, in_gelbrich_ball, load_samples, sample_uniform_ball,
                           support_check, worst_case_mean)
@@ -35,13 +34,13 @@ __all__ = [
     "ExperimentGrid", "FileFormatError", "GelbrichPoint", "IncidenceData", "InfeasibleError",
     "InsufficientDataError", "InvalidNetworkError", "KktBlocks", "LatencyModel", "LpProblem",
     "NashSolution", "Network", "NumericalDegeneracyError", "OutOfRegimeError", "PathSet",
-    "SampleSet", "Scenario", "SolveReport", "SolverOptions", "TollDesignError", "TollPolytope",
+    "SampleSet", "Scenario", "SolveReport", "TollDesignError", "TollPolytope",
     "TooManyPathsError", "ValidationReport", "dro_objective", "enumerate_paths",
     "epsilon_max", "equilibrium_latency_g", "estimate_nominal", "gelbrich_distance",
     "in_gelbrich_ball", "incidence", "is_feasible_flow", "kkt_blocks", "latency_decomposition",
     "load_network", "load_samples", "load_scenario", "nash_flow_closed_form",
     "nash_flow_potential", "nominal_tolls", "phase_one_point", "polytope_nonempty",
-    "project_polyhedron", "psd_sqrt", "run_experiment", "sample_uniform_ball",
-    "solve_composite", "solve_dro_tolls", "solve_lp", "spectral_norm", "support_check",
-    "system_latency", "toll_polytope", "validate_network", "worst_case_mean",
+    "psd_sqrt", "run_experiment", "sample_uniform_ball", "solve_dro_tolls", "solve_lp",
+    "spectral_norm", "support_check", "system_latency", "toll_polytope", "validate_network",
+    "worst_case_mean",
 ]

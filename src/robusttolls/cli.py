@@ -25,7 +25,7 @@ from .exceptions import (ConvergenceError, FileFormatError, NumericalDegeneracyE
                          TollDesignError)
 from .harness import ExperimentGrid, load_scenario, run_experiment
 from .network import incidence, load_network, validate_network
-from .uncertainty import DisturbanceModel, estimate_nominal, load_samples
+from .uncertainty import estimate_nominal, load_samples
 
 FORMATS = ("csv", "json", "text")
 
@@ -208,7 +208,7 @@ def cmd_design(args: argparse.Namespace) -> int:
         f"designed tolls (eps={result.eps:g}): {pairs}",
         f"objective: {result.objective:.6f}",
         f"worst-case expected latency: {result.worst_case_latency:.6f}",
-        f"solver: {result.iterations} iterations, stationarity {result.residual:.3e}",
+        f"solver: {result.iterations} iterations, gap {result.residual:.3e}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -13,8 +13,10 @@ the constraint set stays the nominal (radius-zero) polytope, so designs
 anticipating different radii remain comparable on a common footing and
 the ceiling acts as a validity bound on ``eps`` rather than shrinking
 the feasible set.  Because the objective only sees tolls through the
-flow response, optima come in affine families; results are canonicalized
-to the minimum-norm representative.
+flow response ``y = gamma @ tau``, the design is solved in that
+circulation (a convex program with a smooth norm term, handled by an
+interior-point Newton method), and optima come in affine families of
+tolls; results are canonicalized to the minimum-norm representative.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import KktBlocks, latency_decomposition
-from .exceptions import ConvergenceError, InfeasibleError
+from .exceptions import ConvergenceError, InfeasibleError, NumericalDegeneracyError
 from .optim import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED, LpProblem,
-                    SolverOptions, active_set_qp, phase_one_point, solve_composite, solve_lp)
+                    _barrier_newton, active_set_qp, phase_one_point, solve_lp)
 from .uncertainty import DisturbanceModel
 
 _CEILING_SLACK = 1e-9
@@ -65,8 +67,9 @@ class DesignResult:
     design objective value (latency terms that depend on the toll);
     ``worst_case_latency`` adds the toll-independent constants, giving
     the worst-case expected equilibrium latency over the radius-``eps``
-    ambiguity ball.  ``iterations`` and ``residual`` are solver
-    diagnostics (``residual`` is a first-order stationarity estimate).
+    ambiguity ball.  ``iterations`` is the number of interior-point
+    Newton steps and ``residual`` their final duality gap (both zero on
+    single-route networks, which leave nothing to optimize).
     """
 
     tau_star: np.ndarray
@@ -183,44 +186,84 @@ def _min_norm_equivalent(blocks: KktBlocks, tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float,
-                    options: SolverOptions | None = None) -> DesignResult:
+def _toll_for_circulation(blocks: KktBlocks, y: np.ndarray) -> np.ndarray:
+    """A nonnegative toll whose flow response is the circulation ``y``.
+
+    ``gamma @ (B y) = y`` whenever ``R y = 0``, and adding node potentials
+    ``R' pi`` leaves the response unchanged.  The potentials are longest
+    paths to the destination with edge weights ``-beta*y``, so
+    ``pi_tail - pi_head >= -beta_e y_e`` on every edge and the toll
+    ``B y + R' pi`` is nonnegative.  Validated networks are acyclic, so
+    at most one relaxation sweep per node settles them.
+    """
+    matrix = blocks.inc.matrix
+    k = matrix.shape[0]
+    beta = blocks.lat.beta
+    # The destination is the dropped row, index k, with potential zero.
+    tails = np.argmax(matrix > 0.5, axis=0)
+    heads = np.where((matrix < -0.5).any(axis=0), np.argmax(matrix < -0.5, axis=0), k)
+    need = -beta * y
+    pi = np.zeros(k + 1)
+    for _ in range(k + 1):
+        relaxed = pi.copy()
+        np.maximum.at(relaxed, tails, pi[heads] + need)
+        if np.array_equal(relaxed, pi):
+            break
+        pi = relaxed
+    return np.clip(beta * y + matrix.T @ pi[:k], 0.0, None)
+
+
+def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> DesignResult:
     """Design the toll minimizing worst-case expected latency at radius ``eps``.
 
     Validates ``eps`` against the robustness ceiling first (an
     anticipated radius beyond it has no fully-utilized interpretation and
     raises :class:`InfeasibleError` carrying the ceiling).  The search
-    runs over the nominal admissible polytope; the radius scales the
-    worst-case mean-shift term of the objective.  The returned toll is
-    the minimum-norm member of the optimal family.
+    runs over the nominal admissible polytope, in the circulation
+    ``y = gamma @ tau``: minimize ``eps ||y + c|| + sum beta y^2 + mean @ y``
+    subject to ``R y = 0`` and ``y <= rhs(0)``, by the interior-point
+    Newton method started at the ceiling's certificate (slack
+    ``||gamma|| epsilon_max`` on every row).  The circulation is turned
+    back into a toll and canonicalized to the minimum-norm member of the
+    optimal family.  A solve that does not close its duality gap raises
+    :class:`ConvergenceError` with the Newton iterations and the gap.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    ceiling, _ = epsilon_max(blocks, model)
+    ceiling, certificate = epsilon_max(blocks, model)
     if eps > ceiling + _CEILING_SLACK:
         raise InfeasibleError(
             f"anticipated radius {eps:g} exceeds the robustness ceiling {ceiling:g}",
             epsilon_max=ceiling)
 
-    poly = toll_polytope(blocks, model, 0.0)
-    lin = blocks.gamma @ model.mean
-    raw, report = solve_composite(blocks.gamma, blocks.c, blocks.gamma, lin,
-                                  (poly.gamma, poly.rhs), eps, options)
-    if report.status != STATUS_OPTIMAL:
-        raise ConvergenceError("design solve did not reach stationarity",
-                               report.iterations, report.gap)
-    raw = np.asarray(raw, dtype=float)
-    raw[raw < 0.0] = 0.0
-    tau_star = _min_norm_equivalent(blocks, raw)
+    if certificate is None:
+        # Single-route networks: the only circulation is zero.
+        y, iterations, gap = np.zeros(blocks.gamma.shape[0]), 0, 0.0
+    else:
+        rhs = toll_polytope(blocks, model, 0.0).rhs
+        start = blocks.gamma @ certificate
+        slack = float((rhs - start).min())
+        if not slack > 0.0:
+            # Exact arithmetic gives slack ||gamma|| * ceiling here, so this
+            # is a ceiling of zero or a certificate broken by round-off.
+            raise NumericalDegeneracyError(
+                f"the robustness ceiling's certificate has slack {slack:.3e} (ceiling "
+                f"{ceiling:g}), so the design has no interior start point")
+        y, report = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean, blocks.inc.matrix,
+                                    rhs, start)
+        if report.status != STATUS_OPTIMAL:
+            raise ConvergenceError("design solve did not close its duality gap",
+                                   report.iterations, report.gap)
+        iterations, gap = report.iterations, report.gap
+    tau_star = _min_norm_equivalent(blocks, _toll_for_circulation(blocks, y))
 
     objective = dro_objective(blocks, model, eps, tau_star)
     q, q0 = latency_decomposition(blocks, tau_star)
     worst_case = float(eps * np.linalg.norm(q) + q @ model.mean + q0)
     return DesignResult(tau_star=tau_star, objective=objective, worst_case_latency=worst_case,
-                        eps=eps, iterations=report.iterations, residual=report.gap)
+                        eps=eps, iterations=iterations, residual=gap)
 
 
-def nominal_tolls(blocks: KktBlocks, model: DisturbanceModel,
-                  options: SolverOptions | None = None) -> DesignResult:
+def nominal_tolls(blocks: KktBlocks, model: DisturbanceModel) -> DesignResult:
     """Optimal tolls when the plug-in moments are trusted outright."""
-    return solve_dro_tolls(blocks, model, 0.0, options)
+    return solve_dro_tolls(blocks, model, 0.0)

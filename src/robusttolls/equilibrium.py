@@ -19,7 +19,6 @@ import numpy as np
 
 from .exceptions import ConvergenceError, NumericalDegeneracyError, OutOfRegimeError
 from .network import IncidenceData
-from .optim import spectral_norm
 
 
 @dataclass(frozen=True)
@@ -116,10 +115,13 @@ def kkt_blocks(inc: IncidenceData, lat: LatencyModel) -> KktBlocks:
     # When the network has as many independent balance rows as edges the
     # block is structurally zero and gamma_norm is round-off dust, so the
     # definiteness test needs the scale of B^-1 itself as a floor.
-    if eigvals.size and eigvals[0] < -1e-10 * max(gamma_norm, float(binv.max())):
+    floor = max(gamma_norm, float(binv.max()))
+    if eigvals.size and eigvals[0] < -1e-10 * floor:
         raise NumericalDegeneracyError(f"flow-response block has eigenvalue {eigvals[0]:.3e} < 0")
+    # Round-off in gamma scales with B^-1 too, so the annihilation check
+    # shares that floor.
     annihilation = float(np.abs(gamma @ matrix.T).max(initial=0.0))
-    if annihilation > 1e-10 * max(gamma_norm, 1.0) * max(1.0, float(np.abs(matrix).max(initial=0.0))):
+    if annihilation > 1e-10 * floor * max(1.0, float(np.abs(matrix).max(initial=0.0))):
         raise NumericalDegeneracyError("flow-response block does not annihilate the incidence rows")
 
     c = lam @ eta

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import epsilon_max, solve_dro_tolls
-from .equilibrium import KktBlocks, LatencyModel, kkt_blocks, latency_decomposition
+from .equilibrium import LatencyModel, kkt_blocks, latency_decomposition
 from .exceptions import FileFormatError, InfeasibleError
 from .network import Network, incidence, load_network
-from .optim import SolverOptions
 from .uncertainty import DisturbanceModel, estimate_nominal, load_samples, sample_uniform_ball, worst_case_mean
 
 
@@ -141,7 +140,7 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
                     mc_samples=int(raw["mc_samples"]), seed=seed)
 
 
-def run_experiment(scenario: Scenario, options: SolverOptions | None = None) -> ExperimentGrid:
+def run_experiment(scenario: Scenario) -> ExperimentGrid:
     """Design tolls per anticipated radius and Monte Carlo the whole grid.
 
     Every grid value is checked against the robustness ceiling before any
@@ -167,7 +166,7 @@ def run_experiment(scenario: Scenario, options: SolverOptions | None = None) -> 
             f"grid radii {too_big} exceed the robustness ceiling {ceiling:g}",
             epsilon_max=ceiling)
 
-    designs = [solve_dro_tolls(blocks, model, eps_hat, options) for eps_hat in scenario.grid]
+    designs = [solve_dro_tolls(blocks, model, eps_hat) for eps_hat in scenario.grid]
 
     delta = model.support_radius
     cells: list[CellResult] = []

@@ -1,9 +1,10 @@
 """Deterministic dense optimization kernels.
 
 The design layer needs four things: a linear program solver for
-feasibility and robustness-radius questions, Euclidean projection onto a
-polyhedron, a solver for the robust design objective (a norm term plus a
-convex quadratic over a polyhedron), and symmetric matrix helpers for the
+feasibility and robustness-radius questions, a primal active-set QP (the
+toll canonicalization), an interior-point Newton method for the robust
+design objective (a smooth norm term plus a separable quadratic over a
+polyhedron in circulation space), and symmetric matrix helpers for the
 ambiguity-set geometry.  All of it is written against plain numpy on dense
 arrays.  Instances in this package are small (tolls live in R^|E| with
 |E| <= 512), so the priorities are determinism and bit-reproducible runs,
@@ -14,11 +15,11 @@ index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError, InfeasibleError
+from .exceptions import ConvergenceError
 
 # Statuses shared by every solver in this module.
 STATUS_OPTIMAL = "optimal"
@@ -29,6 +30,11 @@ STATUS_ITERATION_CAP = "iteration_cap"
 _PIVOT_TOL = 1e-10
 _RCOST_TOL = 1e-9
 _FEAS_TOL = 1e-9
+# Interior-point budget and stopping tolerances (relative, see
+# :func:`_barrier_newton`).
+_NEWTON_ITERS = 100
+_GAP_TOL = 1e-12
+_DUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,36 +67,14 @@ class LpProblem:
 class SolveReport:
     """How a solve went: status, effort, and residual diagnostics.
 
-    ``gap`` is the primal-dual gap for linear programs and a projected
-    gradient norm (first-order stationarity estimate) for the composite
-    solver.
+    ``gap`` is the primal-dual gap, for linear programs and for the
+    interior-point kernel alike.
     """
 
     status: str
     iterations: int
     primal_residual: float
     gap: float
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Budgets and tolerances for :func:`solve_composite`.
-
-    The defaults are tuned for design instances up to a few hundred edges;
-    the polish stage does the high-accuracy work, so the subgradient
-    budget mainly controls how good its warm start is.
-    """
-
-    subgradient_iters: int = 300
-    polish_iters: int = 60
-    tol: float = 1e-11
-    window: int = 50
-
-    def __post_init__(self) -> None:
-        if self.subgradient_iters < 1 or self.polish_iters < 1 or self.window < 1:
-            raise ValueError("iteration budgets must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
 
 
 def _simplex(table: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: list[int],
@@ -310,170 +294,105 @@ def phase_one_point(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, floa
     return point, max(violation, 0.0)
 
 
-def project_polyhedron(point: np.ndarray, rows: np.ndarray, rhs: np.ndarray,
-                       tol: float = 1e-9) -> np.ndarray:
-    """Project ``point`` onto ``{x >= 0, rows @ x <= rhs}`` in the 2-norm.
+def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np.ndarray,
+                    balance: np.ndarray, upper: np.ndarray,
+                    start: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+    """Minimize ``eps*||y + offset|| + sum(weights*y**2) + lin @ y`` on a polyhedron.
 
-    Raises :class:`InfeasibleError` when the set is empty and
-    :class:`ConvergenceError` when the active-set solve cannot reach the
-    requested KKT residual.
+    The feasible set is ``{y : balance @ y = 0, y <= upper}``.  This is a
+    primal-dual interior-point method (Boyd & Vandenberghe, *Convex
+    Optimization*, sec. 11.7) with one multiplier per bound and a
+    backtracking search on the residual norm.  There is no epigraph
+    variable for the norm: when ``balance @ offset != 0`` the norm term is
+    smooth on the whole feasible set, because ``||y + offset|| >=
+    ||balance @ offset|| / ||balance||``.  Iterates move in an orthonormal
+    basis ``N`` of the null space of ``balance`` (full row rank), so they
+    keep the equality exactly and each Newton system is the reduced
+    ``N' (D - (eps/||u||) u_hat u_hat') N`` with ``D`` diagonal (weights,
+    norm curvature, barrier).  ``start`` must satisfy the equality and
+    every bound strictly; there is no phase one.
+
+    Returns the last iterate and a :class:`SolveReport` whose ``gap`` is
+    the duality gap ``slack @ multipliers``.  The status is optimal once
+    that gap and the reduced dual residual are at tolerance, relative to
+    the objective's and the gradient's scale; it is the iteration cap
+    when the budget runs out or the step search stalls first.
     """
-    point = np.asarray(point, dtype=float)
-    n = point.shape[0]
-    rows = np.asarray(rows, dtype=float).reshape(-1, n)
-    rhs = np.asarray(rhs, dtype=float)
-    full_rows = np.vstack([-np.eye(n), rows])
-    full_rhs = np.concatenate([np.zeros(n), rhs])
-
-    if np.all(point >= 0.0) and np.max(rows @ point - rhs, initial=0.0) <= 0.0:
-        return point.copy()
-    start, violation = phase_one_point(rows, rhs)
-    if violation > 1e-9 * max(1.0, float(np.abs(rhs).max(initial=0.0))):
-        raise InfeasibleError("cannot project onto an empty polyhedron")
-    x, _, iters, residual, status = active_set_qp(np.eye(n), -point, full_rows, full_rhs, start)
-    if status != STATUS_OPTIMAL or residual > tol * max(1.0, float(np.abs(point).max(initial=0.0))):
-        raise ConvergenceError("projection did not reach tolerance", iters, residual)
-    return x
-
-
-def _composite_value(eps: float, lin_map: np.ndarray, offset: np.ndarray, quad: np.ndarray,
-                     lin: np.ndarray, x: np.ndarray) -> float:
-    return float(eps * np.linalg.norm(lin_map @ x + offset) + x @ quad @ x + lin @ x)
-
-
-def solve_composite(lin_map: np.ndarray, offset: np.ndarray, quad: np.ndarray, lin: np.ndarray,
-                    polytope: tuple[np.ndarray, np.ndarray], eps: float,
-                    options: SolverOptions | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Minimize ``eps*||A x + c|| + x'Qx + g'x`` over ``{x >= 0, rows @ x <= rhs}``.
-
-    ``polytope`` is the pair ``(rows, rhs)``.  The objective is convex
-    (``Q`` PSD) but nonsmooth where ``A x + c`` vanishes, so the solve
-    runs in two stages: a projected subgradient phase with diminishing
-    steps ``a/(b+k)`` locates the right region, then sequential quadratic
-    polish steps (with the exact Hessian of the norm term away from its
-    kink, ridge-regularized against the singular directions ``Q`` shares
-    with ``A``) drive the first-order residual to machine level.  When the
-    norm weight is zero and ``Q`` vanishes the problem is an LP and is
-    delegated to :func:`solve_lp`.
-
-    Returns the best point found and a :class:`SolveReport` whose ``gap``
-    is a projected-gradient stationarity estimate.
-    """
-    opts = options or SolverOptions()
-    rows, rhs = polytope
-    rows = np.asarray(rows, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    lin_map = np.asarray(lin_map, dtype=float)
-    offset = np.asarray(offset, dtype=float)
-    quad = np.asarray(quad, dtype=float)
-    lin = np.asarray(lin, dtype=float)
-    n = lin.shape[0]
     if eps < 0.0:
         raise ValueError("norm weight eps must be nonnegative")
+    upper = np.asarray(upper, dtype=float)
+    m = upper.shape[0]
+    offset, weights, lin, start = (np.asarray(v, dtype=float) for v in (offset, weights, lin, start))
+    balance = np.asarray(balance, dtype=float).reshape(-1, m)
+    basis = np.linalg.qr(balance.T, mode="complete")[0][:, balance.shape[0]:]
+    y = basis @ (basis.T @ start)
+    slack = upper - y
+    if not float(slack.min(initial=np.inf)) > 0.0:
+        raise ValueError("start point must hold every bound strictly")
 
-    quad_scale = float(np.abs(quad).max(initial=0.0))
-    if eps == 0.0 and quad_scale == 0.0:
-        x, report = solve_lp(LpProblem(-lin, rows, rhs))
-        if report.status == STATUS_INFEASIBLE:
-            raise InfeasibleError("composite solve over an empty polyhedron")
-        return x, report
+    def gradient(point: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        resid = point + offset
+        size = float(np.linalg.norm(resid))
+        unit = resid / size if eps > 0.0 else np.zeros(m)
+        return unit, size, eps * unit + 2.0 * weights * point + lin
 
-    start, violation = phase_one_point(rows, rhs)
-    if violation > 1e-9 * max(1.0, float(np.abs(rhs).max(initial=0.0))):
-        raise InfeasibleError("composite solve over an empty polyhedron")
-
-    full_rows = np.vstack([-np.eye(n), rows])
-    full_rhs = np.concatenate([np.zeros(n), rhs])
-
-    def value(x: np.ndarray) -> float:
-        return _composite_value(eps, lin_map, offset, quad, lin, x)
-
-    def subgradient(x: np.ndarray) -> np.ndarray:
-        resid = lin_map @ x + offset
-        nr = float(np.linalg.norm(resid))
-        g = 2.0 * quad @ x + lin
-        if eps > 0.0 and nr > 1e-12:
-            g = g + eps * (lin_map.T @ resid) / nr
-        return g
-
-    def project(p: np.ndarray) -> np.ndarray:
-        if np.all(p >= 0.0) and np.max(rows @ p - rhs, initial=0.0) <= 0.0:
-            return p
-        proj, _, _, _, status = active_set_qp(np.eye(n), -p, full_rows, full_rhs, start)
-        if status != STATUS_OPTIMAL:
-            raise ConvergenceError("projection inside composite solve failed", 0, np.inf)
-        return proj
-
-    x = project(np.clip(start, 0.0, None))
-    best = x.copy()
-    best_val = value(x)
-    running_sum = x.copy()
-    window_best = best_val
-    iterations = 0
-    step_scale = (1.0 + float(np.linalg.norm(x))) / (1.0 + float(np.linalg.norm(subgradient(x))))
-    for k in range(opts.subgradient_iters):
-        iterations += 1
-        x = project(x - step_scale / (10.0 + k) * subgradient(x))
-        running_sum += x
-        val = value(x)
-        if val < best_val:
-            best_val = val
-            best = x.copy()
-        if (k + 1) % opts.window == 0:
-            if window_best - best_val < opts.tol * (1.0 + abs(best_val)):
-                break
-            window_best = best_val
-    averaged = project(running_sum / (iterations + 1))
-    if value(averaged) < best_val:
-        best_val = value(averaged)
-        best = averaged
-
-    # Polish: minimize a second-order model subject to the original
-    # (linear) constraints, with Armijo backtracking on the true value.
-    x = best
-    for _ in range(opts.polish_iters):
-        iterations += 1
-        resid = lin_map @ x + offset
-        nr = float(np.linalg.norm(resid))
-        grad = 2.0 * quad @ x + lin
-        hess = 2.0 * quad.copy()
-        if eps > 0.0 and nr > 1e-12:
-            grad = grad + eps * (lin_map.T @ resid) / nr
-            unit = resid / nr
-            hess = hess + (eps / nr) * (lin_map.T @ lin_map - np.outer(lin_map.T @ unit, lin_map.T @ unit))
-        ridge = 1e-10 * max(1.0, float(np.abs(hess).max(initial=0.0)))
-        hess = hess + ridge * np.eye(n)
-        d, _, _, _, status = active_set_qp(hess, grad, full_rows, full_rhs - full_rows @ x,
-                                           np.zeros(n))
-        if status != STATUS_OPTIMAL:
+    unit, size, grad = gradient(y)
+    # Gap scale: the objective's terms at the start, plus the linear
+    # term's reach across the slacks (the whole gap when it is an LP).
+    # Over the start's length scale it gives the gradient's scale, which
+    # the dual residual is measured against when the optimum is interior
+    # and both the gradient and the multipliers vanish.
+    reach = np.abs(y + offset) + slack
+    scale = eps * size + float((y + offset) @ (weights * (y + offset))) \
+        + float(np.abs(lin) @ reach) + np.finfo(float).tiny
+    grad_scale = scale / float(np.linalg.norm(reach))
+    lam = scale / (m * slack)
+    status = STATUS_ITERATION_CAP
+    it = 0
+    while True:
+        gap = float(slack @ lam)
+        dual = basis.T @ (grad + lam)
+        dual_norm = float(np.linalg.norm(dual))
+        if gap <= _GAP_TOL * scale and dual_norm <= _DUAL_TOL * (grad_scale + float(np.linalg.norm(lam))):
+            status = STATUS_OPTIMAL
             break
-        slope = float(grad @ d)
-        if float(np.linalg.norm(d)) <= opts.tol * (1.0 + float(np.linalg.norm(x))) or slope > -opts.tol:
+        if it == _NEWTON_ITERS:
             break
-        t = 1.0
-        base = value(x)
-        while t > 1e-13 and value(x + t * d) > base + 1e-4 * t * slope:
-            t *= 0.5
-        x = x + t * d
-        new_val = value(x)
-        if base - new_val < opts.tol * (1.0 + abs(base)):
-            break
-    if value(x) < best_val:
-        best_val = value(x)
-        best = x
+        it += 1
+        # Aim at the central point whose gap is a tenth of the current one.
+        target = gap / (10.0 * m)
+        curvature = eps / size if eps > 0.0 else 0.0
+        reduced_unit = basis.T @ unit
+        hess = (basis.T * (2.0 * weights + curvature + lam / slack)) @ basis \
+            - curvature * np.outer(reduced_unit, reduced_unit)
+        dy = basis @ np.linalg.solve(hess, -(basis.T @ (grad + target / slack)))
+        dlam = target / slack - lam + lam / slack * dy
 
-    stationarity = float(np.linalg.norm(best - project(best - subgradient(best))))
-    resid_term = eps * float(np.linalg.norm(lin_map @ best + offset))
-    if resid_term <= 1e-9 * (1.0 + abs(best_val)):
-        # The norm term sits at its global minimum, so the point is
-        # certified by the smooth remainder alone: any competitor pays a
-        # nonnegative norm term, losing at most ``resid_term`` here.
-        smooth = 2.0 * quad @ best + lin
-        smooth_stat = float(np.linalg.norm(best - project(best - smooth)))
-        stationarity = min(stationarity, smooth_stat + resid_term)
-    violation = float(max(np.max(rows @ best - rhs, initial=0.0), float(np.max(-best, initial=0.0)), 0.0))
-    status = STATUS_OPTIMAL if stationarity <= 1e-6 * (1.0 + abs(best_val)) else STATUS_ITERATION_CAP
-    return best, SolveReport(status, iterations, violation, stationarity)
+        step = 1.0
+        for room, rate in ((lam, -dlam), (slack, dy)):
+            closing = rate > 0.0
+            if closing.any():
+                step = min(step, 0.99 * float((room[closing] / rate[closing]).min()))
+        before = float(np.hypot(dual_norm, np.linalg.norm(lam * slack - target)))
+        while step > 1e-14:
+            trial = y + step * dy
+            trial_slack = upper - trial
+            trial_lam = lam + step * dlam
+            if float(trial_slack.min()) > 0.0:
+                trial_unit, trial_size, trial_grad = gradient(trial)
+                after = float(np.hypot(np.linalg.norm(basis.T @ (trial_grad + trial_lam)),
+                                       np.linalg.norm(trial_lam * trial_slack - target)))
+                if after <= (1.0 - 0.01 * step) * before:
+                    break
+            step *= 0.5
+        else:
+            break
+        y, slack, lam = trial, trial_slack, trial_lam
+        unit, size, grad = trial_unit, trial_size, trial_grad
+
+    violation = float(max(np.max(y - upper, initial=0.0),
+                          np.abs(balance @ y).max(initial=0.0)))
+    return y, SolveReport(status, it, violation, gap)
 
 
 def psd_sqrt(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from randnets import golden_section, random_instance, sample_strict_toll
+from robusttolls import optim
 from robusttolls.design import (
     DesignResult,
     dro_objective,
@@ -14,7 +15,7 @@ from robusttolls.design import (
     toll_polytope,
 )
 from robusttolls.equilibrium import LatencyModel, equilibrium_latency_g, kkt_blocks
-from robusttolls.exceptions import InfeasibleError
+from robusttolls.exceptions import ConvergenceError, InfeasibleError
 from robusttolls.network import Edge, Network, incidence
 from robusttolls.uncertainty import DisturbanceModel, worst_case_mean
 from test_equilibrium import pigou_blocks
@@ -240,3 +241,64 @@ def test_designed_tolls_stay_feasible_on_random_networks():
             competitor = sample_strict_toll(rng, blocks, model, eps * 0.99)
             assert (dro_objective(blocks, model, eps, result.tau_star)
                     <= dro_objective(blocks, model, eps, competitor) + 1e-5 * (1.0 + abs(result.objective)))
+
+
+def _slsqp_worst_case(blocks, model, eps, start):
+    """Reference optimum of the design in circulation space, by SLSQP.
+
+    ``min eps ||y + c|| + sum beta y^2 + mean @ y`` over ``R y = 0``,
+    ``y <= rhs(0)``, parametrized by a null-space basis of R.  The flow
+    response and ``c`` are rebuilt here from R and the slopes alone.
+    """
+    linalg = pytest.importorskip("scipy.linalg")
+    optimize = pytest.importorskip("scipy.optimize")
+    matrix, eta, beta = blocks.inc.matrix, blocks.inc.injections, blocks.lat.beta
+    potentials = linalg.solve((matrix / beta) @ matrix.T, eta, assume_a="pos")
+    c = matrix.T @ potentials / beta
+    root = 1.0 / np.sqrt(beta)
+    q = np.linalg.qr((matrix * root).T)[0]
+    gamma = root[:, None] * (np.eye(beta.size) - q @ q.T) * root[None, :]
+    rhs = c - gamma @ model.mean - np.linalg.eigvalsh(gamma)[-1] * model.support_radius
+    basis = linalg.null_space(matrix)
+
+    def value(z):
+        y = basis @ z
+        return eps * np.linalg.norm(y + c) + y @ (beta * y) + model.mean @ y
+
+    def grad(z):
+        y = basis @ z
+        return basis.T @ (eps * (y + c) / np.linalg.norm(y + c) + 2.0 * beta * y + model.mean)
+
+    res = optimize.minimize(value, basis.T @ start, jac=grad, method="SLSQP",
+                            constraints=[{"type": "ineq", "fun": lambda z: rhs - basis @ z,
+                                          "jac": lambda z: -basis}],
+                            options={"ftol": 1e-15, "maxiter": 2000})
+    y = basis @ res.x
+    assert float((y - rhs).max()) <= 1e-7 * max(1.0, float(np.abs(rhs).max()))
+    return value(res.x) + c @ (beta * c) + model.mean @ c
+
+
+def test_solve_dro_tolls_matches_slsqp_reference():
+    rng = np.random.default_rng(4242)
+    for _ in range(10):
+        net, lat, blocks, model, ceiling = random_instance(rng)
+        if not np.isfinite(ceiling):
+            continue
+        _, certificate = epsilon_max(blocks, model)
+        for fraction in (0.0, 0.5, 0.9):
+            eps = fraction * ceiling
+            result = solve_dro_tolls(blocks, model, eps)
+            reference = _slsqp_worst_case(blocks, model, eps, blocks.gamma @ certificate)
+            assert result.worst_case_latency == pytest.approx(reference, rel=1e-7)
+
+
+def test_solve_dro_tolls_reports_newton_state(monkeypatch):
+    result = solve_dro_tolls(pigou_blocks(), PIGOU_MODEL, 10.0)
+    assert result.iterations >= 1
+    assert 0.0 <= result.residual <= 1e-9 * result.worst_case_latency
+    # A budget too small to close the gap surfaces the real count and gap.
+    monkeypatch.setattr(optim, "_NEWTON_ITERS", 1)
+    with pytest.raises(ConvergenceError) as info:
+        solve_dro_tolls(pigou_blocks(), PIGOU_MODEL, 10.0)
+    assert info.value.iterations == 1
+    assert 0.0 < info.value.residual < np.inf

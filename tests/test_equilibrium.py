@@ -90,6 +90,20 @@ def test_kkt_blocks_invariants_on_random_networks():
         assert blocks.gamma == pytest.approx(blocks.gamma.T, abs=1e-12 * max(1.0, blocks.gamma_norm))
 
 
+def test_kkt_blocks_accept_slopes_across_six_decades():
+    # Round-off in gamma scales with max(1/beta); an annihilation check
+    # floored at 1 instead rejected this valid network.
+    edges = [(0, 1), (0, 2), (0, 3), (2, 4), (1, 4), (3, 4), (0, 4)]
+    net = Network(num_nodes=5, edges=tuple(Edge(f"e{k}", t, h) for k, (t, h) in enumerate(edges)),
+                  demand=10.0)
+    beta = np.array([1e-3, 1e3, 1e3, 1e-3, 1.0, 1e3, 1e3])
+    data = incidence(net)
+    blocks = kkt_blocks(data, LatencyModel(beta))
+    floor = max(blocks.gamma_norm, 1e3)
+    assert float(np.linalg.eigvalsh(blocks.gamma)[0]) >= -1e-10 * floor
+    assert float(np.abs(blocks.gamma @ data.matrix.T).max()) <= 1e-10 * floor
+
+
 def test_kkt_blocks_dimension_mismatch():
     with pytest.raises(ValueError):
         kkt_blocks(incidence(pigou()), LatencyModel(np.array([1.0, 1.0, 1.0])))

@@ -1,22 +1,21 @@
-"""Tests for the linear, quadratic, and composite solvers."""
+"""Tests for the linear, quadratic, and interior-point composite solvers."""
 
 import numpy as np
 import pytest
 
 from randnets import brute_force_lp, brute_force_qp
-from robusttolls.exceptions import ConvergenceError, InfeasibleError
+from robusttolls import optim
+from robusttolls.exceptions import ConvergenceError
 from robusttolls.optim import (
     STATUS_INFEASIBLE,
     STATUS_ITERATION_CAP,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     LpProblem,
-    SolverOptions,
+    _barrier_newton,
     active_set_qp,
     phase_one_point,
-    project_polyhedron,
     psd_sqrt,
-    solve_composite,
     solve_lp,
     spectral_norm,
 )
@@ -162,117 +161,121 @@ def test_phase_one_point_feasible_and_empty():
     assert violation > 0.1
 
 
+def _circulation_instance(rng, n, k):
+    """Random ``k`` balance rows on ``n`` variables, bounds with a strict interior.
+
+    Returns ``(balance, upper, anchor, basis)``: ``anchor`` satisfies the
+    balance rows and every bound strictly, and ``basis`` spans their null
+    space (the oracles below enumerate in its coordinates).
+    """
+    balance = rng.normal(size=(k, n))
+    basis = np.linalg.svd(balance)[2][k:].T if k else np.eye(n)
+    anchor = basis @ rng.normal(size=basis.shape[1])
+    upper = anchor + rng.uniform(0.2, 1.0, n)
+    return balance, upper, anchor, basis
+
+
 def test_projection_known_answer():
-    # Project (3, 3) onto the triangle x, y >= 0, x + y <= 2 -> (1, 1).
-    point = project_polyhedron(np.array([3.0, 3.0]),
-                               np.array([[1.0, 1.0]]), np.array([2.0]))
-    assert point == pytest.approx([1.0, 1.0], abs=1e-9)
-
-
-def test_projection_interior_point_unchanged():
-    point = project_polyhedron(np.array([0.25, 0.25]),
-                               np.array([[1.0, 1.0]]), np.array([2.0]))
-    assert point == pytest.approx([0.25, 0.25], abs=1e-12)
+    # eps = 1, offset = -p and nothing else leaves the distance to p.
+    # Projecting (3, 1) onto {y1 = y2, y <= 1} gives (1, 1).
+    y, report = _barrier_newton(1.0, np.array([-3.0, -1.0]), np.zeros(2), np.zeros(2),
+                                np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2))
+    assert report.status == STATUS_OPTIMAL
+    assert y == pytest.approx([1.0, 1.0], abs=1e-8)
 
 
 def test_projection_variational_inequality():
     rng = np.random.default_rng(7)
     for _ in range(30):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 5))
-        rows = rng.normal(size=(m, n))
-        anchor = rng.uniform(0.0, 1.0, n)
-        rhs = rows @ anchor + rng.uniform(0.1, 1.0, m)
+        n = int(rng.integers(2, 6))
+        balance, upper, anchor, _ = _circulation_instance(rng, n, int(rng.integers(1, n)))
         target = rng.normal(size=n) * 4.0
-        proj = project_polyhedron(target, rows, rhs)
-        assert float(np.max(rows @ proj - rhs)) <= 1e-8
-        assert proj.min() >= -1e-9
+        proj, report = _barrier_newton(1.0, -target, np.zeros(n), np.zeros(n), balance, upper, anchor)
+        assert report.status == STATUS_OPTIMAL
+        assert float(np.max(proj - upper)) <= 1e-12
+        assert float(np.abs(balance @ proj).max()) <= 1e-12
         # Nearest-point characterization: (target - proj) . (z - proj) <= 0
         # for every feasible z.
         for _ in range(20):
             mix = rng.uniform(0.0, 1.0)
             z = mix * anchor + (1.0 - mix) * proj
             assert float((target - proj) @ (z - proj)) <= 1e-7
-        again = project_polyhedron(proj, rows, rhs)
-        assert again == pytest.approx(proj, abs=1e-7)
-
-
-def test_projection_infeasible_raises():
-    with pytest.raises(InfeasibleError):
-        project_polyhedron(np.zeros(1), np.array([[1.0]]), np.array([-1.0]))
 
 
 def test_composite_reduces_to_projection():
-    # With eps = 1, map = identity, offset = -p, no quadratic term, the
-    # objective is the distance to p, so the solution is the projection.
+    # The projection's squared distance is a QP the subset oracle solves
+    # exactly in null-space coordinates.
     rng = np.random.default_rng(11)
     for _ in range(10):
-        n = int(rng.integers(1, 4))
-        rows = rng.normal(size=(2, n))
-        anchor = rng.uniform(0.0, 1.0, n)
-        rhs = rows @ anchor + rng.uniform(0.2, 1.0, 2)
+        n = int(rng.integers(2, 5))
+        balance, upper, anchor, basis = _circulation_instance(rng, n, 1)
         p = rng.normal(size=n) * 3.0
-        x, report = solve_composite(np.eye(n), -p, np.zeros((n, n)), np.zeros(n),
-                                    (rows, rhs), eps=1.0)
-        oracle = project_polyhedron(p, rows, rhs)
-        dist = float(np.linalg.norm(p - oracle))
-        value = float(np.linalg.norm(x - p))
-        assert value <= dist + 1e-6 * (1.0 + dist)
+        x, report = _barrier_newton(1.0, -p, np.zeros(n), np.zeros(n), balance, upper, anchor)
+        z = brute_force_qp(2.0 * basis.T @ basis, -2.0 * basis.T @ p, basis, upper)
+        dist = float(np.linalg.norm(basis @ z - p))
+        assert float(np.linalg.norm(x - p)) == pytest.approx(dist, abs=1e-9 * (1.0 + dist))
         assert report.status == STATUS_OPTIMAL
 
 
 def test_composite_pure_quadratic_matches_enumeration():
     rng = np.random.default_rng(23)
     for _ in range(15):
-        n = int(rng.integers(1, 4))
-        root = rng.normal(size=(n, n))
-        quad = root @ root.T + 0.2 * np.eye(n)
-        lin = rng.normal(size=n)
-        rows = rng.normal(size=(3, n))
-        rhs = rng.uniform(0.3, 2.0, 3)
-        x, report = solve_composite(np.zeros((n, n)), np.zeros(n), quad, lin,
-                                    (rows, rhs), eps=0.0)
-        # solve_composite minimizes x'Qx + g'x; the subset oracle uses
-        # (1/2)x'Hx + g'x, so H = 2Q.
-        stacked = np.vstack([rows, -np.eye(n)])
-        oracle = brute_force_qp(2.0 * quad, lin, stacked,
-                                np.concatenate([rhs, np.zeros(n)]))
-        value = float(x @ quad @ x + lin @ x)
-        best = float(oracle @ quad @ oracle + lin @ oracle)
-        assert value == pytest.approx(best, abs=1e-6 * (1.0 + abs(best)))
+        n = int(rng.integers(1, 5))
+        balance, upper, anchor, basis = _circulation_instance(rng, n, int(rng.integers(0, n)))
+        weights = rng.uniform(0.1, 3.0, n)
+        lin = rng.normal(size=n) * 2.0
+        x, report = _barrier_newton(0.0, np.zeros(n), weights, lin, balance, upper, anchor)
+        # The kernel minimizes sum(w y^2) + g'y; the subset oracle uses
+        # (1/2)z'Hz + g'z, so H = 2 N'WN in null-space coordinates.
+        z = brute_force_qp(2.0 * (basis.T * weights) @ basis, basis.T @ lin, basis, upper)
+        oracle = basis @ z
+        assert x == pytest.approx(oracle, abs=1e-7)
+        best = float(oracle @ (weights * oracle) + lin @ oracle)
+        assert float(x @ (weights * x) + lin @ x) == pytest.approx(best, abs=1e-9 * (1.0 + abs(best)))
         assert report.status == STATUS_OPTIMAL
+        assert report.gap <= 1e-10 * (1.0 + abs(best))
 
 
-def test_composite_linear_delegates_to_lp():
-    # eps = 0 and no quadratic term is a plain LP.
-    lin = np.array([-1.0, -2.0])
-    rows = np.array([[1.0, 1.0]])
-    rhs = np.array([5.0])
-    x, report = solve_composite(np.zeros((2, 2)), np.zeros(2),
-                                np.zeros((2, 2)), lin, (rows, rhs), eps=0.0)
+def test_composite_linear_matches_lp():
+    # eps = 0 and no quadratic term is a plain LP: maximize y1 subject to
+    # y1 + y2 = 0 and y <= (2, 3), whose optimum is the vertex (2, -2).
+    x, report = _barrier_newton(0.0, np.zeros(2), np.zeros(2), np.array([-1.0, 0.0]),
+                                np.array([[1.0, 1.0]]), np.array([2.0, 3.0]), np.zeros(2))
     assert report.status == STATUS_OPTIMAL
-    assert x == pytest.approx([0.0, 5.0], abs=1e-9)
+    assert x == pytest.approx([2.0, -2.0], abs=1e-9)
 
 
 def test_composite_rejects_negative_eps():
     with pytest.raises(ValueError):
-        solve_composite(np.eye(1), np.zeros(1), np.zeros((1, 1)), np.zeros(1),
-                        (np.array([[1.0]]), np.array([1.0])), eps=-1.0)
+        _barrier_newton(-1.0, np.ones(1), np.zeros(1), np.zeros(1), np.zeros((0, 1)),
+                        np.ones(1), np.zeros(1))
 
 
 def test_composite_infeasible_polytope():
-    with pytest.raises(InfeasibleError):
-        solve_composite(np.eye(1), np.zeros(1), np.zeros((1, 1)), np.zeros(1),
-                        (np.array([[1.0]]), np.array([-1.0])), eps=1.0)
+    # y1 + y2 = 0 with both below -1 is empty, so no start can be strict.
+    with pytest.raises(ValueError):
+        _barrier_newton(1.0, np.ones(2), np.zeros(2), np.zeros(2), np.array([[1.0, 1.0]]),
+                        -np.ones(2), np.zeros(2))
 
 
-def test_solver_options_validation():
+def test_projection_infeasible_raises():
+    # Projecting the origin onto {x >= 0, x <= -1}: with y = (x, -x) the
+    # set is y1 + y2 = 0, y <= (-1, 0).  Phase one sees it empty and the
+    # projection refuses it.
+    _, violation = phase_one_point(np.array([[1.0]]), np.array([-1.0]))
+    assert violation > 0.1
     with pytest.raises(ValueError):
-        SolverOptions(subgradient_iters=0)
-    with pytest.raises(ValueError):
-        SolverOptions(tol=-1.0)
-    opts = SolverOptions(subgradient_iters=500, polish_iters=10)
-    assert opts.subgradient_iters == 500
+        _barrier_newton(1.0, np.zeros(2), np.zeros(2), np.zeros(2), np.array([[1.0, 1.0]]),
+                        np.array([-1.0, 0.0]), np.zeros(2))
+
+
+def test_composite_iteration_cap_reports_its_state(monkeypatch):
+    monkeypatch.setattr(optim, "_NEWTON_ITERS", 2)
+    _, report = _barrier_newton(0.0, np.zeros(2), np.ones(2), np.array([-1.0, 0.0]),
+                                np.array([[1.0, 1.0]]), np.array([2.0, 3.0]), np.zeros(2))
+    assert report.status == STATUS_ITERATION_CAP
+    assert report.iterations == 2
+    assert 0.0 < report.gap < np.inf
 
 
 def test_psd_sqrt_roundtrip():
