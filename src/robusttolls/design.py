@@ -3,32 +3,35 @@
 A toll vector is admissible when, at the plug-in disturbance moments,
 the tolled equilibrium still sends positive flow down every edge with a
 safety margin covering the support radius; those tolls form a polyhedron
-in the flow-response geometry (:func:`toll_polytope`).  The largest
+in the flow-response geometry (:func:`toll_polytope`).  Every feasible
+flow is the plug-in equilibrium of some nonnegative toll, so the largest
 ambiguity radius for which a margin-``eps`` version of that set stays
-nonempty is the robustness ceiling (:func:`epsilon_max`), a plain linear
-program.  The design program itself (:func:`solve_dro_tolls`) minimizes
-the worst-case expected equilibrium latency over ambiguity radius
-``eps``: the radius enters through the objective's mean-shift term while
-the constraint set stays the nominal (radius-zero) polytope, so designs
-anticipating different radii remain comparable on a common footing and
-the ceiling acts as a validity bound on ``eps`` rather than shrinking
-the feasible set.  Because the objective only sees tolls through the
-flow response ``y = gamma @ tau``, the design is solved in that
-circulation (a convex program with a smooth norm term, handled by an
-interior-point Newton method), and optima come in affine families of
-tolls; results are canonicalized to the minimum-norm representative.
+nonempty, the robustness ceiling (:func:`epsilon_max`), is a network-flow
+number: the largest minimum edge flow over all feasible flows.  The
+design program itself (:func:`solve_dro_tolls`) minimizes the worst-case
+expected equilibrium latency over ambiguity radius ``eps``: the radius
+enters through the objective's mean-shift term while the constraint set
+stays the nominal (radius-zero) polytope, so designs anticipating
+different radii remain comparable on a common footing and the ceiling
+acts as a validity bound on ``eps`` rather than shrinking the feasible
+set.  Because the objective only sees tolls through the flow response
+``y = gamma @ tau``, the design is solved in that circulation (a convex
+program with a smooth norm term, handled by an interior-point Newton
+method), and optima come in affine families of tolls; results are
+canonicalized to the minimum-norm representative.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import KktBlocks, latency_decomposition
 from .exceptions import ConvergenceError, InfeasibleError, NumericalDegeneracyError
-from .optim import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED, LpProblem,
-                    _barrier_newton, active_set_qp, phase_one_point, solve_lp)
+from .network import IncidenceData
+from .optim import STATUS_OPTIMAL, _barrier_newton, active_set_qp
 from .uncertainty import DisturbanceModel
 
 _CEILING_SLACK = 1e-9
@@ -38,14 +41,15 @@ _CEILING_SLACK = 1e-9
 class TollPolytope:
     """The admissible toll set ``{tau >= 0 : gamma @ tau <= rhs}``.
 
-    ``strict`` marks the open variant used when downstream algebra needs
-    every edge strictly utilized (membership then requires slack beyond
-    a fixed 1e-12 margin).
+    Row ``e`` asks the flow at the plug-in mean to keep ``margin`` on
+    edge ``e``; ``inc`` is the network's incidence, on which
+    :func:`polytope_nonempty` decides whether any flow can.
     """
 
     gamma: np.ndarray
     rhs: np.ndarray
-    strict: bool = False
+    margin: float
+    inc: IncidenceData
 
     def contains(self, tau: np.ndarray, tol: float = 1e-9) -> bool:
         tau = np.asarray(tau, dtype=float)
@@ -54,8 +58,6 @@ class TollPolytope:
         if float(tau.min(initial=0.0)) < -tol:
             return False
         slack = self.rhs - self.gamma @ tau
-        if self.strict:
-            return bool(float(slack.min(initial=np.inf)) > 1e-12)
         return bool(float(slack.min(initial=np.inf)) >= -tol)
 
 
@@ -80,8 +82,7 @@ class DesignResult:
     residual: float
 
 
-def toll_polytope(blocks: KktBlocks, model: DisturbanceModel, eps: float,
-                  strict: bool = False) -> TollPolytope:
+def toll_polytope(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> TollPolytope:
     """Admissible tolls with utilization margin covering radius ``eps``.
 
     The right-hand side is ``-||gamma|| (eps + support_radius) - gamma @
@@ -96,13 +97,19 @@ def toll_polytope(blocks: KktBlocks, model: DisturbanceModel, eps: float,
         raise ValueError("model dimension does not match the network")
     margin = blocks.gamma_norm * (eps + model.support_radius)
     rhs = -margin * np.ones(blocks.gamma.shape[0]) - blocks.gamma @ model.mean + blocks.c
-    return TollPolytope(gamma=blocks.gamma, rhs=rhs, strict=strict)
+    return TollPolytope(gamma=blocks.gamma, rhs=rhs, margin=margin, inc=blocks.inc)
 
 
-def polytope_nonempty(poly: TollPolytope, tol: float = 1e-9) -> bool:
-    """Feasibility probe: does any nonnegative toll satisfy the polytope?"""
-    _, violation = phase_one_point(poly.gamma, poly.rhs)
-    return violation <= tol * max(1.0, float(np.abs(poly.rhs).max(initial=0.0)))
+def polytope_nonempty(poly: TollPolytope) -> bool:
+    """Whether any nonnegative toll satisfies the polytope.
+
+    Every feasible flow is the flow of some nonnegative toll, so the set
+    is nonempty exactly when some feasible flow keeps ``margin`` on every
+    edge, that is when ``margin`` is at most the smallest entry of the
+    max-min flow.  A relative 1e-12 absorbs the rounding of a margin
+    built from :func:`epsilon_max` itself.
+    """
+    return poly.margin <= float(_max_min_flow(poly.inc).min()) * (1.0 + 1e-12)
 
 
 def _gamma_is_zero(blocks: KktBlocks) -> bool:
@@ -112,40 +119,117 @@ def _gamma_is_zero(blocks: KktBlocks) -> bool:
     return blocks.gamma_norm <= 1e-12 * max(1.0, floor)
 
 
-def epsilon_max(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, np.ndarray | None]:
-    """Largest ambiguity radius with a nonempty admissible toll set.
+def _endpoints(inc: IncidenceData) -> tuple[np.ndarray, np.ndarray]:
+    """Tail and head node of every edge; the destination is node ``k``, the dropped row."""
+    matrix = inc.matrix
+    heads = np.where((matrix < -0.5).any(axis=0), np.argmax(matrix < -0.5, axis=0), matrix.shape[0])
+    return np.argmax(matrix > 0.5, axis=0), heads
 
-    Solved as the linear program ``max eps`` over ``(tau, eps) >= 0``
-    with ``gamma @ tau + ||gamma|| eps <= rhs(0)``.  Returns the radius
-    and a certificate toll attaining it.  When the flow response is zero
-    (single-route networks) every radius is admissible and the result is
-    ``(inf, None)``.  An infeasible program means no toll keeps the
-    network fully utilized even nominally; that is a modelling problem,
-    reported as :class:`InfeasibleError`.
+
+def _max_min_flow(inc: IncidenceData) -> np.ndarray:
+    """The feasible flow whose smallest edge flow is largest.
+
+    Scaling turns ``max t`` over feasible flows with ``f >= t`` into the
+    minimum flow with a lower bound of 1 on every edge (Ahuja, Magnanti &
+    Orlin, *Network Flows*, 1993, ch. 6): if ``g`` is such a flow of
+    least value ``v``, then ``(demand / v) g`` is the max-min flow and
+    ``demand / v`` its smallest entry.  ``g`` starts as one unit along a
+    source-edge-destination path for every edge and is cancelled back by
+    breadth-first augmenting paths from the destination to the source, on
+    which edge ``e`` can give back ``g_e - 1`` units and take any number
+    more.  Every step is integral, so ``g`` is exact.
     """
+    tails, heads = (ends.tolist() for ends in _endpoints(inc))
+    k, m = inc.matrix.shape
+    leaving: list[list[int]] = [[] for _ in range(k + 1)]
+    entering: list[list[int]] = [[] for _ in range(k + 1)]
+    for e in range(m):
+        leaving[tails[e]].append(e)
+        entering[heads[e]].append(e)
+
+    def search(root: int, along: bool, against) -> dict[int, int]:
+        # Breadth-first tree: each reached node maps to the edge that
+        # reached it, moving tail to head along every edge if ``along``
+        # and head to tail against the edges where ``against(e)``.
+        via = {root: -1}
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            steps = [(e, heads[e]) for e in leaving[x]] if along else []
+            steps += [(e, tails[e]) for e in entering[x] if against(e)]
+            for e, y in steps:
+                if y not in via:
+                    via[y] = e
+                    queue.append(y)
+        return via
+
+    source, dest = 0, k
+    into = search(source, True, lambda e: False)
+    out = search(dest, False, lambda e: True)
+    g = [1] * m
+    for e in range(m):
+        u, v = tails[e], heads[e]
+        while u != source:
+            g[into[u]] += 1
+            u = tails[into[u]]
+        while v != dest:
+            g[out[v]] += 1
+            v = heads[out[v]]
+    while True:
+        via = search(dest, True, lambda e: g[e] > 1)
+        if source not in via:
+            break
+        path = []
+        x = source
+        while x != dest:
+            e = via[x]
+            along = heads[e] == x
+            path.append((e, along))
+            x = tails[e] if along else heads[e]
+        # The first step out of the destination cancels, so this is finite.
+        give = min(g[e] - 1 for e, along in path if not along)
+        for e, along in path:
+            g[e] += give if along else -give
+    value = sum(g[e] for e in leaving[source])
+    return (float(inc.injections[0]) / value) * np.array(g, dtype=float)
+
+
+def _ceiling(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, np.ndarray | None]:
+    """The robustness ceiling and the circulation of its certificate toll."""
     if model.mean.shape[0] != blocks.gamma.shape[0]:
         raise ValueError("model dimension does not match the network")
     if _gamma_is_zero(blocks):
         return float("inf"), None
-
-    m = blocks.gamma.shape[0]
-    base = toll_polytope(blocks, model, 0.0)
-    cost = np.zeros(m + 1)
-    cost[m] = 1.0
-    rows = np.hstack([blocks.gamma, blocks.gamma_norm * np.ones((m, 1))])
-    solution, report = solve_lp(LpProblem(cost, rows, base.rhs))
-    if report.status == STATUS_INFEASIBLE:
+    flow = _max_min_flow(blocks.inc)
+    ceiling = float(flow.min()) / blocks.gamma_norm - model.support_radius
+    if ceiling < 0.0:
         raise InfeasibleError("no nonnegative toll keeps every edge utilized at the nominal "
                               "moments; the support radius is too large for this network")
-    if report.status == STATUS_UNBOUNDED:
-        # Impossible for a nonzero PSD flow response; reaching this means
-        # the arithmetic broke down, not that the radius is infinite.
-        raise ConvergenceError("robustness ceiling program came back unbounded",
-                               report.iterations, report.primal_residual)
-    if report.status != STATUS_OPTIMAL:
-        raise ConvergenceError("robustness ceiling program hit its iteration cap",
-                               report.iterations, report.primal_residual)
-    return float(solution[m]), solution[:m]
+    return ceiling, blocks.c - blocks.gamma @ model.mean - flow
+
+
+def epsilon_max(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, np.ndarray | None]:
+    """Largest ambiguity radius with a nonempty admissible toll set.
+
+    A toll is admissible at radius ``eps`` when its flow at the plug-in
+    mean, ``c - gamma @ (mean + tau)``, keeps ``||gamma|| (eps + delta)``
+    on every edge, and every feasible flow is that flow for some
+    nonnegative toll.  So the ceiling is ``t* / ||gamma|| - delta``, where
+    ``t*`` is the largest minimum edge flow over all feasible flows: the
+    smallest entry of the max-min flow ``f*``, which is ``demand / v*``
+    for the minimum flow value ``v*`` with every edge carrying at least 1
+    (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 6).  The mean
+    and covariance do not enter.  Returns the radius and a certificate
+    toll attaining it, the nonnegative toll whose plug-in flow is ``f*``.
+    When the flow response is zero (single-route networks) every radius
+    is admissible and the result is ``(inf, None)``.  A negative ceiling
+    means no toll keeps the network fully utilized even nominally; that
+    is a modelling problem, reported as :class:`InfeasibleError`.
+    """
+    ceiling, circulation = _ceiling(blocks, model)
+    if circulation is None:
+        return ceiling, None
+    return ceiling, _toll_for_circulation(blocks, circulation)
 
 
 def dro_objective(blocks: KktBlocks, model: DisturbanceModel, eps: float, tau: np.ndarray) -> float:
@@ -200,8 +284,7 @@ def _toll_for_circulation(blocks: KktBlocks, y: np.ndarray) -> np.ndarray:
     k = matrix.shape[0]
     beta = blocks.lat.beta
     # The destination is the dropped row, index k, with potential zero.
-    tails = np.argmax(matrix > 0.5, axis=0)
-    heads = np.where((matrix < -0.5).any(axis=0), np.argmax(matrix < -0.5, axis=0), k)
+    tails, heads = _endpoints(blocks.inc)
     need = -beta * y
     pi = np.zeros(k + 1)
     for _ in range(k + 1):
@@ -222,30 +305,30 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     runs over the nominal admissible polytope, in the circulation
     ``y = gamma @ tau``: minimize ``eps ||y + c|| + sum beta y^2 + mean @ y``
     subject to ``R y = 0`` and ``y <= rhs(0)``, by the interior-point
-    Newton method started at the ceiling's certificate (slack
-    ``||gamma|| epsilon_max`` on every row).  The circulation is turned
+    Newton method started at the circulation of the ceiling's certificate,
+    whose slack is the max-min flow less ``||gamma|| delta``, at least
+    ``||gamma|| epsilon_max`` on every row.  The circulation is turned
     back into a toll and canonicalized to the minimum-norm member of the
     optimal family.  A solve that does not close its duality gap raises
     :class:`ConvergenceError` with the Newton iterations and the gap.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    ceiling, certificate = epsilon_max(blocks, model)
+    ceiling, start = _ceiling(blocks, model)
     if eps > ceiling + _CEILING_SLACK:
         raise InfeasibleError(
             f"anticipated radius {eps:g} exceeds the robustness ceiling {ceiling:g}",
             epsilon_max=ceiling)
 
-    if certificate is None:
+    if start is None:
         # Single-route networks: the only circulation is zero.
         y, iterations, gap = np.zeros(blocks.gamma.shape[0]), 0, 0.0
     else:
         rhs = toll_polytope(blocks, model, 0.0).rhs
-        start = blocks.gamma @ certificate
         slack = float((rhs - start).min())
         if not slack > 0.0:
-            # Exact arithmetic gives slack ||gamma|| * ceiling here, so this
-            # is a ceiling of zero or a certificate broken by round-off.
+            # The slack is at least ||gamma|| * ceiling up to rounding, so
+            # this is a ceiling of zero.
             raise NumericalDegeneracyError(
                 f"the robustness ceiling's certificate has slack {slack:.3e} (ceiling "
                 f"{ceiling:g}), so the design has no interior start point")

@@ -1,16 +1,15 @@
 """Deterministic dense optimization kernels.
 
-The design layer needs four things: a linear program solver for
-feasibility and robustness-radius questions, a primal active-set QP (the
-toll canonicalization), an interior-point Newton method for the robust
-design objective (a smooth norm term plus a separable quadratic over a
+The design layer needs three things: a primal active-set QP (the toll
+canonicalization), an interior-point Newton method for the robust design
+objective (a smooth norm term plus a separable quadratic over a
 polyhedron in circulation space), and symmetric matrix helpers for the
-ambiguity-set geometry.  All of it is written against plain numpy on dense
-arrays.  Instances in this package are small (tolls live in R^|E| with
-|E| <= 512), so the priorities are determinism and bit-reproducible runs,
-not sparse scalability: the simplex uses Bland's rule with fixed
-tie-breaking, and the active-set method breaks ties by lowest constraint
-index.
+ambiguity-set geometry.  The robustness ceiling is a network-flow number
+and needs no solver from here.  All of it is written against plain numpy
+on dense arrays.  Instances in this package are small (tolls live in
+R^|E| with |E| <= 512), so the priorities are determinism and
+bit-reproducible runs, not sparse scalability: the active-set method
+breaks ties by lowest constraint index.
 """
 
 from __future__ import annotations
@@ -19,17 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError
-
 # Statuses shared by every solver in this module.
 STATUS_OPTIMAL = "optimal"
-STATUS_INFEASIBLE = "infeasible"
-STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_CAP = "iteration_cap"
 
-_PIVOT_TOL = 1e-10
-_RCOST_TOL = 1e-9
-_FEAS_TOL = 1e-9
 # Interior-point budget and stopping tolerances (relative, see
 # :func:`_barrier_newton`).
 _NEWTON_ITERS = 100
@@ -38,169 +30,16 @@ _DUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class LpProblem:
-    """A linear program: maximize ``cost @ x`` s.t. ``rows @ x <= rhs``, ``x >= lower``.
-
-    Attributes:
-        cost: objective coefficients, shape (n,).
-        rows: inequality matrix, shape (m, n); m may be zero.
-        rhs: inequality right-hand sides, shape (m,).
-        lower: variable lower bounds, shape (n,); defaults to zero.
-    """
-
-    cost: np.ndarray
-    rows: np.ndarray
-    rhs: np.ndarray
-    lower: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        n = self.cost.shape[0]
-        if self.rows.ndim != 2 or self.rows.shape[1] != n:
-            raise ValueError(f"rows must be (m, {n}), got {self.rows.shape}")
-        if self.rhs.shape != (self.rows.shape[0],):
-            raise ValueError("rhs length must match number of rows")
-        if self.lower is not None and self.lower.shape != (n,):
-            raise ValueError("lower bound length must match cost length")
-
-
-@dataclass(frozen=True)
 class SolveReport:
-    """How a solve went: status, effort, and residual diagnostics.
+    """How an interior-point solve went: status, effort, and residuals.
 
-    ``gap`` is the primal-dual gap, for linear programs and for the
-    interior-point kernel alike.
+    ``gap`` is the duality gap ``slack @ multipliers``.
     """
 
     status: str
     iterations: int
     primal_residual: float
     gap: float
-
-
-def _simplex(table: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: list[int],
-             allowed: np.ndarray, max_iter: int) -> tuple[str, int]:
-    """Run simplex pivots in place on a row-reduced tableau.
-
-    ``table`` and ``rhs`` must already be reduced with respect to
-    ``basis`` (basic columns are unit vectors).  Minimizes ``cost`` over
-    the columns flagged in ``allowed``; Bland's rule (lowest eligible
-    index in, lowest basic index out on ratio ties) guarantees
-    termination.
-    """
-    n_rows = table.shape[0]
-    for it in range(max_iter):
-        multipliers = cost[basis] @ table
-        reduced = cost - multipliers
-        entering = -1
-        for j in np.flatnonzero(allowed):
-            if reduced[j] < -_RCOST_TOL:
-                entering = int(j)
-                break
-        if entering < 0:
-            return STATUS_OPTIMAL, it
-        col = table[:, entering]
-        ratio = np.inf
-        leaving = -1
-        for i in range(n_rows):
-            if col[i] > _PIVOT_TOL:
-                r = rhs[i] / col[i]
-                if r < ratio - 1e-12 or (abs(r - ratio) <= 1e-12 and (leaving < 0 or basis[i] < basis[leaving])):
-                    ratio = r
-                    leaving = i
-        if leaving < 0:
-            return STATUS_UNBOUNDED, it
-        piv = table[leaving, entering]
-        table[leaving] /= piv
-        rhs[leaving] /= piv
-        for i in range(n_rows):
-            if i != leaving and table[i, entering] != 0.0:
-                f = table[i, entering]
-                table[i] -= f * table[leaving]
-                rhs[i] -= f * rhs[leaving]
-        # Round-off can push a degenerate basic value a hair negative;
-        # snap it back so later ratio tests stay meaningful.
-        rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
-        basis[leaving] = entering
-    return STATUS_ITERATION_CAP, max_iter
-
-
-def solve_lp(problem: LpProblem, max_iter: int = 10_000) -> tuple[np.ndarray, SolveReport]:
-    """Solve a small dense LP with a two-phase tableau simplex.
-
-    Returns the primal solution (the best iterate on an iteration cap,
-    the last vertex visited when unbounded) together with a
-    :class:`SolveReport`.  Infeasibility and unboundedness are reported
-    through the status rather than raised, because callers here use both
-    outcomes as answers (phase-one feasibility probes, the robustness
-    radius of a single-edge network).
-    """
-    cost = np.asarray(problem.cost, dtype=float)
-    rows = np.asarray(problem.rows, dtype=float)
-    rhs_in = np.asarray(problem.rhs, dtype=float)
-    n = cost.shape[0]
-    m = rows.shape[0]
-    lower = np.zeros(n) if problem.lower is None else np.asarray(problem.lower, dtype=float)
-    b = rhs_in - rows @ lower
-
-    # Standard form: rows@y + s = b with y, s >= 0, plus one artificial per
-    # row so phase one always starts from an identity basis.
-    sign = np.where(b < 0.0, -1.0, 1.0)
-    table = np.hstack([rows * sign[:, None], np.diag(sign), np.eye(m)])
-    rhs = b * sign
-    n_cols = n + 2 * m
-    basis = [n + m + i for i in range(m)]
-    artificial = np.zeros(n_cols, dtype=bool)
-    artificial[n + m:] = True
-
-    phase1_cost = np.zeros(n_cols)
-    phase1_cost[artificial] = 1.0
-    allowed = np.ones(n_cols, dtype=bool)
-    status1, it1 = _simplex(table, rhs, phase1_cost, basis, allowed, max_iter)
-    infeas = float(sum(rhs[i] for i in range(m) if artificial[basis[i]]))
-    if status1 == STATUS_ITERATION_CAP:
-        report = SolveReport(STATUS_ITERATION_CAP, it1, infeas, np.inf)
-        return lower.copy(), report
-    if infeas > 1e-8 * max(1.0, float(np.abs(b).max(initial=0.0))):
-        report = SolveReport(STATUS_INFEASIBLE, it1, infeas, np.inf)
-        return lower.copy(), report
-
-    # Drive any lingering artificial out of the basis; rows where that is
-    # impossible are redundant and harmless to leave as degenerate zeros.
-    for i in range(m):
-        if artificial[basis[i]]:
-            pivots = np.flatnonzero(np.abs(table[i, : n + m]) > _PIVOT_TOL)
-            if pivots.size:
-                j = int(pivots[0])
-                piv = table[i, j]
-                table[i] /= piv
-                rhs[i] /= piv
-                for k in range(m):
-                    if k != i and table[k, j] != 0.0:
-                        f = table[k, j]
-                        table[k] -= f * table[i]
-                        rhs[k] -= f * rhs[i]
-                basis[i] = j
-
-    phase2_cost = np.zeros(n_cols)
-    phase2_cost[:n] = -cost
-    allowed = ~artificial
-    status2, it2 = _simplex(table, rhs, phase2_cost, basis, allowed, max_iter - it1)
-
-    y = np.zeros(n_cols)
-    for i in range(m):
-        y[basis[i]] = rhs[i]
-    x = y[:n] + lower
-
-    primal_residual = float(max(np.max(rows @ x - rhs_in, initial=0.0), np.max(lower - x, initial=0.0), 0.0))
-    if status2 == STATUS_OPTIMAL:
-        # Simplex multipliers give the dual; the theoretical gap is zero,
-        # so what is reported is pure floating-point disagreement.
-        multipliers = phase2_cost[basis] @ table
-        duals = np.array([phase2_cost[n + i] - multipliers[n + i] for i in range(m)])
-        gap = abs(float(cost @ x) - float(duals @ rhs_in + (cost - rows.T @ duals) @ lower))
-    else:
-        gap = np.inf
-    return x, SolveReport(status2, it1 + it2, primal_residual, gap)
 
 
 def active_set_qp(hess: np.ndarray, grad: np.ndarray, rows: np.ndarray, rhs: np.ndarray,
@@ -269,29 +108,6 @@ def active_set_qp(hess: np.ndarray, grad: np.ndarray, rows: np.ndarray, rhs: np.
     comple = float(np.abs(clamped * (rows @ x - rhs)).max(initial=0.0))
     residual = max(stationarity, violation, comple, 0.0)
     return x, clamped, it, residual, status
-
-
-def phase_one_point(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Find ``x >= 0`` minimizing the worst violation of ``rows @ x <= rhs``.
-
-    Returns the point and its maximum violation (zero within tolerance
-    means the polyhedron ``{x >= 0, rows @ x <= rhs}`` is nonempty).
-    Implemented as the usual phase-one LP with a single slack variable.
-    """
-    rows = np.asarray(rows, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    n = rows.shape[1]
-    cost = np.zeros(n + 1)
-    cost[n] = -1.0
-    widened = np.hstack([rows, -np.ones((rows.shape[0], 1))])
-    x, report = solve_lp(LpProblem(cost, widened, rhs))
-    if report.status not in (STATUS_OPTIMAL, STATUS_UNBOUNDED):
-        # The widened problem is always feasible, so anything else is a
-        # solver breakdown worth surfacing.
-        raise ConvergenceError("phase-one feasibility probe failed", report.iterations, report.primal_residual)
-    point = x[:n]
-    violation = float(np.max(rows @ point - rhs, initial=0.0))
-    return point, max(violation, 0.0)
 
 
 def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np.ndarray,

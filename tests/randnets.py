@@ -2,9 +2,9 @@
 
 The generators only use numpy's Generator API with caller-provided seeds,
 so every test run sees the same instances.  The oracles are deliberately
-dumb: vertex enumeration for linear programs, active-subset enumeration
-for quadratic programs, golden-section search for one-dimensional design
-problems.  Slow but independent of the code under test.
+dumb: active-subset enumeration for quadratic programs, golden-section
+search for one-dimensional design problems.  Slow but independent of the
+code under test.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from robusttolls.design import epsilon_max, toll_polytope
 from robusttolls.equilibrium import LatencyModel, kkt_blocks
 from robusttolls.network import Edge, Network, incidence, validate_network
-from robusttolls.optim import LpProblem, phase_one_point, solve_lp
 from robusttolls.uncertainty import DisturbanceModel, sample_uniform_ball
 
 
@@ -76,29 +75,66 @@ def random_instance(rng: np.random.Generator, max_nodes: int = 8, max_edges: int
                 return net, lat, blocks, model, ceiling
 
 
+def layered_dag_network(rng: np.random.Generator, n: int, m: int, demand: float) -> Network:
+    """A valid single-OD DAG on ``n >= 3`` nodes with exactly ``m`` distinct edges.
+
+    Interior nodes are split into about ``sqrt(n - 2)`` layers in index
+    order.  A spine gives every interior node an edge in from the layer
+    before it and every node still without one an edge out to the layer
+    after it; the remaining edges join random nodes of random layers,
+    nine in ten of them adjacent.  ``m`` must lie between the spine's
+    size and the number of forward layer pairs.
+    """
+    count = max(1, round(float(np.sqrt(n - 2))))
+    layers = [[0]] + [c.tolist() for c in np.array_split(np.arange(1, n - 1), count)] + [[n - 1]]
+    edges: list[tuple[int, int]] = []
+
+    def add(tail: int, head: int) -> None:
+        if (tail, head) not in edges:
+            edges.append((tail, head))
+
+    for depth in range(1, len(layers) - 1):
+        for v in layers[depth]:
+            add(int(rng.choice(layers[depth - 1])), v)
+    for depth in range(len(layers) - 1):
+        for u in layers[depth]:
+            if all(t != u for t, _ in edges):
+                add(u, int(rng.choice(layers[depth + 1])))
+    room = sum(len(a) * len(b) for i, a in enumerate(layers) for b in layers[i + 1:])
+    assert len(edges) <= m <= room, f"{m} edges do not fit these layers"
+    while len(edges) < m:
+        a = int(rng.integers(0, len(layers) - 1))
+        b = a + 1 if rng.random() < 0.9 else int(rng.integers(a + 1, len(layers)))
+        add(int(rng.choice(layers[a])), int(rng.choice(layers[b])))
+    net = Network(num_nodes=n, edges=tuple(Edge(f"e{k}", t, h) for k, (t, h) in enumerate(edges)),
+                  demand=demand)
+    assert validate_network(net).ok
+    return net
+
+
 def sample_strict_toll(rng: np.random.Generator, blocks, model, eps: float) -> np.ndarray:
     """A random toll strictly inside the radius-``eps`` admissible set.
 
-    Starts from the deepest point (maximum uniform slack, a small LP),
-    mixes in the row-space directions the flow response cannot see, and
-    blends toward other feasible points; all three moves preserve strict
-    feasibility.
+    Starts from the robustness ceiling's certificate, the deepest point
+    (its flow is the max-min flow, so every row keeps a slack of at least
+    ``||gamma|| (epsilon_max - eps)``), steps along a random nonnegative
+    direction up to 0.9 of the room the slacks leave, and mixes in the
+    row-space directions the flow response cannot see; every move keeps
+    the toll nonnegative and every slack positive.
     """
-    poly = toll_polytope(blocks, model, eps, strict=True)
+    poly = toll_polytope(blocks, model, eps)
     m = poly.gamma.shape[1]
     if blocks.gamma_norm <= 1e-9:
         return rng.uniform(0.0, 1.0, m)
-    cost = np.zeros(m + 1)
-    cost[m] = 1.0
-    rows = np.hstack([poly.gamma, np.ones((m, 1))])
-    deep, report = solve_lp(LpProblem(cost, rows, poly.rhs))
-    assert report.status == "optimal" and deep[m] > 0.0, "no strict interior at this radius"
-    tau = deep[:m]
+    _, tau = epsilon_max(blocks, model)
+    slack = poly.rhs - poly.gamma @ tau
+    assert float(slack.min()) > 0.0, "no strict interior at this radius"
 
-    feas, violation = phase_one_point(poly.gamma, poly.rhs)
-    assert violation <= 1e-9
-    blend = rng.uniform(0.05, 0.95)
-    tau = blend * tau + (1.0 - blend) * feas
+    direction = rng.uniform(0.0, 1.0, m)
+    gain = poly.gamma @ direction
+    growing = gain > 0.0
+    room = float((slack[growing] / gain[growing]).min()) if growing.any() else 1.0
+    tau = tau + rng.uniform(0.0, 0.9) * room * direction
 
     shift = blocks.inc.matrix.T @ rng.normal(size=blocks.inc.matrix.shape[0])
     negative = shift < -1e-12
@@ -107,7 +143,8 @@ def sample_strict_toll(rng: np.random.Generator, blocks, model, eps: float) -> n
     else:
         room = 1.0
     tau = tau + rng.uniform(0.0, 0.9) * room * shift
-    assert poly.contains(tau), "strict toll sampler produced an outside point"
+    assert float(tau.min()) >= 0.0 and float((poly.rhs - poly.gamma @ tau).min()) > 0.0, \
+        "strict toll sampler produced an outside point"
     return tau
 
 
@@ -139,27 +176,6 @@ def golden_section(fn, lo: float, hi: float, iters: int = 240) -> tuple[float, f
             f2 = fn(x2)
     mid = 0.5 * (a + b)
     return mid, fn(mid)
-
-
-def brute_force_lp(problem: LpProblem) -> tuple[str, float]:
-    """Maximize by enumerating basic feasible points.  Bounded LPs only."""
-    n = problem.cost.shape[0]
-    lower = np.zeros(n) if problem.lower is None else problem.lower
-    rows = np.vstack([problem.rows, -np.eye(n)])
-    rhs = np.concatenate([problem.rhs, -lower])
-    best = None
-    for subset in itertools.combinations(range(rows.shape[0]), n):
-        sub = rows[list(subset)]
-        if abs(np.linalg.det(sub)) < 1e-10:
-            continue
-        vertex = np.linalg.solve(sub, rhs[list(subset)])
-        if float(np.max(rows @ vertex - rhs)) <= 1e-8:
-            value = float(problem.cost @ vertex)
-            if best is None or value > best:
-                best = value
-    if best is None:
-        return "infeasible", float("nan")
-    return "optimal", best
 
 
 def brute_force_qp(hess: np.ndarray, grad: np.ndarray, rows: np.ndarray,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from randnets import golden_section, random_instance, sample_strict_toll
+from randnets import golden_section, layered_dag_network, random_instance, sample_strict_toll
 from robusttolls import optim
 from robusttolls.design import (
     DesignResult,
@@ -45,16 +45,6 @@ def test_toll_polytope_contains():
         poly.contains(np.zeros(3))
 
 
-def test_toll_polytope_strict_mode():
-    poly = toll_polytope(pigou_blocks(), PIGOU_MODEL, eps=0.0, strict=True)
-    # (19.6, 0) sits exactly on the first facet: inside the closed set,
-    # outside the strict one.
-    boundary = np.array([19.6, 0.0])
-    closed = toll_polytope(pigou_blocks(), PIGOU_MODEL, eps=0.0)
-    assert closed.contains(boundary)
-    assert not poly.contains(boundary)
-
-
 def test_toll_polytope_shrinks_with_radius():
     blocks = pigou_blocks()
     small = toll_polytope(blocks, PIGOU_MODEL, eps=5.0)
@@ -78,37 +68,116 @@ def test_polytope_nonempty_pigou():
     assert not polytope_nonempty(toll_polytope(blocks, PIGOU_MODEL, eps=40.5))
 
 
-def test_epsilon_max_pigou():
-    ceiling, certificate = epsilon_max(pigou_blocks(), PIGOU_MODEL)
-    assert ceiling == pytest.approx(39.8, abs=1e-9)
-    assert certificate is not None
-    poly = toll_polytope(pigou_blocks(), PIGOU_MODEL, eps=ceiling)
-    assert poly.contains(certificate, tol=1e-7)
+def _pigou_with_radius(delta):
+    model = DisturbanceModel(mean=PIGOU_MODEL.mean, cov=PIGOU_MODEL.cov, support_radius=delta)
+    return pigou_blocks(), model
 
 
-def test_epsilon_max_zero_support_radius():
-    model = DisturbanceModel(mean=np.array([20.0, 30.0]), cov=0.01 * np.eye(2),
-                             support_radius=0.0)
-    ceiling, _ = epsilon_max(pigou_blocks(), model)
-    assert ceiling == pytest.approx(40.0, abs=1e-9)
+def _network_case(edges, beta, demand=10.0, delta=0.05):
+    n = 1 + max(h for _, h in edges)
+    net = Network(num_nodes=n, edges=tuple(Edge(f"e{k}", t, h) for k, (t, h) in enumerate(edges)),
+                  demand=demand)
+    m = len(edges)
+    blocks = kkt_blocks(incidence(net), LatencyModel(np.array(beta, dtype=float)))
+    mean = np.linspace(0.0, 1.0, m)
+    return blocks, DisturbanceModel(mean=mean, cov=np.zeros((m, m)), support_radius=delta)
 
 
-def test_epsilon_max_single_edge_unbounded():
-    net = Network(num_nodes=2, edges=(Edge("only", 0, 1),), demand=5.0)
-    blocks = kkt_blocks(incidence(net), LatencyModel(np.array([2.0])))
-    model = DisturbanceModel(mean=np.array([1.0]), cov=np.zeros((1, 1)), support_radius=0.1)
-    ceiling, certificate = epsilon_max(blocks, model)
-    assert ceiling == np.inf
-    assert certificate is None
+def _random_cases():
+    rng = np.random.default_rng(8080)
+    return [random_instance(rng)[2:4] for _ in range(20)]
 
 
-def test_epsilon_max_infeasible_support():
-    # With a huge support radius even the nominal polytope is empty.
-    model = DisturbanceModel(mean=np.array([20.0, 30.0]), cov=0.01 * np.eye(2),
-                             support_radius=50.0)
-    with pytest.raises(InfeasibleError) as info:
-        epsilon_max(pigou_blocks(), model)
-    assert info.value.epsilon_max is None
+def _layered_case():
+    # A size where a dense simplex's round-off can end on a wrong vertex:
+    # one reported 22.769 here against the LP's optimum 22.248.
+    rng = np.random.default_rng(28)
+    net = layered_dag_network(rng, 60, 150, 1500.0)
+    blocks = kkt_blocks(incidence(net), LatencyModel(rng.uniform(0.5, 2.0, 150)))
+    model = DisturbanceModel(mean=rng.uniform(0.0, 10.0, 150), cov=np.zeros((150, 150)),
+                             support_radius=0.05)
+    return [(blocks, model)]
+
+
+# name -> (instances, known ceiling or None); InfeasibleError stands for
+# an empty polytope even at radius zero.
+CEILING_CASES = {
+    "pigou": (lambda: [_pigou_with_radius(0.2)], 39.8),
+    "pigou-zero-radius": (lambda: [_pigou_with_radius(0.0)], 40.0),
+    "pigou-oversized-radius": (lambda: [_pigou_with_radius(50.0)], InfeasibleError),
+    "single-edge": (lambda: [_network_case([(0, 1)], [2.0])], np.inf),
+    "series": (lambda: [_network_case([(0, 1), (1, 2), (2, 3)], [1.0, 2.0, 3.0])], np.inf),
+    "parallel": (lambda: [_network_case([(0, 1)] * 4, [0.5, 1.0, 2.0, 4.0])], None),
+    "braess": (lambda: [_network_case([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)],
+                                      [1.0, 0.1, 0.05, 0.1, 1.0], demand=20.0)], None),
+    "random": (_random_cases, None),
+    "layered-m150": (_layered_case, None),
+}
+
+
+def _highs_ceiling(optimize, blocks, model):
+    """``max eps`` s.t. ``gamma tau + ||gamma|| eps <= rhs(0)``, ``tau, eps >= 0``, by HiGHS."""
+    m = blocks.gamma.shape[0]
+    cost = np.zeros(m + 1)
+    cost[m] = -1.0
+    rows = np.hstack([blocks.gamma, np.full((m, 1), blocks.gamma_norm)])
+    res = optimize.linprog(cost, A_ub=rows, b_ub=toll_polytope(blocks, model, 0.0).rhs,
+                           bounds=(0, None), method="highs")
+    if res.status == 0:
+        return float(res.x[m])
+    return {2: InfeasibleError, 3: np.inf}[res.status]
+
+
+@pytest.mark.parametrize("case", list(CEILING_CASES))
+def test_epsilon_max_matches_highs(case):
+    build, known = CEILING_CASES[case]
+    instances = build()
+    outcomes = []
+    for blocks, model in instances:
+        try:
+            outcomes.append(epsilon_max(blocks, model))
+        except InfeasibleError as err:
+            assert err.epsilon_max is None
+            outcomes.append((InfeasibleError, None))
+    if known in (InfeasibleError, np.inf):
+        assert [ceiling for ceiling, _ in outcomes] == [known]
+    elif known is not None:
+        assert [ceiling for ceiling, _ in outcomes] == [pytest.approx(known, rel=1e-12)]
+
+    for (blocks, model), (ceiling, certificate) in zip(instances, outcomes):
+        if ceiling is InfeasibleError or not np.isfinite(ceiling):
+            assert certificate is None
+            continue
+        assert certificate.min() >= 0.0
+        poly = toll_polytope(blocks, model, ceiling)
+        assert poly.contains(certificate, tol=1e-9 * max(1.0, float(np.abs(poly.rhs).max())))
+        assert polytope_nonempty(poly)
+        assert not polytope_nonempty(toll_polytope(blocks, model, ceiling * (1.0 + 1e-9) + 1e-9))
+
+    optimize = pytest.importorskip("scipy.optimize")
+    for (blocks, model), (ceiling, _) in zip(instances, outcomes):
+        reference = _highs_ceiling(optimize, blocks, model)
+        if reference in (InfeasibleError, np.inf):
+            assert ceiling == reference
+        else:
+            assert ceiling == pytest.approx(reference, rel=1e-10)
+
+
+def test_solve_dro_tolls_starts_inside_on_wide_slope_spreads():
+    # Slopes spanning six decades can push an LP-computed certificate
+    # outside its own polytope.  The max-min flow start has slack f* on
+    # every edge here (zero support radius), so every instance must solve.
+    rng = np.random.default_rng(1)
+    for _ in range(40):
+        net = layered_dag_network(rng, 12, 24, 240.0)
+        blocks = kkt_blocks(incidence(net), LatencyModel(10.0 ** rng.uniform(0.0, 6.0, 24)))
+        model = DisturbanceModel(mean=np.zeros(24), cov=np.zeros((24, 24)), support_radius=0.0)
+        ceiling, _ = epsilon_max(blocks, model)
+        result = solve_dro_tolls(blocks, model, 0.5 * ceiling)
+        # The duality gap bounds how far the design is from optimal.
+        assert 0.0 <= result.residual <= 1e-7 * abs(result.worst_case_latency)
+        poly = toll_polytope(blocks, model, 0.0)
+        assert poly.contains(result.tau_star, tol=1e-9 * float(np.abs(poly.rhs).max()))
 
 
 def test_dro_objective_values():

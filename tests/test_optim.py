@@ -1,101 +1,19 @@
-"""Tests for the linear, quadratic, and interior-point composite solvers."""
+"""Tests for the quadratic and interior-point composite solvers."""
 
 import numpy as np
 import pytest
 
-from randnets import brute_force_lp, brute_force_qp
+from randnets import brute_force_qp
 from robusttolls import optim
 from robusttolls.exceptions import ConvergenceError
 from robusttolls.optim import (
-    STATUS_INFEASIBLE,
     STATUS_ITERATION_CAP,
     STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
-    LpProblem,
     _barrier_newton,
     active_set_qp,
-    phase_one_point,
     psd_sqrt,
-    solve_lp,
     spectral_norm,
 )
-
-
-def test_lp_simple_box():
-    # max x + 2y with x <= 3, y <= 4, x + y <= 5 -> (1, 4).
-    problem = LpProblem(cost=np.array([1.0, 2.0]),
-                        rows=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-                        rhs=np.array([3.0, 4.0, 5.0]))
-    x, report = solve_lp(problem)
-    assert report.status == STATUS_OPTIMAL
-    assert x == pytest.approx([1.0, 4.0], abs=1e-10)
-    assert report.gap <= 1e-8
-
-
-def test_lp_unbounded():
-    problem = LpProblem(cost=np.array([1.0]),
-                        rows=np.array([[-1.0]]),
-                        rhs=np.array([0.0]))
-    _, report = solve_lp(problem)
-    assert report.status == STATUS_UNBOUNDED
-
-
-def test_lp_infeasible():
-    # x >= 0 together with x <= -1 is empty.
-    problem = LpProblem(cost=np.array([1.0]),
-                        rows=np.array([[1.0]]),
-                        rhs=np.array([-1.0]))
-    _, report = solve_lp(problem)
-    assert report.status == STATUS_INFEASIBLE
-
-
-def test_lp_lower_bounds():
-    # max -x - y with x, y >= -2 and x + y <= 1 -> corner (-2, -2).
-    problem = LpProblem(cost=np.array([-1.0, -1.0]),
-                        rows=np.array([[1.0, 1.0]]),
-                        rhs=np.array([1.0]),
-                        lower=np.array([-2.0, -2.0]))
-    x, report = solve_lp(problem)
-    assert report.status == STATUS_OPTIMAL
-    assert x == pytest.approx([-2.0, -2.0], abs=1e-10)
-
-
-def test_lp_iteration_cap():
-    problem = LpProblem(cost=np.array([1.0, 2.0]),
-                        rows=np.array([[1.0, 1.0]]),
-                        rhs=np.array([5.0]))
-    _, report = solve_lp(problem, max_iter=1)
-    assert report.status == STATUS_ITERATION_CAP
-
-
-def test_lp_shape_validation():
-    with pytest.raises(ValueError):
-        solve_lp(LpProblem(cost=np.array([1.0]),
-                           rows=np.array([[1.0, 2.0]]),
-                           rhs=np.array([1.0])))
-
-
-def test_lp_matches_vertex_enumeration():
-    rng = np.random.default_rng(20240817)
-    for _ in range(50):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 7))
-        rows = rng.normal(size=(m, n))
-        feasible = rng.uniform(0.0, 2.0, n)
-        rhs = rows @ feasible + rng.uniform(0.1, 2.0, m)
-        # A simplex row keeps the feasible region bounded.
-        rows = np.vstack([rows, np.ones(n)])
-        rhs = np.concatenate([rhs, [float(feasible.sum() + rng.uniform(1.0, 5.0))]])
-        problem = LpProblem(cost=rng.normal(size=n), rows=rows, rhs=rhs)
-        x, report = solve_lp(problem)
-        status, best = brute_force_lp(problem)
-        assert status == "optimal"
-        assert report.status == STATUS_OPTIMAL
-        value = float(problem.cost @ x)
-        assert value == pytest.approx(best, abs=1e-7 * (1.0 + abs(best)))
-        assert float(np.max(rows @ x - rhs)) <= 1e-8
-        assert x.min() >= -1e-10
-        assert report.gap <= 1e-6 * (1.0 + abs(value))
 
 
 def test_qp_known_answer():
@@ -145,20 +63,6 @@ def test_qp_rejects_infeasible_start():
     with pytest.raises(ValueError):
         active_set_qp(np.eye(1), np.zeros(1), np.array([[1.0]]),
                       np.array([-1.0]), np.zeros(1))
-
-
-def test_phase_one_point_feasible_and_empty():
-    rows = np.array([[1.0, 1.0], [-1.0, 0.0]])
-    rhs = np.array([2.0, 0.0])
-    x, violation = phase_one_point(rows, rhs)
-    assert violation <= 1e-10
-    assert float(np.max(rows @ x - rhs)) <= 1e-9
-    assert x.min() >= -1e-10
-
-    rows = np.array([[1.0], [-1.0]])
-    rhs = np.array([-2.0, 1.0])  # x <= -2 and x >= -1: empty
-    _, violation = phase_one_point(rows, rhs)
-    assert violation > 0.1
 
 
 def _circulation_instance(rng, n, k):
@@ -260,10 +164,8 @@ def test_composite_infeasible_polytope():
 
 def test_projection_infeasible_raises():
     # Projecting the origin onto {x >= 0, x <= -1}: with y = (x, -x) the
-    # set is y1 + y2 = 0, y <= (-1, 0).  Phase one sees it empty and the
-    # projection refuses it.
-    _, violation = phase_one_point(np.array([[1.0]]), np.array([-1.0]))
-    assert violation > 0.1
+    # set is y1 + y2 = 0, y <= (-1, 0), which is empty, and the kernel
+    # refuses it.
     with pytest.raises(ValueError):
         _barrier_newton(1.0, np.zeros(2), np.zeros(2), np.zeros(2), np.array([[1.0, 1.0]]),
                         np.array([-1.0, 0.0]), np.zeros(2))
