@@ -139,7 +139,10 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     upper = np.asarray(upper, dtype=float)
     m = upper.shape[0]
     offset, weights, lin, start = (np.asarray(v, dtype=float) for v in (offset, weights, lin, start))
-    balance = np.asarray(balance, dtype=float).reshape(-1, m)
+    balance = np.asarray(balance, dtype=float)
+    if balance.shape[-1] != m or any(v.shape != (m,) for v in (offset, weights, lin, start)):
+        raise ValueError("offset, weights, lin, start and the balance rows must have the length of upper")
+    balance = balance.reshape(-1, m)
     basis = np.linalg.qr(balance.T, mode="complete")[0][:, balance.shape[0]:]
     y = basis @ (basis.T @ start)
     slack = upper - y

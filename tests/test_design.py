@@ -99,13 +99,9 @@ def _layered_case():
     return [(blocks, model)]
 
 
-# name -> (instances, known ceiling or None); InfeasibleError stands for
-# an empty polytope even at radius zero.
+# name -> (instances, known ceiling or None); the known-answer cases
+# (Pigou, an empty polytope, a single edge) have tests of their own below.
 CEILING_CASES = {
-    "pigou": (lambda: [_pigou_with_radius(0.2)], 39.8),
-    "pigou-zero-radius": (lambda: [_pigou_with_radius(0.0)], 40.0),
-    "pigou-oversized-radius": (lambda: [_pigou_with_radius(50.0)], InfeasibleError),
-    "single-edge": (lambda: [_network_case([(0, 1)], [2.0])], np.inf),
     "series": (lambda: [_network_case([(0, 1), (1, 2), (2, 3)], [1.0, 2.0, 3.0])], np.inf),
     "parallel": (lambda: [_network_case([(0, 1)] * 4, [0.5, 1.0, 2.0, 4.0])], None),
     "braess": (lambda: [_network_case([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)],
@@ -128,10 +124,14 @@ def _highs_ceiling(optimize, blocks, model):
     return {2: InfeasibleError, 3: np.inf}[res.status]
 
 
-@pytest.mark.parametrize("case", list(CEILING_CASES))
-def test_epsilon_max_matches_highs(case):
-    build, known = CEILING_CASES[case]
-    instances = build()
+def _assert_ceilings(instances, known=None):
+    """Check ``epsilon_max`` on ``instances`` and, when scipy is there, against HiGHS.
+
+    ``known`` is the ceiling of a single instance, ``np.inf``, or
+    ``InfeasibleError`` for a polytope that is empty even at radius zero.
+    Every finite ceiling's certificate must be a nonnegative toll in its
+    polytope, and the polytope must empty just above the ceiling.
+    """
     outcomes = []
     for blocks, model in instances:
         try:
@@ -154,13 +154,43 @@ def test_epsilon_max_matches_highs(case):
         assert polytope_nonempty(poly)
         assert not polytope_nonempty(toll_polytope(blocks, model, ceiling * (1.0 + 1e-9) + 1e-9))
 
-    optimize = pytest.importorskip("scipy.optimize")
+    try:
+        from scipy import optimize
+    except ImportError:
+        return
     for (blocks, model), (ceiling, _) in zip(instances, outcomes):
         reference = _highs_ceiling(optimize, blocks, model)
         if reference in (InfeasibleError, np.inf):
             assert ceiling == reference
         else:
             assert ceiling == pytest.approx(reference, rel=1e-10)
+
+
+def test_epsilon_max_pigou():
+    _assert_ceilings([_pigou_with_radius(0.2)], 39.8)
+
+
+def test_epsilon_max_zero_support_radius():
+    _assert_ceilings([_pigou_with_radius(0.0)], 40.0)
+
+
+def test_epsilon_max_single_edge_unbounded():
+    net = Network(num_nodes=2, edges=(Edge("only", 0, 1),), demand=5.0)
+    blocks = kkt_blocks(incidence(net), LatencyModel(np.array([2.0])))
+    model = DisturbanceModel(mean=np.array([1.0]), cov=np.zeros((1, 1)), support_radius=0.1)
+    _assert_ceilings([(blocks, model)], np.inf)
+
+
+def test_epsilon_max_infeasible_support():
+    # With a huge support radius even the nominal polytope is empty.
+    _assert_ceilings([_pigou_with_radius(50.0)], InfeasibleError)
+
+
+@pytest.mark.parametrize("case", list(CEILING_CASES))
+def test_epsilon_max_matches_highs(case):
+    pytest.importorskip("scipy.optimize")
+    build, known = CEILING_CASES[case]
+    _assert_ceilings(build(), known)
 
 
 def test_solve_dro_tolls_starts_inside_on_wide_slope_spreads():

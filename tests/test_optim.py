@@ -1,5 +1,7 @@
 """Tests for the quadratic and interior-point composite solvers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,104 @@ from robusttolls.optim import (
     psd_sqrt,
     spectral_norm,
 )
+
+
+def _kernel_lp(cost, rows, rhs, start, lower=None):
+    """``max cost @ x`` s.t. ``rows @ x <= rhs``, ``x >= lower``, by the kernel.
+
+    The LP is the kernel's ``eps = 0``, zero-weight case in the variables
+    ``y = (w, z)`` with ``w = lower - x <= 0`` and ``z = -rows @ w``, so
+    the balance rows are ``[rows, I]`` and ``z <= rhs - rows @ lower``.
+    ``start`` must be strictly feasible.
+    """
+    k, n = rows.shape
+    lower = np.zeros(n) if lower is None else lower
+    w = lower - start
+    y, report = _barrier_newton(0.0, np.zeros(n + k), np.zeros(n + k),
+                                np.concatenate([cost, np.zeros(k)]), np.hstack([rows, np.eye(k)]),
+                                np.concatenate([np.zeros(n), rhs - rows @ lower]),
+                                np.concatenate([w, -rows @ w]))
+    return lower - y[:n], report
+
+
+def test_lp_simple_box():
+    # max x + 2y with x <= 3, y <= 4, x + y <= 5 -> (1, 4).
+    x, report = _kernel_lp(np.array([1.0, 2.0]),
+                          np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                          np.array([3.0, 4.0, 5.0]), np.ones(2))
+    assert report.status == STATUS_OPTIMAL
+    assert x == pytest.approx([1.0, 4.0], abs=1e-10)
+    assert report.gap <= 1e-8
+
+
+def test_lp_unbounded():
+    # max x with x >= 0 only: the iterates run off and never claim optimality.
+    x, report = _kernel_lp(np.array([1.0]), np.array([[-1.0]]), np.array([0.0]), np.ones(1))
+    assert report.status == STATUS_ITERATION_CAP
+    assert x[0] > 10.0
+
+
+def test_lp_infeasible():
+    # x >= 0 together with x <= -1 is empty, so no start is strict.
+    with pytest.raises(ValueError):
+        _kernel_lp(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]), np.zeros(1))
+
+
+def test_lp_lower_bounds():
+    # max -x - y with x, y >= -2 and x + y <= 1 -> corner (-2, -2).
+    x, report = _kernel_lp(np.array([-1.0, -1.0]), np.array([[1.0, 1.0]]), np.array([1.0]),
+                          np.zeros(2), lower=np.array([-2.0, -2.0]))
+    assert report.status == STATUS_OPTIMAL
+    assert x == pytest.approx([-2.0, -2.0], abs=1e-10)
+
+
+def test_lp_iteration_cap(monkeypatch):
+    monkeypatch.setattr(optim, "_NEWTON_ITERS", 1)
+    _, report = _kernel_lp(np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([5.0]),
+                          np.ones(2))
+    assert report.status == STATUS_ITERATION_CAP
+    assert report.iterations == 1
+
+
+def test_lp_shape_validation():
+    with pytest.raises(ValueError):
+        _barrier_newton(0.0, np.zeros(2), np.zeros(2), np.array([1.0]),
+                        np.array([[1.0, 1.0]]), np.ones(2), np.zeros(2))
+    with pytest.raises(ValueError):
+        _barrier_newton(0.0, np.zeros(2), np.zeros(2), np.zeros(2),
+                        np.array([[1.0, 1.0, 1.0]]), np.ones(2), np.zeros(2))
+
+
+def test_lp_matches_vertex_enumeration():
+    rng = np.random.default_rng(20240817)
+    for _ in range(50):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 7))
+        rows = rng.normal(size=(m, n))
+        feasible = rng.uniform(0.0, 2.0, n)
+        rhs = rows @ feasible + rng.uniform(0.1, 2.0, m)
+        # A simplex row keeps the feasible region bounded.
+        rows = np.vstack([rows, np.ones(n)])
+        rhs = np.concatenate([rhs, [float(feasible.sum() + rng.uniform(1.0, 5.0))]])
+        cost = rng.normal(size=n)
+        x, report = _kernel_lp(cost, rows, rhs, feasible)
+        # The optimum of a bounded LP is the best feasible vertex.
+        facets = np.vstack([rows, -np.eye(n)])
+        bounds = np.concatenate([rhs, np.zeros(n)])
+        best = -np.inf
+        for subset in itertools.combinations(range(facets.shape[0]), n):
+            corner = facets[list(subset)]
+            if abs(np.linalg.det(corner)) < 1e-12:
+                continue
+            vertex = np.linalg.solve(corner, bounds[list(subset)])
+            if float(np.max(facets @ vertex - bounds)) <= 1e-9:
+                best = max(best, float(cost @ vertex))
+        assert report.status == STATUS_OPTIMAL
+        value = float(cost @ x)
+        assert value == pytest.approx(best, abs=1e-7 * (1.0 + abs(best)))
+        assert float(np.max(rows @ x - rhs)) <= 1e-8
+        assert x.min() >= -1e-10
+        assert report.gap <= 1e-6 * (1.0 + abs(value))
 
 
 def test_qp_known_answer():
