@@ -22,7 +22,7 @@ from .exceptions import (ConvergenceError, FileFormatError, InfeasibleError,
 from .harness import CellResult, ExperimentGrid, Scenario, load_scenario, run_experiment
 from .network import (Edge, IncidenceData, Network, PathSet, ValidationReport, enumerate_paths,
                       incidence, is_feasible_flow, load_network, validate_network)
-from .optim import SolveReport, psd_sqrt, spectral_norm
+from .optim import SolveReport, psd_sqrt
 from .uncertainty import (DisturbanceModel, GelbrichPoint, SampleSet, estimate_nominal,
                           gelbrich_distance, in_gelbrich_ball, load_samples, sample_uniform_ball,
                           support_check, worst_case_mean)
@@ -41,6 +41,6 @@ __all__ = [
     "load_network", "load_samples", "load_scenario", "nash_flow_closed_form",
     "nash_flow_potential", "nominal_tolls", "polytope_nonempty",
     "psd_sqrt", "run_experiment", "sample_uniform_ball", "solve_dro_tolls",
-    "spectral_norm", "support_check", "system_latency", "toll_polytope", "validate_network",
+    "support_check", "system_latency", "toll_polytope", "validate_network",
     "worst_case_mean",
 ]

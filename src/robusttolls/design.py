@@ -23,14 +23,13 @@ canonicalized to the minimum-norm representative.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import KktBlocks, latency_decomposition
 from .exceptions import ConvergenceError, InfeasibleError, NumericalDegeneracyError
-from .network import IncidenceData
+from .network import IncidenceData, _endpoints, _max_min_flow
 from .optim import STATUS_OPTIMAL, _barrier_newton, active_set_qp
 from .uncertainty import DisturbanceModel
 
@@ -117,81 +116,6 @@ def _gamma_is_zero(blocks: KktBlocks) -> bool:
     # structurally zero; everything left in gamma is round-off.
     floor = float((1.0 / blocks.lat.beta).max())
     return blocks.gamma_norm <= 1e-12 * max(1.0, floor)
-
-
-def _endpoints(inc: IncidenceData) -> tuple[np.ndarray, np.ndarray]:
-    """Tail and head node of every edge; the destination is node ``k``, the dropped row."""
-    matrix = inc.matrix
-    heads = np.where((matrix < -0.5).any(axis=0), np.argmax(matrix < -0.5, axis=0), matrix.shape[0])
-    return np.argmax(matrix > 0.5, axis=0), heads
-
-
-def _max_min_flow(inc: IncidenceData) -> np.ndarray:
-    """The feasible flow whose smallest edge flow is largest.
-
-    Scaling turns ``max t`` over feasible flows with ``f >= t`` into the
-    minimum flow with a lower bound of 1 on every edge (Ahuja, Magnanti &
-    Orlin, *Network Flows*, 1993, ch. 6): if ``g`` is such a flow of
-    least value ``v``, then ``(demand / v) g`` is the max-min flow and
-    ``demand / v`` its smallest entry.  ``g`` starts as one unit along a
-    source-edge-destination path for every edge and is cancelled back by
-    breadth-first augmenting paths from the destination to the source, on
-    which edge ``e`` can give back ``g_e - 1`` units and take any number
-    more.  Every step is integral, so ``g`` is exact.
-    """
-    tails, heads = (ends.tolist() for ends in _endpoints(inc))
-    k, m = inc.matrix.shape
-    leaving: list[list[int]] = [[] for _ in range(k + 1)]
-    entering: list[list[int]] = [[] for _ in range(k + 1)]
-    for e in range(m):
-        leaving[tails[e]].append(e)
-        entering[heads[e]].append(e)
-
-    def search(root: int, along: bool, against) -> dict[int, int]:
-        # Breadth-first tree: each reached node maps to the edge that
-        # reached it, moving tail to head along every edge if ``along``
-        # and head to tail against the edges where ``against(e)``.
-        via = {root: -1}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            steps = [(e, heads[e]) for e in leaving[x]] if along else []
-            steps += [(e, tails[e]) for e in entering[x] if against(e)]
-            for e, y in steps:
-                if y not in via:
-                    via[y] = e
-                    queue.append(y)
-        return via
-
-    source, dest = 0, k
-    into = search(source, True, lambda e: False)
-    out = search(dest, False, lambda e: True)
-    g = [1] * m
-    for e in range(m):
-        u, v = tails[e], heads[e]
-        while u != source:
-            g[into[u]] += 1
-            u = tails[into[u]]
-        while v != dest:
-            g[out[v]] += 1
-            v = heads[out[v]]
-    while True:
-        via = search(dest, True, lambda e: g[e] > 1)
-        if source not in via:
-            break
-        path = []
-        x = source
-        while x != dest:
-            e = via[x]
-            along = heads[e] == x
-            path.append((e, along))
-            x = tails[e] if along else heads[e]
-        # The first step out of the destination cancels, so this is finite.
-        give = min(g[e] - 1 for e, along in path if not along)
-        for e, along in path:
-            g[e] += give if along else -give
-    value = sum(g[e] for e in leaving[source])
-    return (float(inc.injections[0]) / value) * np.array(g, dtype=float)
 
 
 def _ceiling(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, np.ndarray | None]:

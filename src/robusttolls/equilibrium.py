@@ -7,8 +7,10 @@ constraints once per network yields a small set of dense blocks
 (:func:`kkt_blocks`) from which equilibria, node potentials, and the
 equilibrium latency are all affine or quadratic evaluations.  The closed
 form is only valid while every edge keeps positive flow; the
-potential-minimization solver (:func:`nash_flow_potential`) is the
-slower, regime-free reference that also handles boundary equilibria.
+potential-minimization solver (:func:`nash_flow_potential`), an
+active-set QP over the null space of the incidence rows started at the
+max-min flow, is the regime-free reference that also handles boundary
+equilibria.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, NumericalDegeneracyError, OutOfRegimeError
-from .network import IncidenceData
+from .network import IncidenceData, _max_min_flow
+from .optim import STATUS_OPTIMAL, _balance_qr, active_set_qp
 
 
 @dataclass(frozen=True)
@@ -164,53 +167,22 @@ def nash_flow_closed_form(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray,
     return NashSolution(flow=flow, node_potentials=potentials, method="closed_form")
 
 
-def _single_path_flow(inc: IncidenceData) -> np.ndarray:
-    """A feasible flow routing all demand along one source-destination path."""
-    matrix = inc.matrix
-    k, m = matrix.shape
-    dest = k  # the dropped row plays the destination
-    tails = np.full(m, dest, dtype=int)
-    heads = np.full(m, dest, dtype=int)
-    for j in range(m):
-        plus = np.flatnonzero(matrix[:, j] > 0.5)
-        minus = np.flatnonzero(matrix[:, j] < -0.5)
-        if plus.size:
-            tails[j] = int(plus[0])
-        if minus.size:
-            heads[j] = int(minus[0])
-    out_edges: list[list[int]] = [[] for _ in range(k + 1)]
-    for j in range(m - 1, -1, -1):
-        out_edges[tails[j]].append(j)
-
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    seen = {0}
-    while stack:
-        node, prefix = stack.pop()
-        if node == dest:
-            flow = np.zeros(m)
-            flow[list(prefix)] = inc.injections[0]
-            return flow
-        for j in out_edges[node]:
-            if heads[j] not in seen or heads[j] == dest:
-                if heads[j] != dest:
-                    seen.add(heads[j])
-                stack.append((heads[j], prefix + (j,)))
-    raise NumericalDegeneracyError("no source-destination path in incidence data")
-
-
 def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray, tau: np.ndarray,
                         max_iter: int = 0, tol: float = 1e-8) -> NashSolution:
     """Equilibrium flow by minimizing the congestion potential directly.
 
-    Primal active-set iteration on ``min sum(0.5 beta f^2 + (alpha+tau) f)``
-    subject to flow balance and ``f >= 0``: edges pinned at zero form the
-    working set, each subproblem is an equality-constrained solve via
-    ``lstsq`` (robust to redundant balance rows), and a pinned edge is
-    released when its multiplier goes negative.  Starts from routing all
-    demand on a single path, so the first iteration already lands on the
-    closed form whenever that is feasible.  Raises
-    :class:`ConvergenceError` if the iteration budget (default ``10 m``)
-    is exhausted or the final KKT residual exceeds ``tol``.
+    Minimizes ``sum(0.5 beta f^2 + (alpha+tau) f)`` over flows with
+    ``R f = injections`` and ``f >= 0``, written ``f = f* + N z``: ``f*``
+    is the max-min flow, feasible and positive on every edge, and ``N``
+    an orthonormal basis of the null space of ``R``.  That leaves only
+    the bounds ``N z >= -f*``, which
+    :func:`~robusttolls.optim.active_set_qp` handles from ``z = 0``, where
+    none is active.  Node potentials come from its edge multipliers
+    ``lam`` through ``R' p = lam - beta f - cost``; edges held at zero
+    come back as exactly ``0.0``.  ``max_iter`` is the active-set budget,
+    by default ``active_set_qp``'s ``20 (2m - k) + 20`` for ``k`` rows of
+    ``R``.  Raises :class:`ConvergenceError` if the budget runs out or
+    the final KKT residual exceeds ``tol`` (scaled by demand).
     """
     matrix, eta = inc.matrix, inc.injections
     k, m = matrix.shape
@@ -220,65 +192,24 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
         raise ValueError(f"alpha and tau must have length {m}")
     cost = alpha + tau
     beta = lat.beta
-    if max_iter <= 0:
-        max_iter = 10 * m
 
-    flow = _single_path_flow(inc)
-    pinned: list[int] = []
-    potentials = np.zeros(k)
+    span, triangle, basis = _balance_qr(matrix)
+    start = _max_min_flow(inc)
+    z, lam, iterations, _, status = active_set_qp(
+        (basis.T * beta) @ basis, basis.T @ (beta * start + cost), -basis, start,
+        np.zeros(m - k), max_iter)
+    flow = start + basis @ z
     scale = max(1.0, float(np.abs(eta).max(initial=0.0)))
-    multipliers = np.zeros(m)
+    # Edges held at their bound come back within round-off of zero.
+    flow[flow <= 1e-10 * scale] = 0.0
+    potentials = np.linalg.solve(triangle, span.T @ (lam - beta * flow - cost))
 
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        free = [j for j in range(m) if j not in pinned]
-        sub = matrix[:, free]
-        size = len(free)
-        kkt = np.zeros((size + k, size + k))
-        kkt[:size, :size] = np.diag(beta[free])
-        kkt[:size, size:] = sub.T
-        kkt[size:, :size] = sub
-        target = np.concatenate([-cost[free], eta])
-        sol = np.linalg.lstsq(kkt, target, rcond=None)[0]
-        proposal = np.zeros(m)
-        proposal[free] = sol[:size]
-        potentials = sol[size:]
-
-        direction = proposal - flow
-        if float(np.abs(direction).max(initial=0.0)) <= 1e-12 * scale:
-            multipliers = np.zeros(m)
-            if pinned:
-                multipliers[pinned] = (cost + matrix.T @ potentials)[pinned]
-                worst = min(pinned, key=lambda j: multipliers[j])
-                if multipliers[worst] < -1e-10 * max(1.0, float(np.abs(cost).max(initial=0.0))):
-                    pinned.remove(worst)
-                    continue
-            converged = True
-            break
-
-        step = 1.0
-        blocker = -1
-        for j in free:
-            if direction[j] < -1e-14 * scale:
-                t = max(flow[j], 0.0) / -direction[j]
-                if t < step - 1e-14:
-                    step = t
-                    blocker = j
-        flow = flow + step * direction
-        if blocker >= 0:
-            flow[blocker] = 0.0
-            pinned.append(blocker)
-            pinned.sort()
-        flow[pinned] = 0.0
-
-    lam_full = np.clip(multipliers, 0.0, None)
-    stationarity = float(np.abs(beta * flow + cost + matrix.T @ potentials - lam_full).max(initial=0.0))
+    stationarity = float(np.abs(beta * flow + cost + matrix.T @ potentials - lam).max(initial=0.0))
     balance = float(np.abs(matrix @ flow - eta).max(initial=0.0))
     negativity = float(max(0.0, -flow.min(initial=0.0)))
-    complementarity = float(np.abs(lam_full * flow).max(initial=0.0))
+    complementarity = float(np.abs(lam * flow).max(initial=0.0))
     residual = max(stationarity, balance, negativity, complementarity)
-    if not converged or residual > tol * scale:
+    if status != STATUS_OPTIMAL or residual > tol * scale:
         raise ConvergenceError("potential minimization did not converge", iterations, residual)
     # Same sign convention as the closed form: flip the raw multiplier so
     # potentials drop by the edge cost along every used edge.

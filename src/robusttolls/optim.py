@@ -1,15 +1,17 @@
 """Deterministic dense optimization kernels.
 
-The design layer needs three things: a primal active-set QP (the toll
-canonicalization), an interior-point Newton method for the robust design
-objective (a smooth norm term plus a separable quadratic over a
-polyhedron in circulation space), and symmetric matrix helpers for the
-ambiguity-set geometry.  The robustness ceiling is a network-flow number
-and needs no solver from here.  All of it is written against plain numpy
-on dense arrays.  Instances in this package are small (tolls live in
-R^|E| with |E| <= 512), so the priorities are determinism and
-bit-reproducible runs, not sparse scalability: the active-set method
-breaks ties by lowest constraint index.
+Two solvers and a matrix helper: a primal active-set QP (the toll
+canonicalization, and Wardrop equilibria in null-space coordinates of
+the incidence rows), an interior-point Newton method for the robust
+design objective (a smooth norm term plus a separable quadratic over a
+polyhedron in circulation space), and a PSD square root for the
+ambiguity-set geometry.  Both null-space solves take their basis from
+one complete QR (:func:`_balance_qr`).  The robustness ceiling is a
+network-flow number and needs no solver from here.  All of it is
+written against plain numpy on dense arrays.  Instances in this package
+are small (tolls live in R^|E| with |E| <= 512), so the priorities are
+determinism and bit-reproducible runs, not sparse scalability: the
+active-set method breaks ties by lowest constraint index.
 """
 
 from __future__ import annotations
@@ -110,6 +112,18 @@ def active_set_qp(hess: np.ndarray, grad: np.ndarray, rows: np.ndarray, rhs: np.
     return x, clamped, it, residual, status
 
 
+def _balance_qr(balance: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Complete QR of ``balance'`` for a full-row-rank ``balance``.
+
+    Returns ``(span, triangle, null)``: ``balance' = span @ triangle``
+    with ``triangle`` square upper triangular, and the columns of
+    ``null`` are an orthonormal basis of the null space of ``balance``.
+    """
+    q, r = np.linalg.qr(balance.T, mode="complete")
+    k = balance.shape[0]
+    return q[:, :k], r[:k], q[:, k:]
+
+
 def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np.ndarray,
                     balance: np.ndarray, upper: np.ndarray,
                     start: np.ndarray) -> tuple[np.ndarray, SolveReport]:
@@ -143,7 +157,7 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     if balance.shape[-1] != m or any(v.shape != (m,) for v in (offset, weights, lin, start)):
         raise ValueError("offset, weights, lin, start and the balance rows must have the length of upper")
     balance = balance.reshape(-1, m)
-    basis = np.linalg.qr(balance.T, mode="complete")[0][:, balance.shape[0]:]
+    basis = _balance_qr(balance)[2]
     y = basis @ (basis.T @ start)
     slack = upper - y
     if not float(slack.min(initial=np.inf)) > 0.0:
@@ -233,13 +247,3 @@ def psd_sqrt(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
     return 0.5 * (root + root.T)
 
-
-def spectral_norm(matrix: np.ndarray) -> float:
-    """Spectral norm of a symmetric matrix via its eigenvalues."""
-    matrix = np.asarray(matrix, dtype=float)
-    scale = float(np.abs(matrix).max(initial=0.0))
-    if scale == 0.0:
-        return 0.0
-    if float(np.abs(matrix - matrix.T).max(initial=0.0)) > 1e-10 * max(scale, 1.0):
-        raise ValueError("spectral_norm here is for symmetric matrices")
-    return float(np.abs(np.linalg.eigvalsh(matrix)).max())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from randnets import random_dag_network
+from randnets import layered_dag_network, random_dag_network
 from robusttolls.equilibrium import (
     LatencyModel,
     equilibrium_latency_g,
@@ -205,6 +205,47 @@ def test_potential_solver_iteration_budget():
     lat = LatencyModel(PIGOU_BETA)
     with pytest.raises(ConvergenceError):
         nash_flow_potential(data, lat, np.array([0.0, 200.0]), np.zeros(2), max_iter=1)
+
+
+@pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1), (1, 2)]], ids=["one-edge", "series"])
+def test_potential_solver_on_single_route_networks(edges):
+    # One route leaves no circulation: the null space of R is empty and
+    # the active-set QP has no variables.
+    net = Network(num_nodes=len(edges) + 1,
+                  edges=tuple(Edge(f"e{k}", t, h) for k, (t, h) in enumerate(edges)), demand=4.0)
+    data = incidence(net)
+    lat = LatencyModel(np.linspace(1.0, 2.0, len(edges)))
+    alpha = np.linspace(3.0, 0.5, len(edges))
+    tau = np.full(len(edges), 0.25)
+    closed = nash_flow_closed_form(kkt_blocks(data, lat), alpha, tau)
+    sol = nash_flow_potential(data, lat, alpha, tau)
+    assert sol.flow == pytest.approx(closed.flow, rel=1e-12)
+    assert sol.node_potentials == pytest.approx(closed.node_potentials, rel=1e-12)
+
+
+def test_potential_solver_certifies_boundary_equilibria_at_scale():
+    # Layered DAGs of benchmark size with a third of the edges priced out
+    # by about the demand, so that many edges pin at zero.
+    rng = np.random.default_rng(8080)
+    for m in (100, 125, 150):
+        net = layered_dag_network(rng, m // 3, m, float(m))
+        data = incidence(net)
+        lat = LatencyModel(rng.uniform(0.5, 2.0, m))
+        alpha = rng.uniform(0.0, 5.0, m)
+        hit = rng.choice(m, m // 3, replace=False)
+        alpha[hit] += net.demand * rng.uniform(0.5, 1.5, hit.size)
+        tau = np.zeros(m)
+        sol = nash_flow_potential(data, lat, alpha, tau)
+        assert is_feasible_flow(data, sol.flow)
+        cost = lat.beta * sol.flow + alpha + tau
+        drop = data.matrix.T @ sol.node_potentials
+        scale = float(np.abs(cost).max())
+        used = sol.flow > 1e-9 * net.demand
+        pinned = ~used
+        assert pinned.sum() >= m // 10
+        assert np.all(sol.flow[pinned] == 0.0)
+        assert float(np.abs(cost - drop)[used].max()) <= 1e-7 * scale
+        assert float((drop - cost).max()) <= 1e-7 * scale
 
 
 def test_system_latency_single_edge():

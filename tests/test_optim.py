@@ -14,7 +14,6 @@ from robusttolls.optim import (
     _barrier_newton,
     active_set_qp,
     psd_sqrt,
-    spectral_norm,
 )
 
 
@@ -292,12 +291,6 @@ def test_psd_sqrt_roundtrip():
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(ValueError):
         psd_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-def test_spectral_norm_matches_eigenvalue():
-    mat = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert spectral_norm(mat) == pytest.approx(3.0, abs=1e-12)
-    assert spectral_norm(np.zeros((3, 3))) == 0.0
 
 
 def test_convergence_error_carries_diagnostics():
