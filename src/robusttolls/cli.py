@@ -24,7 +24,7 @@ from .equilibrium import (LatencyModel, kkt_blocks, nash_flow_closed_form, nash_
 from .exceptions import (ConvergenceError, FileFormatError, NumericalDegeneracyError,
                          TollDesignError)
 from .harness import ExperimentGrid, load_scenario, run_experiment
-from .network import incidence, load_network, validate_network
+from .network import _number, _read_json, incidence, load_network, validate_network
 from .uncertainty import estimate_nominal, load_samples
 
 FORMATS = ("csv", "json", "text")
@@ -59,20 +59,13 @@ def _parse_vector(raw: str, length: int, what: str) -> np.ndarray:
         if not os.path.exists(text):
             raise FileFormatError(
                 f"{what} is neither a comma-separated vector nor an existing file: {raw!r}") from None
-        try:
-            with open(text, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError) as err:
-            raise FileFormatError(f"cannot read {what} from {text}: {err}") from err
-        if not isinstance(payload, list):
-            raise FileFormatError(f"{what} file {text} must hold a JSON array")
-        try:
-            values = [float(v) for v in payload]
-        except (TypeError, ValueError) as err:
-            raise FileFormatError(f"{what} file {text} holds non-numeric entries: {err}") from None
-    if len(values) != length:
-        raise FileFormatError(f"{what} must have {length} entries, got {len(values)}")
-    return np.array(values)
+        values = _read_json(text, what)
+        if not (isinstance(values, list) and all(map(_number, values))):
+            raise FileFormatError(f"{what} file {text} must hold a JSON array of finite numbers")
+    vector = np.array(values, dtype=float)
+    if vector.shape != (length,) or not np.isfinite(vector).all():
+        raise FileFormatError(f"{what} must have {length} finite entries, got {raw!r}")
+    return vector
 
 
 def _check_format(fmt: str, allowed: tuple[str, ...], command: str) -> None:

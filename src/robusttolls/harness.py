@@ -12,7 +12,6 @@ latency average against the closed-form expectation.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ import numpy as np
 from .design import epsilon_max, solve_dro_tolls
 from .equilibrium import LatencyModel, kkt_blocks, latency_decomposition
 from .exceptions import FileFormatError, InfeasibleError
-from .network import Network, incidence, load_network
+from .network import Network, _number, _read_json, _require, incidence, load_network
 from .uncertainty import DisturbanceModel, estimate_nominal, load_samples, sample_uniform_ball, worst_case_mean
 
 
@@ -63,15 +62,6 @@ class ExperimentGrid:
         return self.cells[i * len(self.grid) + j]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise FileFormatError(message)
-
-
-def _number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     """Load a scenario JSON file, resolving its network and disturbance.
 
@@ -88,14 +78,7 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     moments are estimated from the residuals.  Relative paths resolve
     against the scenario file's directory.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as err:
-        raise FileFormatError(f"cannot read scenario file {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise FileFormatError(f"scenario file {path} is not valid JSON: {err}") from err
-
+    raw = _read_json(path, "scenario")
     _require(isinstance(raw, dict), "scenario file must hold a JSON object")
     for key in ("network", "disturbance", "grid", "mc_samples", "seed"):
         _require(key in raw, f"scenario file is missing the '{key}' field")
@@ -107,7 +90,7 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
 
     dist = raw["disturbance"]
     _require(isinstance(dist, dict), "'disturbance' must be an object")
-    _require(_number(dist.get("delta")), "disturbance needs a numeric 'delta'")
+    _require(_number(dist.get("delta")), "disturbance needs a finite numeric 'delta'")
     delta = float(dist["delta"])
     if "samples" in dist:
         _require(isinstance(dist["samples"], str), "'samples' must be a path string")
@@ -116,25 +99,24 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     else:
         for key in ("mean", "cov"):
             _require(key in dist, f"inline disturbance needs '{key}' (or use 'samples')")
-        _require(isinstance(dist["mean"], list) and all(_number(v) for v in dist["mean"]),
-                 "'mean' must be a list of numbers")
-        _require(isinstance(dist["cov"], list), "'cov' must be a matrix (list of rows)")
-        mean = np.array([float(v) for v in dist["mean"]])
+        m = net.num_edges
+        mean, rows = dist["mean"], dist["cov"]
+        _require(isinstance(mean, list) and len(mean) == m and all(map(_number, mean)),
+                 f"'mean' must be a list of finite numbers, one per edge ({m})")
         try:
-            cov = np.array(dist["cov"], dtype=float)
-        except (TypeError, ValueError) as err:
+            cov = np.array(rows, dtype=float)
+        except (TypeError, ValueError, OverflowError) as err:
             raise FileFormatError(f"'cov' is not a numeric matrix: {err}") from None
-        _require(mean.shape[0] == net.num_edges,
-                 f"'mean' must have one entry per edge ({net.num_edges})")
-        model = DisturbanceModel(mean=mean, cov=cov, support_radius=delta)
+        _require(cov.shape == (m, m) and np.isfinite(cov).all(),
+                 f"'cov' must be a {m}x{m} matrix (list of rows) of finite numbers")
+        model = DisturbanceModel(mean=np.array(mean, dtype=float), cov=cov, support_radius=delta)
 
-    _require(isinstance(raw["grid"], list) and raw["grid"] != []
-             and all(_number(v) for v in raw["grid"]), "'grid' must be a nonempty list of numbers")
+    _require(isinstance(raw["grid"], list) and raw["grid"] != [] and all(map(_number, raw["grid"])),
+             "'grid' must be a nonempty list of finite numbers")
     grid = tuple(float(v) for v in raw["grid"])
-    _require(isinstance(raw["mc_samples"], int) and not isinstance(raw["mc_samples"], bool)
-             and raw["mc_samples"] >= 1, "'mc_samples' must be a positive integer")
-    _require(isinstance(raw["seed"], int) and not isinstance(raw["seed"], bool),
-             "'seed' must be an integer")
+    _require(type(raw["mc_samples"]) is int and raw["mc_samples"] >= 1,
+             "'mc_samples' must be a positive integer")
+    _require(type(raw["seed"]) is int, "'seed' must be an integer")
     seed = int(raw["seed"]) if seed_override is None else int(seed_override)
     return Scenario(network=net, lat=lat, model=model, grid=grid,
                     mc_samples=int(raw["mc_samples"]), seed=seed)

@@ -16,6 +16,7 @@ start point.
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -384,6 +385,27 @@ def _require(condition: bool, message: str) -> None:
         raise FileFormatError(message)
 
 
+def _number(value: object) -> bool:
+    """Whether a decoded JSON value is a finite float or an int in float range, not a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _reject_constant(token: str) -> float:
+    raise ValueError(f"non-finite number {token}")
+
+
+def _read_json(path: str, what: str) -> object:
+    """Decode a JSON file; unreadable files, bad JSON and NaN/Infinity raise FileFormatError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle, parse_constant=_reject_constant)
+    except OSError as err:
+        raise FileFormatError(f"cannot read {what} file {path}: {err}") from err
+    except ValueError as err:
+        raise FileFormatError(f"{what} file {path} is not valid JSON: {err}") from err
+
+
 def load_network(path: str) -> tuple[Network, np.ndarray]:
     """Load a network JSON file; returns the network and per-edge slopes.
 
@@ -399,14 +421,7 @@ def load_network(path: str) -> tuple[Network, np.ndarray]:
     problems (cycles, extra sources, bad demand) survive loading so that
     validation can report them all.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as err:
-        raise FileFormatError(f"cannot read network file {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise FileFormatError(f"network file {path} is not valid JSON: {err}") from err
-
+    raw = _read_json(path, "network")
     _require(isinstance(raw, dict), "network file must hold a JSON object")
     for key in ("nodes", "edges", "source", "destination", "demand"):
         _require(key in raw, f"network file is missing the '{key}' field")
@@ -417,8 +432,7 @@ def load_network(path: str) -> tuple[Network, np.ndarray]:
     source, destination = raw["source"], raw["destination"]
     _require(source in nodes and destination in nodes, "source and destination must appear in 'nodes'")
     _require(source != destination, "source and destination must be distinct nodes")
-    _require(isinstance(raw["demand"], (int, float)) and not isinstance(raw["demand"], bool),
-             "'demand' must be a number")
+    _require(_number(raw["demand"]), "'demand' must be a finite number")
 
     ordered = [source] + [v for v in nodes if v not in (source, destination)] + [destination]
     index = {v: i for i, v in enumerate(ordered)}
@@ -437,8 +451,7 @@ def load_network(path: str) -> tuple[Network, np.ndarray]:
         for endpoint in (item["from"], item["to"]):
             _require(endpoint in index,
                      f"edge {item['id']} references an unknown node '{endpoint}'")
-        _require(isinstance(item["beta"], (int, float)) and not isinstance(item["beta"], bool),
-                 f"edge {item['id']} needs a numeric 'beta'")
+        _require(_number(item["beta"]), f"edge {item['id']} needs a finite numeric 'beta'")
         edges.append(Edge(id=item["id"], tail=index[item["from"]], head=index[item["to"]]))
         betas.append(float(item["beta"]))
 

@@ -6,12 +6,16 @@ the incidence rows), an interior-point Newton method for the robust
 design objective (a smooth norm term plus a separable quadratic over a
 polyhedron in circulation space), and a PSD square root for the
 ambiguity-set geometry.  Both null-space solves take their basis from
-one complete QR (:func:`_balance_qr`).  The robustness ceiling is a
-network-flow number and needs no solver from here.  All of it is
-written against plain numpy on dense arrays.  Instances in this package
-are small (tolls live in R^|E| with |E| <= 512), so the priorities are
-determinism and bit-reproducible runs, not sparse scalability: the
-active-set method breaks ties by lowest constraint index.
+one complete QR (:func:`_balance_qr`).  The square root and the
+covariance validation in :mod:`robusttolls.uncertainty` share one
+square, finite, symmetric and positive semidefinite check
+(:func:`_psd_eigh`), which returns the clamped eigendecomposition.  The
+robustness ceiling is a network-flow number and needs no solver from
+here.  All of it is written against plain numpy on dense arrays.
+Instances in this package are small (tolls live in R^|E| with |E| <=
+512), so the priorities are determinism and bit-reproducible runs, not
+sparse scalability: the active-set method breaks ties by lowest
+constraint index.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ STATUS_ITERATION_CAP = "iteration_cap"
 _NEWTON_ITERS = 100
 _GAP_TOL = 1e-12
 _DUAL_TOL = 1e-10
+# Relative asymmetry and negative eigenvalue a PSD matrix may carry from round-off.
+_PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -228,22 +234,30 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     return y, SolveReport(status, it, violation, gap)
 
 
-def psd_sqrt(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Symmetric square root of a positive semidefinite matrix.
+def _psd_eigh(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigvals, eigvecs)`` of a square, finite, symmetric, PSD matrix, else ``ValueError``.
 
-    Eigenvalues are allowed to dip to ``-tol`` times the spectral radius
-    (and are clamped to zero) so that covariance matrices touched by
-    round-off still pass; anything more negative is a caller error.
+    Round-off may leave asymmetry and negative eigenvalues up to
+    ``_PSD_TOL`` relative to the largest entry or eigenvalue (at least 1);
+    such eigenvalues come back clamped to zero.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("psd_sqrt needs a square matrix")
-    scale = float(np.abs(matrix).max(initial=0.0))
-    if float(np.abs(matrix - matrix.T).max(initial=0.0)) > tol * max(scale, 1.0):
-        raise ValueError("psd_sqrt needs a symmetric matrix")
+        raise ValueError(f"{what} must be square, got {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{what} must be finite")
+    scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
+    if float(np.abs(matrix - matrix.T).max(initial=0.0)) > _PSD_TOL * scale:
+        raise ValueError(f"{what} must be symmetric")
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    if eigvals.size and eigvals[0] < -tol * max(float(eigvals[-1]), 1.0):
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {eigvals[0]:.3e})")
-    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
-    return 0.5 * (root + root.T)
+    if eigvals.size and eigvals[0] < -_PSD_TOL * max(float(eigvals[-1]), 1.0):
+        raise ValueError(f"{what} is not positive semidefinite "
+                         f"(min eigenvalue {eigvals[0]:.3e})")
+    return np.clip(eigvals, 0.0, None), eigvecs
 
+
+def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a positive semidefinite matrix (checked by :func:`_psd_eigh`)."""
+    eigvals, eigvecs = _psd_eigh(matrix, "psd_sqrt input")
+    root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
+    return 0.5 * (root + root.T)

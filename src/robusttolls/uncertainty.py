@@ -1,19 +1,21 @@
 """Disturbance data, moment estimation, and the ambiguity-set geometry.
 
-The disturbance is the additive edge-latency offset.  Its distribution is
-never known exactly: what we have are sample records (flows and observed
-latencies), a plug-in mean and covariance from them, and a bounded
-support radius around the mean.  Robustness is measured in the Gelbrich
-distance on first and second moments: the ambiguity ball of radius eps
-around the plug-in moments, intersected with the bounded-support class,
-is the set the design guards against.  The worst distribution in that
-ball shifts the mean along the latency gradient and keeps the plug-in
-covariance, which is why only the mean shift appears here.
+The disturbance is the additive edge-latency offset.  Its distribution
+is never known exactly: what we have are sample records (flows and
+observed latencies, read from a CSV in one ``numpy.loadtxt`` pass), a
+plug-in mean and covariance from them, and a bounded support radius
+around the mean.  Robustness is measured in the Gelbrich distance on
+first and second moments: the ambiguity ball of radius eps around the
+plug-in moments, intersected with the bounded-support class, is the set
+the design guards against.  The worst distribution in that ball shifts
+the mean along the latency gradient and keeps the plug-in covariance,
+which is why only the mean shift appears here.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -21,25 +23,16 @@ import numpy as np
 
 from .equilibrium import KktBlocks, LatencyModel, latency_decomposition
 from .exceptions import FileFormatError, InsufficientDataError
-from .optim import psd_sqrt
+from .optim import _psd_eigh, psd_sqrt
 
 _BALL_BLOCK = 4096
 _DEGENERATE_DIRECTION = 1e-12
 
 
 def _clean_covariance(cov: np.ndarray, what: str) -> np.ndarray:
-    """Validate symmetry and near-PSDness; clamp round-off negatives to zero."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"{what} covariance must be square, got {cov.shape}")
-    scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
-    if float(np.abs(cov - cov.T).max(initial=0.0)) > 1e-10 * scale:
-        raise ValueError(f"{what} covariance must be symmetric")
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals.size and eigvals[0] < -1e-10 * max(float(eigvals[-1]), 1.0):
-        raise ValueError(f"{what} covariance is not positive semidefinite "
-                         f"(min eigenvalue {eigvals[0]:.3e})")
-    cleaned = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+    """Validate a covariance (see :func:`optim._psd_eigh`); clamp round-off negatives to zero."""
+    eigvals, eigvecs = _psd_eigh(cov, f"{what} covariance")
+    cleaned = (eigvecs * eigvals) @ eigvecs.T
     cleaned = 0.5 * (cleaned + cleaned.T)
     cleaned.setflags(write=False)
     return cleaned
@@ -233,37 +226,39 @@ def load_samples(path: str, edge_ids: tuple[str, ...]) -> SampleSet:
     """Read a sample CSV with columns ``f_<edge>...`` then ``l_<edge>...``.
 
     The header must name every edge twice, in the network's edge order:
-    first the flow columns, then the latency columns.  Anything else
-    (missing columns, shuffled order, non-numeric cells, ragged rows)
-    raises :class:`FileFormatError`.
+    first the flow columns, then the latency columns.  The records below
+    it are parsed in one ``numpy.loadtxt`` pass; cells may be quoted or
+    padded with spaces, and empty lines are skipped.  Anything else
+    (missing columns, shuffled order, non-numeric or non-finite cells,
+    ragged rows, no records) raises :class:`FileFormatError`.
     """
     expected = [f"f_{e}" for e in edge_ids] + [f"l_{e}" for e in edge_ids]
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise FileFormatError(f"sample file {path} is empty") from None
+            header = next(csv.reader(handle), None)
+            if header is None:
+                raise FileFormatError(f"sample file {path} is empty")
             if [h.strip() for h in header] != expected:
                 raise FileFormatError(
                     f"sample file {path} header must be exactly {','.join(expected)}")
-            rows: list[list[float]] = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(expected):
-                    raise FileFormatError(f"sample file {path} line {lineno}: "
-                                          f"expected {len(expected)} fields, got {len(row)}")
-                try:
-                    rows.append([float(cell) for cell in row])
-                except ValueError as err:
-                    raise FileFormatError(f"sample file {path} line {lineno}: {err}") from None
-    except OSError as err:
+            # Find the first record here: numpy warns on a file without one.
+            for first in handle:
+                if first.strip("\r\n"):
+                    break
+            else:
+                raise FileFormatError(f"sample file {path} has a header but no records")
+            try:
+                data = np.loadtxt(itertools.chain([first], handle), delimiter=",",
+                                  comments=None, quotechar='"', ndmin=2)
+            except ValueError as err:
+                raise FileFormatError(f"sample file {path}: {err}") from None
+    except (OSError, UnicodeDecodeError) as err:
         raise FileFormatError(f"cannot read sample file {path}: {err}") from err
 
-    if not rows:
-        raise FileFormatError(f"sample file {path} has a header but no records")
-    data = np.array(rows)
+    if data.shape[1] != len(expected):
+        raise FileFormatError(f"sample file {path}: expected {len(expected)} fields "
+                              f"per record, got {data.shape[1]}")
+    if not np.isfinite(data).all():
+        raise FileFormatError(f"sample file {path} holds a non-finite number")
     m = len(edge_ids)
     return SampleSet(flows=data[:, :m], latencies=data[:, m:])

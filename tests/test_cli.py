@@ -297,3 +297,68 @@ def test_experiment_infeasible_grid_exits_one(tmp_path, capsys):
 def test_experiment_missing_scenario_exits_two(capsys):
     code, _, err = run(capsys, "experiment", "--scenario", "/nonexistent/scenario.json")
     assert code == 2
+
+
+def replace_in(path, old, new):
+    path.write_text(path.read_text().replace(old, new))
+
+
+@pytest.mark.parametrize("command", [["epsmax"], ["design", "--eps", "1"]])
+def test_non_finite_scenario_mean_exits_two(tmp_path, capsys, command):
+    scenario = small_scenario_file(tmp_path)
+    replace_in(tmp_path / "scenario.json", "20.0", "NaN")
+    code, _, err = run(capsys, *command, "--scenario", scenario)
+    assert code == 2
+    assert scenario in err and "NaN" in err
+
+
+def test_non_finite_scenario_cov_exits_two(tmp_path, capsys):
+    scenario = small_scenario_file(tmp_path)
+    replace_in(tmp_path / "scenario.json", "[0.0, 0.01]", "[0.0, Infinity]")
+    code, _, err = run(capsys, "epsmax", "--scenario", scenario)
+    assert code == 2
+    assert scenario in err and "Infinity" in err
+
+
+def test_scenario_cov_of_the_wrong_shape_exits_two(tmp_path, capsys):
+    scenario = small_scenario_file(tmp_path)
+    replace_in(tmp_path / "scenario.json", "[[0.01, 0.0], [0.0, 0.01]]", "[0.01, 0.01]")
+    code, _, err = run(capsys, "epsmax", "--scenario", scenario)
+    assert code == 2
+    assert "2x2" in err
+
+
+def test_non_finite_sample_cell_exits_two(tmp_path, capsys):
+    samples = tmp_path / "records.csv"
+    samples.write_text("f_e1,f_e2,l_e1,l_e2\n"
+                       "10.0,90.0,34.9,39.1\n"
+                       "10.0,90.0,nan,38.9\n")
+    code, out, err = run(capsys, "estimate", "--network", NETWORK,
+                         "--samples", str(samples), "--delta", "0.2")
+    assert code == 2
+    assert out == "" and str(samples) in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["equilibrium", "--alpha", "20,30"]])
+def test_non_finite_beta_exits_two(tmp_path, capsys, command):
+    network = tmp_path / "net.json"
+    network.write_text(pathlib.Path(NETWORK).read_text().replace("1.5", "Infinity"))
+    assert "Infinity" in network.read_text()
+    code, out, err = run(capsys, *command, "--network", str(network))
+    assert code == 2
+    assert out == "" and str(network) in err
+
+
+@pytest.mark.parametrize("alpha", ["nan,30", "20,inf", "1e999,30"])
+def test_non_finite_vector_exits_two(capsys, alpha):
+    code, _, err = run(capsys, "equilibrium", "--network", NETWORK, "--alpha", alpha)
+    assert code == 2
+    assert "finite" in err
+
+
+def test_non_finite_vector_file_exits_two(tmp_path, capsys):
+    vec = tmp_path / "alpha.json"
+    vec.write_text("[20.0, NaN]")
+    code, _, err = run(capsys, "equilibrium", "--network", NETWORK, "--alpha", str(vec))
+    assert code == 2
+    assert str(vec) in err

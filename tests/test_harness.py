@@ -172,3 +172,40 @@ def test_run_experiment_rejects_bad_grids():
     with pytest.raises(InfeasibleError) as info:
         run_experiment(small_scenario(base, grid=(0.0, 45.0)))
     assert "45" in str(info.value)
+
+
+@pytest.mark.parametrize("field, token", [("mean", "NaN"), ("cov", "Infinity"),
+                                          ("delta", "-Infinity")])
+def test_load_scenario_rejects_non_finite_tokens(tmp_path, field, token):
+    write_two_road_network(tmp_path)
+    payload = two_road_payload()
+    if field == "mean":
+        payload["disturbance"]["mean"][0] = 4321.5
+    elif field == "cov":
+        payload["disturbance"]["cov"][1][1] = 4321.5
+    else:
+        payload["disturbance"]["delta"] = 4321.5
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload).replace("4321.5", token))
+    with pytest.raises(FileFormatError) as info:
+        load_scenario(str(path))
+    assert str(path) in str(info.value) and token in str(info.value)
+
+
+@pytest.mark.parametrize("cov", [
+    "[[0.01, 0.0, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]]",  # 3x3 on two edges
+    "[0.01, 0.01]",  # flat list
+    "[[0.01, 0.0], [0.0]]",  # ragged
+    '[[0.01, 0.0], [0.0, "x"]]',  # a non-numeric entry
+    "[[0.01, 0.0], [0.0, 1e999]]",  # overflows to infinity
+    "[[0.01, 0.0], [0.0, 1" + "0" * 400 + "]]",  # an integer beyond the float range
+], ids=["3x3", "flat", "ragged", "non-numeric", "1e999", "10**400"])
+def test_load_scenario_requires_an_m_by_m_cov(tmp_path, cov):
+    write_two_road_network(tmp_path)
+    payload = two_road_payload()
+    payload["disturbance"]["cov"] = "COV"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload).replace('"COV"', cov))
+    with pytest.raises(FileFormatError) as info:
+        load_scenario(str(path))
+    assert "'cov'" in str(info.value)

@@ -301,3 +301,44 @@ def test_load_network_rejects_non_numeric_fields(tmp_path):
     payload["demand"] = True  # bool is not an accepted number
     with pytest.raises(FileFormatError):
         load_network(write_net(tmp_path, payload))
+
+
+
+def write_net_with_raw_number(tmp_path, where: str, text: str) -> str:
+    """A good network file whose first beta or whose demand reads ``text`` verbatim."""
+    payload = good_payload()
+    if where == "beta":
+        payload["edges"][0]["beta"] = 4321.5
+    else:
+        payload["demand"] = 4321.5
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(payload).replace("4321.5", text))
+    return str(path)
+
+
+@pytest.mark.parametrize("where, token", [
+    ("beta", "Infinity"), ("beta", "NaN"), ("demand", "-Infinity"), ("demand", "NaN"),
+])
+def test_load_network_rejects_non_finite_tokens(tmp_path, where, token):
+    # Python's json module reads these tokens as floats; the loader turns
+    # them away at the file boundary and says which file held them.
+    path = write_net_with_raw_number(tmp_path, where, token)
+    with pytest.raises(FileFormatError) as info:
+        load_network(path)
+    assert path in str(info.value) and token in str(info.value)
+
+
+@pytest.mark.parametrize("value", ["1e999", "-1e999", "1" + "0" * 400],
+                         ids=["1e999", "-1e999", "10**400"])
+@pytest.mark.parametrize("where", ["beta", "demand"])
+def test_load_network_rejects_numbers_beyond_float_range(tmp_path, where, value):
+    with pytest.raises(FileFormatError) as info:
+        load_network(write_net_with_raw_number(tmp_path, where, value))
+    assert "finite" in str(info.value)
+
+def test_load_network_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_bytes(b'{"nodes": ["\xff"]}')
+    with pytest.raises(FileFormatError) as info:
+        load_network(str(path))
+    assert str(path) in str(info.value)

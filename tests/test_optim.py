@@ -293,6 +293,14 @@ def test_psd_sqrt_rejects_indefinite():
         psd_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_psd_sqrt_rejects_non_finite(bad):
+    # A NaN would otherwise slip through every comparison, and an infinity
+    # makes the symmetry test read inf - inf.
+    with pytest.raises(ValueError, match="finite"):
+        psd_sqrt(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
 def test_convergence_error_carries_diagnostics():
     err = ConvergenceError("stalled", iterations=12, residual=0.5)
     assert err.iterations == 12

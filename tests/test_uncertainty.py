@@ -1,5 +1,7 @@
 """Tests for disturbance estimation, the ambiguity metric, and sampling."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -265,3 +267,66 @@ def test_load_samples_empty_and_missing(tmp_path):
     assert "no records" in str(info.value)
     with pytest.raises(FileFormatError):
         load_samples(str(tmp_path / "absent.csv"), ("e1", "e2"))
+
+
+def csv_module_parse(path) -> np.ndarray:
+    """Reference parse: every non-empty csv row after the header, cell by cell."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))[1:]
+    return np.array([[float(cell) for cell in row] for row in rows if row])
+
+
+def test_load_samples_matches_a_csv_module_parse(tmp_path):
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(300, 6)) * 10.0 ** rng.integers(-12, 13, size=(300, 6))
+    values[::7, 0] = np.round(values[::7, 0])
+    writers = (repr, "{:.6e}".format, "{:.17g}".format, "{:.3E}".format, "{:.0f}".format)
+    wrappers = ("{}", '"{}"', " {} ", "\t{}  ", '" {}"')
+    lines = ["f_a,f_b,f_c,l_a,l_b,l_c"]
+    for i, row in enumerate(values.tolist()):
+        lines.append(",".join(wrappers[(i + 2 * j) % 5].format(writers[(3 * i + j) % 5](v))
+                              for j, v in enumerate(row)))
+        if i % 17 == 0:
+            lines.append("")
+    path = write_samples(tmp_path, "\n".join(lines) + "\n\n")
+    sample = load_samples(path, ("a", "b", "c"))
+    reference = csv_module_parse(path)
+    assert reference.shape == (300, 6)
+    assert np.array_equal(np.hstack([sample.flows, sample.latencies]), reference)
+    assert (reference < 0).any() and (tmp_path / "samples.csv").read_text().count('"') > 100
+
+
+@pytest.mark.parametrize("text", [
+    "f_e1,f_e2,l_e1,l_e2",
+    "f_e1,f_e2,l_e1,l_e2\n",
+    "f_e1,f_e2,l_e1,l_e2\r\n",
+    "f_e1,f_e2,l_e1,l_e2\n\n\n",
+    "f_e1,f_e2,l_e1,l_e2\r\n\r\n\n",
+])
+def test_load_samples_without_records(tmp_path, text):
+    # Header-only files and files whose body is only empty lines; numpy
+    # would warn on them, and warnings fail the test suite.
+    with pytest.raises(FileFormatError) as info:
+        load_samples(write_samples(tmp_path, text), ("e1", "e2"))
+    assert "no records" in str(info.value)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_load_samples_rejects_non_finite_cells(tmp_path, cell):
+    path = write_samples(tmp_path,
+                         "f_e1,f_e2,l_e1,l_e2\n"
+                         "10.0,90.0,34.9,39.1\n"
+                         f"10.0,{cell},35.1,38.9\n")
+    with pytest.raises(FileFormatError) as info:
+        load_samples(path, ("e1", "e2"))
+    assert path in str(info.value) and "non-finite" in str(info.value)
+
+
+def test_load_samples_checks_the_column_count_against_the_header(tmp_path):
+    path = write_samples(tmp_path,
+                         "f_e1,f_e2,l_e1,l_e2\n"
+                         "1.0,2.0,3.0\n"
+                         "1.0,2.0,3.0\n")
+    with pytest.raises(FileFormatError) as info:
+        load_samples(path, ("e1", "e2"))
+    assert "expected 4 fields" in str(info.value)
