@@ -30,7 +30,7 @@ import numpy as np
 from .equilibrium import KktBlocks, latency_decomposition
 from .exceptions import ConvergenceError, InfeasibleError, NumericalDegeneracyError
 from .network import IncidenceData, _endpoints, _max_min_flow
-from .optim import STATUS_OPTIMAL, _barrier_newton, active_set_qp
+from .optim import STATUS_OPTIMAL, _balance_qr, _barrier_newton, active_set_qp
 from .uncertainty import DisturbanceModel
 
 _CEILING_SLACK = 1e-9
@@ -111,18 +111,14 @@ def polytope_nonempty(poly: TollPolytope) -> bool:
     return poly.margin <= float(_max_min_flow(poly.inc).min()) * (1.0 + 1e-12)
 
 
-def _gamma_is_zero(blocks: KktBlocks) -> bool:
-    # With as many independent balance rows as edges the flow response is
-    # structurally zero; everything left in gamma is round-off.
-    floor = float((1.0 / blocks.lat.beta).max())
-    return blocks.gamma_norm <= 1e-12 * max(1.0, floor)
-
-
 def _ceiling(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, np.ndarray | None]:
     """The robustness ceiling and the circulation of its certificate toll."""
     if model.mean.shape[0] != blocks.gamma.shape[0]:
         raise ValueError("model dimension does not match the network")
-    if _gamma_is_zero(blocks):
+    k, m = blocks.inc.matrix.shape
+    if k == m:
+        # As many independent balance rows as edges leave R no null space,
+        # so the flow response is structurally zero and ||gamma|| is round-off.
         return float("inf"), None
     flow = _max_min_flow(blocks.inc)
     ceiling = float(flow.min()) / blocks.gamma_norm - model.support_radius
@@ -256,8 +252,8 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
             raise NumericalDegeneracyError(
                 f"the robustness ceiling's certificate has slack {slack:.3e} (ceiling "
                 f"{ceiling:g}), so the design has no interior start point")
-        y, report = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean, blocks.inc.matrix,
-                                    rhs, start)
+        y, _, report = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean,
+                                       _balance_qr(blocks.inc.matrix), rhs, start)
         if report.status != STATUS_OPTIMAL:
             raise ConvergenceError("design solve did not close its duality gap",
                                    report.iterations, report.gap)

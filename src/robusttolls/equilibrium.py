@@ -7,10 +7,11 @@ constraints once per network yields a small set of dense blocks
 (:func:`kkt_blocks`) from which equilibria, node potentials, and the
 equilibrium latency are all affine or quadratic evaluations.  The closed
 form is only valid while every edge keeps positive flow; the
-potential-minimization solver (:func:`nash_flow_potential`), an
-active-set QP over the null space of the incidence rows started at the
-max-min flow, is the regime-free reference that also handles boundary
-equilibria.
+potential-minimization solver (:func:`nash_flow_potential`) is the
+regime-free reference that also handles boundary equilibria: the
+interior-point kernel of :mod:`robusttolls.optim` run from the max-min
+flow, then a crossover that pins the edges on the optimal face at
+exactly zero and solves the equality system on the rest once.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, NumericalDegeneracyError, OutOfRegimeError
-from .network import IncidenceData, _max_min_flow
-from .optim import STATUS_OPTIMAL, _balance_qr, active_set_qp
+from .network import IncidenceData, _endpoints, _max_min_flow
+from .optim import STATUS_OPTIMAL, _balance_qr, _barrier_newton
 
 
 @dataclass(frozen=True)
@@ -168,21 +169,27 @@ def nash_flow_closed_form(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray,
 
 
 def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray, tau: np.ndarray,
-                        max_iter: int = 0, tol: float = 1e-8) -> NashSolution:
+                        tol: float = 1e-8) -> NashSolution:
     """Equilibrium flow by minimizing the congestion potential directly.
 
     Minimizes ``sum(0.5 beta f^2 + (alpha+tau) f)`` over flows with
-    ``R f = injections`` and ``f >= 0``, written ``f = f* + N z``: ``f*``
-    is the max-min flow, feasible and positive on every edge, and ``N``
-    an orthonormal basis of the null space of ``R``.  That leaves only
-    the bounds ``N z >= -f*``, which
-    :func:`~robusttolls.optim.active_set_qp` handles from ``z = 0``, where
-    none is active.  Node potentials come from its edge multipliers
-    ``lam`` through ``R' p = lam - beta f - cost``; edges held at zero
-    come back as exactly ``0.0``.  ``max_iter`` is the active-set budget,
-    by default ``active_set_qp``'s ``20 (2m - k) + 20`` for ``k`` rows of
-    ``R``.  Raises :class:`ConvergenceError` if the budget runs out or
-    the final KKT residual exceeds ``tol`` (scaled by demand).
+    ``R f = injections`` and ``f >= 0``, written ``f = f* - y`` with
+    ``f*`` the max-min flow, feasible and positive on every edge.  In
+    ``y`` this is the interior-point kernel's problem
+    (:func:`~robusttolls.optim._barrier_newton`): weights ``beta/2``,
+    linear term ``-(beta f* + cost)``, circulations ``R y = 0`` and
+    bounds ``y <= f*``, solved from ``y = 0`` within the kernel's Newton
+    budget.  A crossover then lands on the optimal face exactly (Megiddo
+    1991; Ye 1992): edges whose bound multiplier exceeds their flow are
+    pinned at exactly ``0.0``, and one equality KKT solve on the free
+    edges, the weighted Laplacian ``R_F B_F^-1 R_F'`` over the nodes they
+    touch, gives those nodes' potentials and the free flows.  Nodes that
+    no free edge touches keep the kernel's potentials, and the pinned
+    edges' multipliers are read off the potentials.  Raises
+    :class:`ConvergenceError` if the kernel runs out of steps, the face
+    system is singular, or the KKT residual of the result (stationarity,
+    balance, negative flows or multipliers, complementarity) exceeds
+    ``tol`` (scaled by demand).
     """
     matrix, eta = inc.matrix, inc.injections
     k, m = matrix.shape
@@ -193,27 +200,48 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
     cost = alpha + tau
     beta = lat.beta
 
-    span, triangle, basis = _balance_qr(matrix)
+    factors = _balance_qr(matrix)
+    span, triangle, _ = factors
     start = _max_min_flow(inc)
-    z, lam, iterations, _, status = active_set_qp(
-        (basis.T * beta) @ basis, basis.T @ (beta * start + cost), -basis, start,
-        np.zeros(m - k), max_iter)
-    flow = start + basis @ z
-    scale = max(1.0, float(np.abs(eta).max(initial=0.0)))
-    # Edges held at their bound come back within round-off of zero.
-    flow[flow <= 1e-10 * scale] = 0.0
-    potentials = np.linalg.solve(triangle, span.T @ (lam - beta * flow - cost))
+    y, lam, report = _barrier_newton(0.0, np.zeros(m), 0.5 * beta, -(beta * start + cost),
+                                     factors, start, np.zeros(m))
+    if report.status != STATUS_OPTIMAL:
+        raise ConvergenceError("potential minimization did not converge",
+                               report.iterations, report.gap)
+    barrier_flow = start - y
+    pinned = lam > barrier_flow
+    free = ~pinned
+    # The kernel's balance multipliers: R' p = beta f + cost - lam.
+    potentials = np.linalg.solve(triangle, span.T @ (beta * barrier_flow + cost - lam))
 
-    stationarity = float(np.abs(beta * flow + cost + matrix.T @ potentials - lam).max(initial=0.0))
-    balance = float(np.abs(matrix @ flow - eta).max(initial=0.0))
-    negativity = float(max(0.0, -flow.min(initial=0.0)))
-    complementarity = float(np.abs(lam * flow).max(initial=0.0))
-    residual = max(stationarity, balance, negativity, complementarity)
-    if status != STATUS_OPTIMAL or residual > tol * scale:
-        raise ConvergenceError("potential minimization did not converge", iterations, residual)
-    # Same sign convention as the closed form: flip the raw multiplier so
-    # potentials drop by the edge cost along every used edge.
-    return NashSolution(flow=flow, node_potentials=-potentials, method="potential")
+    # Crossover: the equality KKT system on the free edges, over the
+    # nodes they touch (the destination, index k, stays at zero).
+    tails, heads = _endpoints(inc)
+    touched = np.zeros(k + 1, dtype=bool)
+    touched[tails[free]] = touched[heads[free]] = True
+    nodes = np.flatnonzero(touched[:k])
+    face = matrix[np.ix_(nodes, np.flatnonzero(free))]
+    weighted = face / beta[free]
+    try:
+        potentials[nodes] = np.linalg.solve(weighted @ face.T, eta[nodes] + weighted @ cost[free])
+    except np.linalg.LinAlgError:
+        raise ConvergenceError(f"the optimal face with {int(pinned.sum())} pinned edges is singular",
+                               report.iterations, np.inf) from None
+    drop = matrix.T @ potentials
+    flow = np.zeros(m)
+    flow[free] = (drop[free] - cost[free]) / beta[free]
+    multipliers = np.where(pinned, cost - drop, 0.0)
+
+    scale = max(1.0, float(np.abs(eta).max(initial=0.0)))
+    residual = max(float(np.abs(beta * flow + cost - drop - multipliers).max(initial=0.0)),
+                   float(np.abs(matrix @ flow - eta).max(initial=0.0)),
+                   max(0.0, -float(flow.min(initial=0.0))),
+                   max(0.0, -float(multipliers.min(initial=0.0))),
+                   float(np.abs(multipliers * flow).max(initial=0.0)))
+    if residual > tol * scale:
+        raise ConvergenceError(f"the optimal face with {int(pinned.sum())} pinned edges fails "
+                               "the KKT check", report.iterations, residual)
+    return NashSolution(flow=flow, node_potentials=potentials, method="potential")
 
 
 def system_latency(flow: np.ndarray, lat: LatencyModel, alpha: np.ndarray) -> float:

@@ -76,47 +76,51 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     ``disturbance`` may instead name a sample CSV:
     ``{"samples": "records.csv", "delta": 0.2}``, in which case the
     moments are estimated from the residuals.  Relative paths resolve
-    against the scenario file's directory.
+    against the scenario file's directory.  Schema problems raise
+    :class:`FileFormatError` naming the file at fault: the scenario, or
+    the network or sample file it points to.
     """
     raw = _read_json(path, "scenario")
-    _require(isinstance(raw, dict), "scenario file must hold a JSON object")
+    where = f"scenario file {path}"
+    _require(isinstance(raw, dict), where, "must hold a JSON object")
     for key in ("network", "disturbance", "grid", "mc_samples", "seed"):
-        _require(key in raw, f"scenario file is missing the '{key}' field")
-    _require(isinstance(raw["network"], str), "'network' must be a path string")
+        _require(key in raw, where, f"missing the '{key}' field")
+    _require(isinstance(raw["network"], str), where, "'network' must be a path string")
     base = os.path.dirname(os.path.abspath(path))
     network_path = os.path.join(base, raw["network"])
     net, betas = load_network(network_path)
     lat = LatencyModel(betas)
 
     dist = raw["disturbance"]
-    _require(isinstance(dist, dict), "'disturbance' must be an object")
-    _require(_number(dist.get("delta")), "disturbance needs a finite numeric 'delta'")
+    _require(isinstance(dist, dict), where, "'disturbance' must be an object")
+    _require(_number(dist.get("delta")), where, "disturbance needs a finite numeric 'delta'")
     delta = float(dist["delta"])
     if "samples" in dist:
-        _require(isinstance(dist["samples"], str), "'samples' must be a path string")
+        _require(isinstance(dist["samples"], str), where, "'samples' must be a path string")
         samples = load_samples(os.path.join(base, dist["samples"]), net.edge_ids())
         model = estimate_nominal(samples, lat, delta)
     else:
         for key in ("mean", "cov"):
-            _require(key in dist, f"inline disturbance needs '{key}' (or use 'samples')")
+            _require(key in dist, where, f"inline disturbance needs '{key}' (or use 'samples')")
         m = net.num_edges
         mean, rows = dist["mean"], dist["cov"]
-        _require(isinstance(mean, list) and len(mean) == m and all(map(_number, mean)),
+        _require(isinstance(mean, list) and len(mean) == m and all(map(_number, mean)), where,
                  f"'mean' must be a list of finite numbers, one per edge ({m})")
         try:
             cov = np.array(rows, dtype=float)
         except (TypeError, ValueError, OverflowError) as err:
-            raise FileFormatError(f"'cov' is not a numeric matrix: {err}") from None
-        _require(cov.shape == (m, m) and np.isfinite(cov).all(),
+            raise FileFormatError(f"{where}: 'cov' is not a numeric matrix: {err}") from None
+        _require(cov.shape == (m, m) and np.isfinite(cov).all(), where,
                  f"'cov' must be a {m}x{m} matrix (list of rows) of finite numbers")
         model = DisturbanceModel(mean=np.array(mean, dtype=float), cov=cov, support_radius=delta)
 
-    _require(isinstance(raw["grid"], list) and raw["grid"] != [] and all(map(_number, raw["grid"])),
+    grid = raw["grid"]
+    _require(isinstance(grid, list) and grid != [] and all(map(_number, grid)), where,
              "'grid' must be a nonempty list of finite numbers")
-    grid = tuple(float(v) for v in raw["grid"])
-    _require(type(raw["mc_samples"]) is int and raw["mc_samples"] >= 1,
+    grid = tuple(float(v) for v in grid)
+    _require(type(raw["mc_samples"]) is int and raw["mc_samples"] >= 1, where,
              "'mc_samples' must be a positive integer")
-    _require(type(raw["seed"]) is int, "'seed' must be an integer")
+    _require(type(raw["seed"]) is int, where, "'seed' must be an integer")
     seed = int(raw["seed"]) if seed_override is None else int(seed_override)
     return Scenario(network=net, lat=lat, model=model, grid=grid,
                     mc_samples=int(raw["mc_samples"]), seed=seed)

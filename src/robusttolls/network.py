@@ -380,9 +380,10 @@ def _max_min_flow(inc: IncidenceData) -> np.ndarray:
     return (float(inc.injections[0]) / value) * np.array(g, dtype=float)
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, where: str, message: str) -> None:
+    """Raise a schema error naming its file (``where``, e.g. "network file x.json")."""
     if not condition:
-        raise FileFormatError(message)
+        raise FileFormatError(f"{where}: {message}")
 
 
 def _number(value: object) -> bool:
@@ -417,41 +418,43 @@ def load_network(path: str) -> tuple[Network, np.ndarray]:
 
     The loader reorders nodes so the source lands at index 0 and the
     destination last; edge order (and therefore vector layout) follows
-    the file.  Schema problems raise :class:`FileFormatError`; structural
-    problems (cycles, extra sources, bad demand) survive loading so that
-    validation can report them all.
+    the file.  Schema problems raise :class:`FileFormatError` naming the
+    file; structural problems (cycles, extra sources, bad demand) survive
+    loading so that validation can report them all.
     """
     raw = _read_json(path, "network")
-    _require(isinstance(raw, dict), "network file must hold a JSON object")
+    where = f"network file {path}"
+    _require(isinstance(raw, dict), where, "must hold a JSON object")
     for key in ("nodes", "edges", "source", "destination", "demand"):
-        _require(key in raw, f"network file is missing the '{key}' field")
+        _require(key in raw, where, f"missing the '{key}' field")
     nodes = raw["nodes"]
-    _require(isinstance(nodes, list) and all(isinstance(v, str) for v in nodes),
+    _require(isinstance(nodes, list) and all(isinstance(v, str) for v in nodes), where,
              "'nodes' must be a list of string ids")
-    _require(len(set(nodes)) == len(nodes), "node ids must be unique")
+    _require(len(set(nodes)) == len(nodes), where, "node ids must be unique")
     source, destination = raw["source"], raw["destination"]
-    _require(source in nodes and destination in nodes, "source and destination must appear in 'nodes'")
-    _require(source != destination, "source and destination must be distinct nodes")
-    _require(_number(raw["demand"]), "'demand' must be a finite number")
+    _require(source in nodes and destination in nodes, where,
+             "source and destination must appear in 'nodes'")
+    _require(source != destination, where, "source and destination must be distinct nodes")
+    _require(_number(raw["demand"]), where, "'demand' must be a finite number")
 
     ordered = [source] + [v for v in nodes if v not in (source, destination)] + [destination]
     index = {v: i for i, v in enumerate(ordered)}
 
-    _require(isinstance(raw["edges"], list), "'edges' must be a list")
+    _require(isinstance(raw["edges"], list), where, "'edges' must be a list")
     edges: list[Edge] = []
     betas: list[float] = []
     seen_ids: set[str] = set()
     for item in raw["edges"]:
-        _require(isinstance(item, dict), "each edge must be a JSON object")
+        _require(isinstance(item, dict), where, "each edge must be a JSON object")
         for key in ("id", "from", "to", "beta"):
-            _require(key in item, f"edge entry is missing '{key}'")
-        _require(isinstance(item["id"], str), "edge 'id' must be a string")
-        _require(item["id"] not in seen_ids, f"duplicate edge id '{item['id']}'")
+            _require(key in item, where, f"edge entry is missing '{key}'")
+        _require(isinstance(item["id"], str), where, "edge 'id' must be a string")
+        _require(item["id"] not in seen_ids, where, f"duplicate edge id '{item['id']}'")
         seen_ids.add(item["id"])
         for endpoint in (item["from"], item["to"]):
-            _require(endpoint in index,
+            _require(endpoint in index, where,
                      f"edge {item['id']} references an unknown node '{endpoint}'")
-        _require(_number(item["beta"]), f"edge {item['id']} needs a finite numeric 'beta'")
+        _require(_number(item["beta"]), where, f"edge {item['id']} needs a finite numeric 'beta'")
         edges.append(Edge(id=item["id"], tail=index[item["from"]], head=index[item["to"]]))
         betas.append(float(item["beta"]))
 

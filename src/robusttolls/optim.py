@@ -1,21 +1,21 @@
 """Deterministic dense optimization kernels.
 
-Two solvers and a matrix helper: a primal active-set QP (the toll
-canonicalization, and Wardrop equilibria in null-space coordinates of
-the incidence rows), an interior-point Newton method for the robust
-design objective (a smooth norm term plus a separable quadratic over a
-polyhedron in circulation space), and a PSD square root for the
-ambiguity-set geometry.  Both null-space solves take their basis from
-one complete QR (:func:`_balance_qr`).  The square root and the
-covariance validation in :mod:`robusttolls.uncertainty` share one
-square, finite, symmetric and positive semidefinite check
-(:func:`_psd_eigh`), which returns the clamped eigendecomposition.  The
-robustness ceiling is a network-flow number and needs no solver from
-here.  All of it is written against plain numpy on dense arrays.
-Instances in this package are small (tolls live in R^|E| with |E| <=
-512), so the priorities are determinism and bit-reproducible runs, not
-sparse scalability: the active-set method breaks ties by lowest
-constraint index.
+Two solvers and a matrix helper: an interior-point Newton method for a
+separable quadratic, a linear term and a smooth norm over a polyhedron
+in circulation space (the robust design, and Wardrop equilibria written
+as a shift from the max-min flow), a primal active-set QP that now
+serves only the toll canonicalization, and a PSD square root for the
+ambiguity-set geometry.  The interior-point method takes its null-space
+basis from one complete QR (:func:`_balance_qr`), which its caller
+computes once and may reuse.  The square root and the covariance
+validation in :mod:`robusttolls.uncertainty` share one square, finite,
+symmetric and positive semidefinite check (:func:`_psd_eigh`), which
+returns the clamped eigendecomposition.  The robustness ceiling is a
+network-flow number and needs no solver from here.  All of it is
+written against plain numpy on dense arrays.  Instances in this package
+are small (tolls live in R^|E| with |E| <= 512), so the priorities are
+determinism and bit-reproducible runs, not sparse scalability: the
+active-set method breaks ties by lowest constraint index.
 """
 
 from __future__ import annotations
@@ -131,11 +131,12 @@ def _balance_qr(balance: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np.ndarray,
-                    balance: np.ndarray, upper: np.ndarray,
-                    start: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+                    factors: tuple[np.ndarray, np.ndarray, np.ndarray], upper: np.ndarray,
+                    start: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Minimize ``eps*||y + offset|| + sum(weights*y**2) + lin @ y`` on a polyhedron.
 
-    The feasible set is ``{y : balance @ y = 0, y <= upper}``.  This is a
+    The feasible set is ``{y : balance @ y = 0, y <= upper}``, where
+    ``factors`` is :func:`_balance_qr` of ``balance``.  This is a
     primal-dual interior-point method (Boyd & Vandenberghe, *Convex
     Optimization*, sec. 11.7) with one multiplier per bound and a
     backtracking search on the residual norm.  There is no epigraph
@@ -148,22 +149,21 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     norm curvature, barrier).  ``start`` must satisfy the equality and
     every bound strictly; there is no phase one.
 
-    Returns the last iterate and a :class:`SolveReport` whose ``gap`` is
-    the duality gap ``slack @ multipliers``.  The status is optimal once
-    that gap and the reduced dual residual are at tolerance, relative to
-    the objective's and the gradient's scale; it is the iteration cap
-    when the budget runs out or the step search stalls first.
+    Returns the last iterate, its bound multipliers and a
+    :class:`SolveReport` whose ``gap`` is the duality gap ``slack @
+    multipliers``.  The status is optimal once that gap and the reduced
+    dual residual are at tolerance, relative to the objective's and the
+    gradient's scale; it is the iteration cap when the budget
+    (``_NEWTON_ITERS``) runs out or the step search stalls first.
     """
     if eps < 0.0:
         raise ValueError("norm weight eps must be nonnegative")
     upper = np.asarray(upper, dtype=float)
     m = upper.shape[0]
     offset, weights, lin, start = (np.asarray(v, dtype=float) for v in (offset, weights, lin, start))
-    balance = np.asarray(balance, dtype=float)
-    if balance.shape[-1] != m or any(v.shape != (m,) for v in (offset, weights, lin, start)):
+    span, triangle, basis = factors
+    if basis.shape[0] != m or any(v.shape != (m,) for v in (offset, weights, lin, start)):
         raise ValueError("offset, weights, lin, start and the balance rows must have the length of upper")
-    balance = balance.reshape(-1, m)
-    basis = _balance_qr(balance)[2]
     y = basis @ (basis.T @ start)
     slack = upper - y
     if not float(slack.min(initial=np.inf)) > 0.0:
@@ -229,9 +229,10 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
         y, slack, lam = trial, trial_slack, trial_lam
         unit, size, grad = trial_unit, trial_size, trial_grad
 
+    # balance = triangle' span', so this is |balance @ y|.
     violation = float(max(np.max(y - upper, initial=0.0),
-                          np.abs(balance @ y).max(initial=0.0)))
-    return y, SolveReport(status, it, violation, gap)
+                          np.abs(triangle.T @ (span.T @ y)).max(initial=0.0)))
+    return y, lam, SolveReport(status, it, violation, gap)
 
 
 def _psd_eigh(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:

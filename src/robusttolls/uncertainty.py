@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +28,10 @@ from .optim import _psd_eigh, psd_sqrt
 
 _BALL_BLOCK = 4096
 _DEGENERATE_DIRECTION = 1e-12
+# numpy's loadtxt names the failing record "at row N", counting records
+# from 0 when a cell does not convert and from 1 when a row is ragged.
+_NUMPY_ROW = re.compile(r"at row (\d+)(, column)?")
+_NUMPY_ADVICE = "; use `usecols` to select a subset and avoid this error"
 
 
 def _clean_covariance(cov: np.ndarray, what: str) -> np.ndarray:
@@ -222,6 +227,18 @@ def support_check(samples: np.ndarray, mean: np.ndarray, radius: float, tol: flo
     return bool(distances.max() <= radius + tol)
 
 
+def _with_file_line(message: str, path: str) -> str:
+    """numpy's parse error for a sample file, with its record row as a file line."""
+    def file_line(found: re.Match) -> str:
+        record = int(found.group(1)) - (0 if found.group(2) else 1)
+        with open(path, newline="", encoding="utf-8") as handle:
+            next(handle)  # the header
+            filled = (number for number, text in enumerate(handle, start=2) if text.strip("\r\n"))
+            line = next(itertools.islice(filled, record, None), None)
+        return found.group(0) if line is None else f"on line {line}{found.group(2) or ''}"
+    return _NUMPY_ROW.sub(file_line, message.replace(_NUMPY_ADVICE, ""), count=1)
+
+
 def load_samples(path: str, edge_ids: tuple[str, ...]) -> SampleSet:
     """Read a sample CSV with columns ``f_<edge>...`` then ``l_<edge>...``.
 
@@ -230,7 +247,8 @@ def load_samples(path: str, edge_ids: tuple[str, ...]) -> SampleSet:
     it are parsed in one ``numpy.loadtxt`` pass; cells may be quoted or
     padded with spaces, and empty lines are skipped.  Anything else
     (missing columns, shuffled order, non-numeric or non-finite cells,
-    ragged rows, no records) raises :class:`FileFormatError`.
+    ragged rows, no records) raises :class:`FileFormatError`; a cell or row
+    that does not parse is reported by its line in the file.
     """
     expected = [f"f_{e}" for e in edge_ids] + [f"l_{e}" for e in edge_ids]
     try:
@@ -251,7 +269,7 @@ def load_samples(path: str, edge_ids: tuple[str, ...]) -> SampleSet:
                 data = np.loadtxt(itertools.chain([first], handle), delimiter=",",
                                   comments=None, quotechar='"', ndmin=2)
             except ValueError as err:
-                raise FileFormatError(f"sample file {path}: {err}") from None
+                raise FileFormatError(f"sample file {path}: {_with_file_line(str(err), path)}") from None
     except (OSError, UnicodeDecodeError) as err:
         raise FileFormatError(f"cannot read sample file {path}: {err}") from err
 

@@ -328,6 +328,13 @@ def test_scenario_cov_of_the_wrong_shape_exits_two(tmp_path, capsys):
     assert "2x2" in err
 
 
+def test_scenario_schema_error_names_the_file(tmp_path, capsys):
+    scenario = small_scenario_file(tmp_path, grid=())
+    code, out, err = run(capsys, "experiment", "--scenario", scenario)
+    assert code == 2
+    assert out == "" and err.count(scenario) == 1 and "'grid'" in err
+
+
 def test_non_finite_sample_cell_exits_two(tmp_path, capsys):
     samples = tmp_path / "records.csv"
     samples.write_text("f_e1,f_e2,l_e1,l_e2\n"

@@ -181,6 +181,20 @@ def test_epsilon_max_single_edge_unbounded():
     _assert_ceilings([(blocks, model)], np.inf)
 
 
+def test_epsilon_max_two_roads_with_extreme_slopes_is_finite():
+    # Pigou with slopes 1e-3 and 1e11: ||gamma|| = 2 / (b1 + b2) is tiny
+    # but not zero, so the ceiling is t* / ||gamma|| = 50 * (1e11 + 1e-3) / 2,
+    # about 2.5e12.  The flow response is zero only when R leaves no
+    # circulation, and two parallel roads leave one.
+    net = Network(num_nodes=2, edges=(Edge("e1", 0, 1), Edge("e2", 0, 1)), demand=100.0)
+    blocks = kkt_blocks(incidence(net), LatencyModel(np.array([1e-3, 1e11])))
+    model = DisturbanceModel(mean=np.zeros(2), cov=np.zeros((2, 2)), support_radius=0.0)
+    ceiling, certificate = epsilon_max(blocks, model)
+    assert np.isfinite(ceiling)
+    assert ceiling == pytest.approx(2.5e12, rel=0.01)
+    assert certificate.min() >= 0.0
+
+
 def test_epsilon_max_infeasible_support():
     # With a huge support radius even the nominal polytope is empty.
     _assert_ceilings([_pigou_with_radius(50.0)], InfeasibleError)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from randnets import layered_dag_network, random_dag_network
+from robusttolls import equilibrium, optim
 from robusttolls.equilibrium import (
     LatencyModel,
     equilibrium_latency_g,
@@ -14,7 +15,9 @@ from robusttolls.equilibrium import (
     system_latency,
 )
 from robusttolls.exceptions import ConvergenceError, OutOfRegimeError
-from robusttolls.network import Edge, Network, enumerate_paths, incidence, is_feasible_flow
+from robusttolls.network import (Edge, Network, _endpoints, _max_min_flow, enumerate_paths,
+                                 incidence, is_feasible_flow)
+from robusttolls.optim import STATUS_OPTIMAL, active_set_qp
 from test_network import braess, pigou
 
 PIGOU_BETA = np.array([1.5, 0.1])
@@ -200,17 +203,44 @@ def test_potential_solver_satisfies_variational_inequality():
             assert gap >= -1e-6 * (1.0 + abs(float(cost @ sol.flow)))
 
 
-def test_potential_solver_iteration_budget():
+def test_potential_solver_iteration_budget(monkeypatch):
     data = incidence(pigou())
     lat = LatencyModel(PIGOU_BETA)
-    with pytest.raises(ConvergenceError):
-        nash_flow_potential(data, lat, np.array([0.0, 200.0]), np.zeros(2), max_iter=1)
+    monkeypatch.setattr(optim, "_NEWTON_ITERS", 1)
+    with pytest.raises(ConvergenceError) as info:
+        nash_flow_potential(data, lat, np.array([0.0, 200.0]), np.zeros(2))
+    assert info.value.iterations == 1
+
+
+@pytest.mark.parametrize("net, alpha, wrong, message", [
+    # Pinning Pigou's cheap road leaves it a negative multiplier.
+    (pigou(), [20.0, 30.0], [0], "1 pinned edges fails"),
+    # Pinning Braess's edges into the destination leaves a face that
+    # never reaches it, so its Laplacian has no grounded node.
+    (braess(), [0.0] * 5, [2, 3], "2 pinned edges is singular"),
+], ids=["negative-multiplier", "singular"])
+def test_potential_solver_refuses_a_wrong_face(monkeypatch, net, alpha, wrong, message):
+    # The crossover certifies the face it is given; a kernel answer that
+    # points at the wrong one raises instead of returning.
+    solve = equilibrium._barrier_newton
+
+    def misleading(*args):
+        y, lam, report = solve(*args)
+        lam = lam.copy()
+        lam[wrong] = 1e6
+        return y, lam, report
+
+    monkeypatch.setattr(equilibrium, "_barrier_newton", misleading)
+    data = incidence(net)
+    with pytest.raises(ConvergenceError, match=message):
+        nash_flow_potential(data, LatencyModel(np.linspace(1.0, 1.5, net.num_edges)),
+                            np.array(alpha), np.zeros(net.num_edges))
 
 
 @pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1), (1, 2)]], ids=["one-edge", "series"])
 def test_potential_solver_on_single_route_networks(edges):
     # One route leaves no circulation: the null space of R is empty and
-    # the active-set QP has no variables.
+    # the interior-point kernel has no variables.
     net = Network(num_nodes=len(edges) + 1,
                   edges=tuple(Edge(f"e{k}", t, h) for k, (t, h) in enumerate(edges)), demand=4.0)
     data = incidence(net)
@@ -227,7 +257,7 @@ def test_potential_solver_certifies_boundary_equilibria_at_scale():
     # Layered DAGs of benchmark size with a third of the edges priced out
     # by about the demand, so that many edges pin at zero.
     rng = np.random.default_rng(8080)
-    for m in (100, 125, 150):
+    for m in (100, 125, 150, 500):
         net = layered_dag_network(rng, m // 3, m, float(m))
         data = incidence(net)
         lat = LatencyModel(rng.uniform(0.5, 2.0, m))
@@ -246,6 +276,67 @@ def test_potential_solver_certifies_boundary_equilibria_at_scale():
         assert np.all(sol.flow[pinned] == 0.0)
         assert float(np.abs(cost - drop)[used].max()) <= 1e-7 * scale
         assert float((drop - cost).max()) <= 1e-7 * scale
+
+
+def _active_set_reference(data, lat, alpha, tau):
+    """Equilibrium flow by the primal active-set QP in null-space coordinates.
+
+    With ``N`` an orthonormal basis of null(R) and ``f*`` the max-min
+    flow, ``f = f* + N z`` and the bounds are ``-N z <= f*``, so
+    ``active_set_qp`` solves the potential from ``z = 0``.  Flows within
+    round-off of zero come back as ``0.0``.
+    """
+    matrix = data.matrix
+    k, m = matrix.shape
+    beta = lat.beta
+    basis = np.linalg.qr(matrix.T, mode="complete")[0][:, k:]
+    start = _max_min_flow(data)
+    z, _, _, _, status = active_set_qp((basis.T * beta) @ basis,
+                                       basis.T @ (beta * start + alpha + tau),
+                                       -basis, start, np.zeros(m - k))
+    assert status == STATUS_OPTIMAL
+    flow = start + basis @ z
+    flow[flow <= 1e-10 * float(data.injections.max())] = 0.0
+    return flow
+
+
+def test_potential_solver_matches_active_set_reference():
+    # Calm and stormy (+100 on a third of the edges) layered DAGs: the
+    # interior-point solve and its crossover land on the active-set
+    # solution, with the same edges pinned at exactly zero.
+    rng = np.random.default_rng(6060)
+    untouched = 0
+    for m in (50, 100, 150):
+        for stormy in (False, True):
+            net = layered_dag_network(rng, 2 * m // 5, m, float(m))
+            data = incidence(net)
+            lat = LatencyModel(rng.uniform(0.5, 2.0, m))
+            alpha = rng.uniform(10.0, 30.0, m)
+            if stormy:
+                alpha[rng.choice(m, m // 3, replace=False)] += 100.0
+            tau = np.zeros(m)
+            reference = _active_set_reference(data, lat, alpha, tau)
+            sol = nash_flow_potential(data, lat, alpha, tau)
+            assert float(np.abs(sol.flow - reference).max()) <= 1e-9 * float(reference.max())
+            pinned = reference == 0.0
+            assert pinned.any()
+            assert np.array_equal(sol.flow == 0.0, pinned)
+            # Wardrop's certificate at the returned potentials, to round-off
+            # (the barrier iterate alone is only good to about 1e-9): flow
+            # balances, used edges cost their potential drop and the
+            # multipliers cost - drop are nonnegative on every edge, also
+            # where no used edge touches either end.
+            assert float(np.abs(data.matrix @ sol.flow - data.injections).max()) <= 1e-12 * m
+            cost = lat.beta * sol.flow + alpha + tau
+            multipliers = cost - data.matrix.T @ sol.node_potentials
+            scale = float(np.abs(cost).max())
+            assert float(np.abs(multipliers[~pinned]).max()) <= 1e-12 * scale
+            assert float(multipliers.min()) >= -1e-12 * scale
+            tails, heads = _endpoints(data)
+            touched = np.zeros(data.matrix.shape[0] + 1, dtype=bool)
+            touched[tails[~pinned]] = touched[heads[~pinned]] = True
+            untouched += int((~touched).sum())
+    assert untouched > 0
 
 
 def test_system_latency_single_edge():

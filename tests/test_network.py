@@ -250,6 +250,20 @@ def test_load_network_missing_key(tmp_path):
         load_network(write_net(tmp_path, payload))
 
 
+def test_load_network_schema_errors_name_the_file_once(tmp_path):
+    payload = good_payload()
+    payload["demand"] = "ten"
+    path = write_net(tmp_path, payload)
+    with pytest.raises(FileFormatError) as info:
+        load_network(path)
+    assert str(info.value).count(path) == 1 and "'demand'" in str(info.value)
+    # The reader's own messages already carry the path; it is not added again.
+    (tmp_path / "net.json").write_text("{not json")
+    with pytest.raises(FileFormatError) as info:
+        load_network(path)
+    assert str(info.value).count(path) == 1
+
+
 def test_load_network_bad_json(tmp_path):
     path = tmp_path / "net.json"
     path.write_text("{not json")

@@ -257,6 +257,28 @@ def test_load_samples_rejects_non_numeric(tmp_path):
         load_samples(path, ("e1", "e2"))
 
 
+def test_load_samples_reports_file_lines(tmp_path):
+    # numpy counts records; the message counts file lines, the header and
+    # the blank line included.
+    path = write_samples(tmp_path,
+                         "f_e1,f_e2,l_e1,l_e2\n"
+                         "1.0,2.0,3.0,4.0\n"
+                         "1.0,2.0,3.0,4.0\n"
+                         "\n"
+                         "1.0,fast,3.0,4.0\n")
+    with pytest.raises(FileFormatError) as info:
+        load_samples(path, ("e1", "e2"))
+    assert "'fast'" in str(info.value) and "on line 5," in str(info.value)
+    ragged = write_samples(tmp_path,
+                           "f_e1,f_e2,l_e1,l_e2\n"
+                           "\n"
+                           "1.0,2.0,3.0,4.0\n"
+                           "1.0,2.0,3.0\n")
+    with pytest.raises(FileFormatError) as info:
+        load_samples(ragged, ("e1", "e2"))
+    assert "on line 4" in str(info.value) and "usecols" not in str(info.value)
+
+
 def test_load_samples_empty_and_missing(tmp_path):
     with pytest.raises(FileFormatError):
         load_samples(write_samples(tmp_path, ""), ("e1", "e2"))
