@@ -11,36 +11,32 @@ radii in a Monte Carlo grid, and :mod:`robusttolls.cli` exposes all of it
 as the ``robusttolls`` command.
 """
 
-from .design import (DesignResult, TollPolytope, dro_objective, epsilon_max, nominal_tolls,
-                     polytope_nonempty, solve_dro_tolls, toll_polytope)
+from .design import (DesignResult, TollPolytope, dro_objective, epsilon_max, polytope_nonempty,
+                     solve_dro_tolls, toll_polytope)
 from .equilibrium import (KktBlocks, LatencyModel, NashSolution, equilibrium_latency_g, kkt_blocks,
                           latency_decomposition, nash_flow_closed_form, nash_flow_potential,
                           system_latency)
 from .exceptions import (ConvergenceError, FileFormatError, InfeasibleError,
                          InsufficientDataError, InvalidNetworkError, NumericalDegeneracyError,
-                         OutOfRegimeError, TollDesignError, TooManyPathsError)
+                         OutOfRegimeError, TollDesignError)
 from .harness import CellResult, ExperimentGrid, Scenario, load_scenario, run_experiment
-from .network import (Edge, IncidenceData, Network, PathSet, ValidationReport, enumerate_paths,
-                      incidence, is_feasible_flow, load_network, validate_network)
-from .optim import SolveReport, psd_sqrt
-from .uncertainty import (DisturbanceModel, GelbrichPoint, SampleSet, estimate_nominal,
-                          gelbrich_distance, in_gelbrich_ball, load_samples, sample_uniform_ball,
-                          support_check, worst_case_mean)
+from .network import (Edge, IncidenceData, Network, ValidationReport, incidence, is_feasible_flow,
+                      load_network, validate_network)
+from .uncertainty import (DisturbanceModel, SampleSet, estimate_nominal, load_samples,
+                          sample_uniform_ball, worst_case_mean)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CellResult", "ConvergenceError", "DesignResult", "DisturbanceModel", "Edge",
-    "ExperimentGrid", "FileFormatError", "GelbrichPoint", "IncidenceData", "InfeasibleError",
+    "ExperimentGrid", "FileFormatError", "IncidenceData", "InfeasibleError",
     "InsufficientDataError", "InvalidNetworkError", "KktBlocks", "LatencyModel",
-    "NashSolution", "Network", "NumericalDegeneracyError", "OutOfRegimeError", "PathSet",
-    "SampleSet", "Scenario", "SolveReport", "TollDesignError", "TollPolytope",
-    "TooManyPathsError", "ValidationReport", "dro_objective", "enumerate_paths",
-    "epsilon_max", "equilibrium_latency_g", "estimate_nominal", "gelbrich_distance",
-    "in_gelbrich_ball", "incidence", "is_feasible_flow", "kkt_blocks", "latency_decomposition",
+    "NashSolution", "Network", "NumericalDegeneracyError", "OutOfRegimeError",
+    "SampleSet", "Scenario", "TollDesignError", "TollPolytope", "ValidationReport",
+    "dro_objective", "epsilon_max", "equilibrium_latency_g", "estimate_nominal",
+    "incidence", "is_feasible_flow", "kkt_blocks", "latency_decomposition",
     "load_network", "load_samples", "load_scenario", "nash_flow_closed_form",
-    "nash_flow_potential", "nominal_tolls", "polytope_nonempty",
-    "psd_sqrt", "run_experiment", "sample_uniform_ball", "solve_dro_tolls",
-    "support_check", "system_latency", "toll_polytope", "validate_network",
+    "nash_flow_potential", "polytope_nonempty", "run_experiment", "sample_uniform_ball",
+    "solve_dro_tolls", "system_latency", "toll_polytope", "validate_network",
     "worst_case_mean",
 ]

@@ -33,6 +33,8 @@ from .network import IncidenceData, _endpoints, _max_min_flow
 from .optim import STATUS_OPTIMAL, _balance_qr, _barrier_newton, active_set_qp
 from .uncertainty import DisturbanceModel
 
+# An anticipated radius this far past the robustness ceiling still counts
+# as within it (here and in the harness's grid check).
 _CEILING_SLACK = 1e-9
 
 
@@ -265,8 +267,3 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     worst_case = float(eps * np.linalg.norm(q) + q @ model.mean + q0)
     return DesignResult(tau_star=tau_star, objective=objective, worst_case_latency=worst_case,
                         eps=eps, iterations=iterations, residual=gap)
-
-
-def nominal_tolls(blocks: KktBlocks, model: DisturbanceModel) -> DesignResult:
-    """Optimal tolls when the plug-in moments are trusted outright."""
-    return solve_dro_tolls(blocks, model, 0.0)

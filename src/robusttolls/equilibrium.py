@@ -24,13 +24,19 @@ from .exceptions import ConvergenceError, NumericalDegeneracyError, OutOfRegimeE
 from .network import IncidenceData, _endpoints, _max_min_flow
 from .optim import STATUS_OPTIMAL, _balance_qr, _barrier_newton
 
+# How far below zero (relative to the demand) a closed-form flow may dip
+# from round-off and still count as in regime.
+_REGIME_TOL = 1e-9
+# The potential solver's bound on its result's KKT residual, relative to the demand.
+_KKT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class LatencyModel:
     """Per-edge latency slopes for ``latency = beta * flow + offset``.
 
-    Slopes must be strictly positive; that is what makes the equilibrium
-    unique and the elimination blocks well defined.
+    Slopes must be finite and strictly positive; that is what makes the
+    equilibrium unique and the elimination blocks well defined.
     """
 
     beta: np.ndarray
@@ -39,8 +45,8 @@ class LatencyModel:
         beta = np.ascontiguousarray(np.asarray(self.beta, dtype=float))
         if beta.ndim != 1 or beta.size == 0:
             raise ValueError("beta must be a nonempty vector")
-        if not np.all(beta > 0.0):
-            raise ValueError("every latency slope must be strictly positive")
+        if not np.all((beta > 0.0) & (beta < np.inf)):
+            raise ValueError("every latency slope must be finite and strictly positive")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
 
@@ -145,22 +151,31 @@ def _check_cost_vectors(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray) -
     return alpha, tau
 
 
-def nash_flow_closed_form(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray,
-                          tol: float = 1e-9) -> NashSolution:
+def _regime_flow(blocks: KktBlocks, cost: np.ndarray) -> np.ndarray:
+    """The closed-form flow ``-gamma cost + c``, checked to be in regime.
+
+    Raises :class:`OutOfRegimeError` if any component falls below
+    ``-_REGIME_TOL`` (scaled by demand).
+    """
+    flow = -blocks.gamma @ cost + blocks.c
+    scale = max(1.0, float(np.abs(blocks.inc.injections).max(initial=0.0)))
+    lowest = float(flow.min())
+    if lowest < -_REGIME_TOL * scale:
+        raise OutOfRegimeError(lowest)
+    return flow
+
+
+def nash_flow_closed_form(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray) -> NashSolution:
     """Equilibrium flow by direct evaluation, valid in the interior regime.
 
     ``flow = -gamma (alpha + tau) + c``.  If any component falls below
-    ``-tol`` (scaled by demand) the closed form does not apply and
+    zero, beyond round-off, the closed form does not apply and
     :class:`OutOfRegimeError` is raised; callers should switch to
     :func:`nash_flow_potential`, which handles flows pinned at zero.
     """
     alpha, tau = _check_cost_vectors(blocks, alpha, tau)
     cost = alpha + tau
-    flow = -blocks.gamma @ cost + blocks.c
-    scale = max(1.0, float(np.abs(blocks.inc.injections).max(initial=0.0)))
-    lowest = float(flow.min())
-    if lowest < -tol * scale:
-        raise OutOfRegimeError(lowest)
+    flow = _regime_flow(blocks, cost)
     # The raw multiplier of the balance constraint is the negated trip
     # cost; flip it so potentials decrease along used edges and the
     # destination sits at zero.
@@ -168,8 +183,8 @@ def nash_flow_closed_form(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray,
     return NashSolution(flow=flow, node_potentials=potentials, method="closed_form")
 
 
-def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray, tau: np.ndarray,
-                        tol: float = 1e-8) -> NashSolution:
+def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray,
+                        tau: np.ndarray) -> NashSolution:
     """Equilibrium flow by minimizing the congestion potential directly.
 
     Minimizes ``sum(0.5 beta f^2 + (alpha+tau) f)`` over flows with
@@ -189,7 +204,7 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
     :class:`ConvergenceError` if the kernel runs out of steps, the face
     system is singular, or the KKT residual of the result (stationarity,
     balance, negative flows or multipliers, complementarity) exceeds
-    ``tol`` (scaled by demand).
+    ``_KKT_TOL`` (scaled by demand).
     """
     matrix, eta = inc.matrix, inc.injections
     k, m = matrix.shape
@@ -238,7 +253,7 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
                    max(0.0, -float(flow.min(initial=0.0))),
                    max(0.0, -float(multipliers.min(initial=0.0))),
                    float(np.abs(multipliers * flow).max(initial=0.0)))
-    if residual > tol * scale:
+    if residual > _KKT_TOL * scale:
         raise ConvergenceError(f"the optimal face with {int(pinned.sum())} pinned edges fails "
                                "the KKT check", report.iterations, residual)
     return NashSolution(flow=flow, node_potentials=potentials, method="potential")
@@ -274,8 +289,7 @@ def latency_decomposition(blocks: KktBlocks, tau: np.ndarray) -> tuple[np.ndarra
     return q, q0
 
 
-def equilibrium_latency_g(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray,
-                          tol: float = 1e-9) -> float:
+def equilibrium_latency_g(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray) -> float:
     """Equilibrium system latency at a disturbance and toll, in regime.
 
     Evaluates the affine decomposition after confirming the closed-form
@@ -284,10 +298,6 @@ def equilibrium_latency_g(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray,
     arises but are not themselves counted as travel time.
     """
     alpha, tau = _check_cost_vectors(blocks, alpha, tau)
-    flow = -blocks.gamma @ (alpha + tau) + blocks.c
-    scale = max(1.0, float(np.abs(blocks.inc.injections).max(initial=0.0)))
-    lowest = float(flow.min())
-    if lowest < -tol * scale:
-        raise OutOfRegimeError(lowest)
+    _regime_flow(blocks, alpha + tau)
     q, q0 = latency_decomposition(blocks, tau)
     return float(q @ alpha + q0)

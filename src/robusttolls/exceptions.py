@@ -25,14 +25,6 @@ class InvalidNetworkError(TollDesignError):
         super().__init__("invalid network: " + "; ".join(self.problems))
 
 
-class TooManyPathsError(TollDesignError):
-    """Path enumeration exceeded the configured cap."""
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        super().__init__(f"more than {limit} source-destination paths; raise max_paths to enumerate anyway")
-
-
 class NumericalDegeneracyError(TollDesignError):
     """A matrix that must be full rank or positive definite is not.
 

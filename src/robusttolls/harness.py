@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import epsilon_max, solve_dro_tolls
+from .design import _CEILING_SLACK, epsilon_max, solve_dro_tolls
 from .equilibrium import LatencyModel, kkt_blocks, latency_decomposition
 from .exceptions import FileFormatError, InfeasibleError
 from .network import Network, _number, _read_json, _require, incidence, load_network
@@ -146,7 +146,7 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     if any(e < 0.0 for e in scenario.grid):
         raise ValueError("grid radii must be nonnegative")
     ceiling, _ = epsilon_max(blocks, model)
-    too_big = [e for e in scenario.grid if e > ceiling + 1e-9]
+    too_big = [e for e in scenario.grid if e > ceiling + _CEILING_SLACK]
     if too_big:
         raise InfeasibleError(
             f"grid radii {too_big} exceed the robustness ceiling {ceiling:g}",

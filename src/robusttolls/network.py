@@ -1,8 +1,8 @@
 """Single-commodity network model: types, validation, incidence algebra.
 
 The design machinery downstream assumes a directed acyclic network with
-exactly one source, exactly one sink, positive demand, and no edge that
-misses every source-to-destination path.  Those rules live in
+exactly one source, exactly one sink, finite positive demand, and no
+edge that misses every source-to-destination path.  Those rules live in
 :func:`validate_network`, which reports every violation it finds instead
 of stopping at the first, so a broken input file produces one complete
 diagnosis.  :func:`incidence` turns a valid network into the reduced
@@ -10,22 +10,22 @@ node-edge incidence matrix (destination row dropped) and the nodal
 injection vector that the equilibrium layer consumes, and
 :func:`_max_min_flow` the feasible flow whose smallest edge flow is
 largest: the design's robustness ceiling and the equilibrium solver's
-start point.
+start point.  Nothing here lists paths: everything downstream works on
+the incidence matrix, so the number of source-destination paths,
+exponential in general, never enters.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import (FileFormatError, InvalidNetworkError, NumericalDegeneracyError,
-                         TooManyPathsError)
-
-DEFAULT_MAX_PATHS = 10_000
+from .exceptions import FileFormatError, InvalidNetworkError, NumericalDegeneracyError
 
 
 @dataclass(frozen=True)
@@ -103,17 +103,6 @@ class IncidenceData:
     injections: np.ndarray
 
 
-@dataclass(frozen=True)
-class PathSet:
-    """All source-to-destination paths, each a tuple of edge indices.
-
-    Paths come out in lexicographic edge-index order, which makes the
-    enumeration reproducible across runs and platforms.
-    """
-
-    paths: tuple[tuple[int, ...], ...]
-
-
 def _degrees(net: Network) -> tuple[np.ndarray, np.ndarray]:
     indeg = np.zeros(net.num_nodes, dtype=int)
     outdeg = np.zeros(net.num_nodes, dtype=int)
@@ -185,7 +174,7 @@ def _find_cycle(net: Network) -> list[int] | None:
 def validate_network(net: Network) -> ValidationReport:
     """Check the structural rules and report every violation.
 
-    The rules: at least two nodes, positive demand, node 0 the unique
+    The rules: at least two nodes, finite positive demand, node 0 the unique
     source (no incoming edges anywhere else lack them), the last node the
     unique sink, no directed cycle (a witness cycle is spelled out by
     edge ids), and every edge on some source-to-destination path.
@@ -196,7 +185,9 @@ def validate_network(net: Network) -> ValidationReport:
 
     if n < 2:
         problems.append("need at least two nodes for a source and a destination")
-    if not net.demand > 0.0:
+    if not math.isfinite(net.demand):
+        problems.append(f"demand must be a finite number, got {net.demand:g}")
+    elif not net.demand > 0.0:
         problems.append(f"demand must be positive, got {net.demand:g}")
 
     if n >= 2:
@@ -257,38 +248,6 @@ def incidence(net: Network) -> IncidenceData:
     matrix.setflags(write=False)
     injections.setflags(write=False)
     return IncidenceData(matrix=matrix, injections=injections)
-
-
-def enumerate_paths(net: Network, max_paths: int = DEFAULT_MAX_PATHS) -> PathSet:
-    """List every source-to-destination path in lexicographic edge order.
-
-    Validation runs first (a cycle would make enumeration meaningless),
-    and the walk aborts with :class:`TooManyPathsError` the moment the
-    cap is exceeded rather than materializing an exponential list.
-    """
-    report = validate_network(net)
-    if not report.ok:
-        raise InvalidNetworkError(report.problems)
-
-    out_edges: list[list[int]] = [[] for _ in range(net.num_nodes)]
-    for j in range(net.num_edges - 1, -1, -1):
-        out_edges[net.edges[j].tail].append(j)
-
-    dest = net.num_nodes - 1
-    paths: list[tuple[int, ...]] = []
-    # Each stack frame is (node, path-so-far); pushing higher edge indices
-    # first makes the pops come out in lexicographic order.
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    while stack:
-        node, prefix = stack.pop()
-        if node == dest:
-            if len(paths) >= max_paths:
-                raise TooManyPathsError(max_paths)
-            paths.append(prefix)
-            continue
-        for j in out_edges[node]:
-            stack.append((net.edges[j].head, prefix + (j,)))
-    return PathSet(paths=tuple(paths))
 
 
 def is_feasible_flow(inc: IncidenceData, flow: np.ndarray, tol: float = 1e-9) -> bool:
@@ -402,7 +361,8 @@ def _read_json(path: str, what: str) -> object:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle, parse_constant=_reject_constant)
     except OSError as err:
-        raise FileFormatError(f"cannot read {what} file {path}: {err}") from err
+        # The OS error's own text repeats the path; its strerror does not.
+        raise FileFormatError(f"cannot read {what} file {path}: {err.strerror}") from err
     except ValueError as err:
         raise FileFormatError(f"{what} file {path} is not valid JSON: {err}") from err
 

@@ -1,21 +1,19 @@
 """Deterministic dense optimization kernels.
 
-Two solvers and a matrix helper: an interior-point Newton method for a
+Two solvers and nothing else: an interior-point Newton method for a
 separable quadratic, a linear term and a smooth norm over a polyhedron
 in circulation space (the robust design, and Wardrop equilibria written
-as a shift from the max-min flow), a primal active-set QP that now
-serves only the toll canonicalization, and a PSD square root for the
-ambiguity-set geometry.  The interior-point method takes its null-space
-basis from one complete QR (:func:`_balance_qr`), which its caller
-computes once and may reuse.  The square root and the covariance
-validation in :mod:`robusttolls.uncertainty` share one square, finite,
-symmetric and positive semidefinite check (:func:`_psd_eigh`), which
-returns the clamped eigendecomposition.  The robustness ceiling is a
-network-flow number and needs no solver from here.  All of it is
-written against plain numpy on dense arrays.  Instances in this package
-are small (tolls live in R^|E| with |E| <= 512), so the priorities are
-determinism and bit-reproducible runs, not sparse scalability: the
-active-set method breaks ties by lowest constraint index.
+as a shift from the max-min flow), and a primal active-set QP that now
+serves only the toll canonicalization.  The interior-point method takes
+its null-space basis from one complete QR (:func:`_balance_qr`), which
+its caller computes once and may reuse.  The robustness ceiling is a
+network-flow number and needs no solver from here, and the ambiguity
+set enters the design only through its closed-form worst case, so no
+matrix square root is needed either.  All of it is written against plain
+numpy on dense arrays.  Instances in this package are small (tolls live
+in R^|E| with |E| <= 512), so the priorities are determinism and
+bit-reproducible runs, not sparse scalability: the active-set method
+breaks ties by lowest constraint index.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ STATUS_ITERATION_CAP = "iteration_cap"
 _NEWTON_ITERS = 100
 _GAP_TOL = 1e-12
 _DUAL_TOL = 1e-10
-# Relative asymmetry and negative eigenvalue a PSD matrix may carry from round-off.
-_PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -233,32 +229,3 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     violation = float(max(np.max(y - upper, initial=0.0),
                           np.abs(triangle.T @ (span.T @ y)).max(initial=0.0)))
     return y, lam, SolveReport(status, it, violation, gap)
-
-
-def _psd_eigh(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``(eigvals, eigvecs)`` of a square, finite, symmetric, PSD matrix, else ``ValueError``.
-
-    Round-off may leave asymmetry and negative eigenvalues up to
-    ``_PSD_TOL`` relative to the largest entry or eigenvalue (at least 1);
-    such eigenvalues come back clamped to zero.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"{what} must be square, got {matrix.shape}")
-    if not np.isfinite(matrix).all():
-        raise ValueError(f"{what} must be finite")
-    scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-    if float(np.abs(matrix - matrix.T).max(initial=0.0)) > _PSD_TOL * scale:
-        raise ValueError(f"{what} must be symmetric")
-    eigvals, eigvecs = np.linalg.eigh(matrix)
-    if eigvals.size and eigvals[0] < -_PSD_TOL * max(float(eigvals[-1]), 1.0):
-        raise ValueError(f"{what} is not positive semidefinite "
-                         f"(min eigenvalue {eigvals[0]:.3e})")
-    return np.clip(eigvals, 0.0, None), eigvecs
-
-
-def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a positive semidefinite matrix (checked by :func:`_psd_eigh`)."""
-    eigvals, eigvecs = _psd_eigh(matrix, "psd_sqrt input")
-    root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-    return 0.5 * (root + root.T)

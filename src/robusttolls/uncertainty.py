@@ -1,15 +1,18 @@
-"""Disturbance data, moment estimation, and the ambiguity-set geometry.
+"""Disturbance data, moment estimation, and the ambiguity set.
 
 The disturbance is the additive edge-latency offset.  Its distribution
 is never known exactly: what we have are sample records (flows and
 observed latencies, read from a CSV in one ``numpy.loadtxt`` pass), a
 plug-in mean and covariance from them, and a bounded support radius
 around the mean.  Robustness is measured in the Gelbrich distance on
-first and second moments: the ambiguity ball of radius eps around the
-plug-in moments, intersected with the bounded-support class, is the set
-the design guards against.  The worst distribution in that ball shifts
-the mean along the latency gradient and keeps the plug-in covariance,
-which is why only the mean shift appears here.
+first and second moments, whose square between ``(m1, S1)`` and
+``(m2, S2)`` is ``||m1 - m2||^2 + tr(S1 + S2 - 2 (S2^1/2 S1 S2^1/2)^1/2)``:
+the ambiguity ball of radius eps around the plug-in moments, intersected
+with the bounded-support class, is the set the design guards against.
+The worst distribution in that ball shifts the mean by eps along the
+latency gradient and keeps the plug-in covariance, so the covariance
+terms vanish and only the mean shift appears here; no distance is ever
+computed.
 """
 
 from __future__ import annotations
@@ -24,51 +27,53 @@ import numpy as np
 
 from .equilibrium import KktBlocks, LatencyModel, latency_decomposition
 from .exceptions import FileFormatError, InsufficientDataError
-from .optim import _psd_eigh, psd_sqrt
 
 _BALL_BLOCK = 4096
 _DEGENERATE_DIRECTION = 1e-12
+# Relative asymmetry and negative eigenvalue a covariance may carry from round-off.
+_PSD_TOL = 1e-10
 # numpy's loadtxt names the failing record "at row N", counting records
 # from 0 when a cell does not convert and from 1 when a row is ragged.
 _NUMPY_ROW = re.compile(r"at row (\d+)(, column)?")
 _NUMPY_ADVICE = "; use `usecols` to select a subset and avoid this error"
 
 
-def _clean_covariance(cov: np.ndarray, what: str) -> np.ndarray:
-    """Validate a covariance (see :func:`optim._psd_eigh`); clamp round-off negatives to zero."""
-    eigvals, eigvecs = _psd_eigh(cov, f"{what} covariance")
-    cleaned = (eigvecs * eigvals) @ eigvecs.T
+def _clean_covariance(cov: np.ndarray) -> np.ndarray:
+    """A square, finite, symmetric, PSD covariance, with round-off negatives clamped to zero.
+
+    Round-off may leave asymmetry and negative eigenvalues up to
+    ``_PSD_TOL`` relative to the largest entry or eigenvalue (at least 1);
+    anything beyond that raises ``ValueError``.
+    """
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError(f"covariance must be square, got {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance must be finite")
+    scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
+    if float(np.abs(cov - cov.T).max(initial=0.0)) > _PSD_TOL * scale:
+        raise ValueError("covariance must be symmetric")
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    if eigvals.size and eigvals[0] < -_PSD_TOL * max(float(eigvals[-1]), 1.0):
+        raise ValueError(f"covariance is not positive semidefinite "
+                         f"(min eigenvalue {eigvals[0]:.3e})")
+    cleaned = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
     cleaned = 0.5 * (cleaned + cleaned.T)
     cleaned.setflags(write=False)
     return cleaned
 
 
 @dataclass(frozen=True)
-class GelbrichPoint:
-    """A (mean, covariance) pair, the coordinates of the ambiguity geometry."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.ascontiguousarray(np.asarray(self.mean, dtype=float))
-        if mean.ndim != 1:
-            raise ValueError("mean must be a vector")
-        cov = _clean_covariance(self.cov, "moment")
-        if cov.shape[0] != mean.shape[0]:
-            raise ValueError("mean and covariance dimensions disagree")
-        mean.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-
-@dataclass(frozen=True)
 class DisturbanceModel:
     """Plug-in moments of the latency disturbance plus its support radius.
 
-    ``support_radius`` bounds how far any realized disturbance strays
-    from the mean (Euclidean norm); it is configuration, not something
-    estimated from data.
+    The mean and covariance are the center of the Gelbrich ambiguity
+    ball.  ``support_radius`` bounds how far any realized disturbance
+    strays from the mean (Euclidean norm); it is configuration, not
+    something estimated from data.  Construction raises ``ValueError``
+    unless the mean is a finite vector, the covariance a matching finite
+    positive semidefinite matrix (see :func:`_clean_covariance`) and the
+    support radius finite and nonnegative.
     """
 
     mean: np.ndarray
@@ -76,15 +81,18 @@ class DisturbanceModel:
     support_radius: float
 
     def __post_init__(self) -> None:
-        point = GelbrichPoint(self.mean, self.cov)
-        if not self.support_radius >= 0.0:
-            raise ValueError("support_radius must be nonnegative")
-        object.__setattr__(self, "mean", point.mean)
-        object.__setattr__(self, "cov", point.cov)
+        mean = np.ascontiguousarray(np.asarray(self.mean, dtype=float))
+        if mean.ndim != 1 or not np.isfinite(mean).all():
+            raise ValueError("mean must be a finite vector")
+        cov = _clean_covariance(self.cov)
+        if cov.shape[0] != mean.shape[0]:
+            raise ValueError("mean and covariance dimensions disagree")
+        if not 0.0 <= self.support_radius < np.inf:
+            raise ValueError("support_radius must be finite and nonnegative")
+        mean.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "support_radius", float(self.support_radius))
-
-    def as_point(self) -> GelbrichPoint:
-        return GelbrichPoint(self.mean, self.cov)
 
 
 @dataclass(frozen=True)
@@ -130,31 +138,6 @@ def estimate_nominal(samples: SampleSet, lat: LatencyModel, support_radius: floa
     centered = residuals - mean
     cov = centered.T @ centered / samples.num_records
     return DisturbanceModel(mean=mean, cov=cov, support_radius=support_radius)
-
-
-def gelbrich_distance(a: GelbrichPoint, b: GelbrichPoint) -> float:
-    """Gelbrich distance between two moment pairs.
-
-    The squared distance is ``||mean_a - mean_b||^2 +
-    tr(cov_a + cov_b - 2 (cov_b^1/2 cov_a cov_b^1/2)^1/2)``; it lower
-    bounds the Wasserstein-2 distance between any distributions carrying
-    these moments, with equality for Gaussians.  Symmetric in its
-    arguments even though the formula does not look it.
-    """
-    if a.mean.shape != b.mean.shape:
-        raise ValueError("moment pairs live in different dimensions")
-    root_b = psd_sqrt(b.cov)
-    cross = psd_sqrt(root_b @ a.cov @ root_b)
-    squared = float(np.sum((a.mean - b.mean) ** 2) + np.trace(a.cov) + np.trace(b.cov)
-                    - 2.0 * float(np.trace(cross)))
-    return float(np.sqrt(max(squared, 0.0)))
-
-
-def in_gelbrich_ball(point: GelbrichPoint, model: DisturbanceModel, radius: float) -> bool:
-    """Whether a moment pair lies within ``radius`` of the plug-in moments."""
-    if radius < 0.0:
-        raise ValueError("radius must be nonnegative")
-    return gelbrich_distance(point, model.as_point()) <= radius + 1e-12
 
 
 def worst_case_mean(blocks: KktBlocks, tau: np.ndarray, model: DisturbanceModel,
@@ -215,18 +198,6 @@ def sample_uniform_ball(center: np.ndarray, radius: float, count: int,
     return out
 
 
-def support_check(samples: np.ndarray, mean: np.ndarray, radius: float, tol: float = 1e-9) -> bool:
-    """Whether every sample lies within ``radius`` (plus slack) of ``mean``."""
-    samples = np.asarray(samples, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != mean.shape[0]:
-        raise ValueError("samples must be rows in the mean's dimension")
-    if samples.shape[0] == 0:
-        return True
-    distances = np.linalg.norm(samples - mean, axis=1)
-    return bool(distances.max() <= radius + tol)
-
-
 def _with_file_line(message: str, path: str) -> str:
     """numpy's parse error for a sample file, with its record row as a file line."""
     def file_line(found: re.Match) -> str:
@@ -271,7 +242,9 @@ def load_samples(path: str, edge_ids: tuple[str, ...]) -> SampleSet:
             except ValueError as err:
                 raise FileFormatError(f"sample file {path}: {_with_file_line(str(err), path)}") from None
     except (OSError, UnicodeDecodeError) as err:
-        raise FileFormatError(f"cannot read sample file {path}: {err}") from err
+        # An OS error's own text repeats the path; its strerror does not.
+        reason = err.strerror if isinstance(err, OSError) else err
+        raise FileFormatError(f"cannot read sample file {path}: {reason}") from err
 
     if data.shape[1] != len(expected):
         raise FileFormatError(f"sample file {path}: expected {len(expected)} fields "

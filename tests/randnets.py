@@ -2,8 +2,9 @@
 
 The generators only use numpy's Generator API with caller-provided seeds,
 so every test run sees the same instances.  The oracles are deliberately
-dumb: active-subset enumeration for quadratic programs, golden-section
-search for one-dimensional design problems.  Slow but independent of the
+dumb: path listing for route-level checks, active-subset enumeration
+for quadratic programs, golden-section search for one-dimensional design
+problems.  Slow but independent of the
 code under test.
 """
 
@@ -156,6 +157,25 @@ def disturbance_within(rng: np.random.Generator, model: DisturbanceModel,
                                                1, seed=int(rng.integers(2**32)))[0]
     return shifted + sample_uniform_ball(np.zeros(n), model.support_radius, 1,
                                          seed=int(rng.integers(2**32)))[0]
+
+
+def enumerate_paths(net: Network) -> list[tuple[int, ...]]:
+    """Every source-destination path of an acyclic network, as edge indices.
+
+    Paths come out in lexicographic edge-index order.  Their number grows
+    exponentially in general, so this is for small test networks only.
+    """
+    dest = net.num_nodes - 1
+
+    def extend(node: int, prefix: tuple[int, ...]):
+        if node == dest:
+            yield prefix
+            return
+        for j, edge in enumerate(net.edges):
+            if edge.tail == node:
+                yield from extend(edge.head, prefix + (j,))
+
+    return list(extend(0, ()))
 
 
 def golden_section(fn, lo: float, hi: float, iters: int = 240) -> tuple[float, float]:

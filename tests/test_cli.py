@@ -82,6 +82,7 @@ def test_validate_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "validate", "--network", "/nonexistent/net.json")
     assert code == 2
     assert "error" in err
+    assert err.count("/nonexistent/net.json") == 1
 
 
 def test_validate_missing_flag_exits_two(capsys):

@@ -9,7 +9,6 @@ from robusttolls.design import (
     DesignResult,
     dro_objective,
     epsilon_max,
-    nominal_tolls,
     polytope_nonempty,
     solve_dro_tolls,
     toll_polytope,
@@ -282,14 +281,6 @@ def test_solve_dro_tolls_rejects_radius_above_ceiling():
     assert info.value.epsilon_max == pytest.approx(39.8, abs=1e-6)
     with pytest.raises(ValueError):
         solve_dro_tolls(pigou_blocks(), PIGOU_MODEL, -1.0)
-
-
-def test_nominal_tolls_is_zero_radius_design():
-    blocks = pigou_blocks()
-    nominal = nominal_tolls(blocks, PIGOU_MODEL)
-    zero = solve_dro_tolls(blocks, PIGOU_MODEL, 0.0)
-    assert nominal.tau_star == pytest.approx(zero.tau_star, abs=1e-9)
-    assert nominal.eps == 0.0
 
 
 def test_solve_dro_tolls_single_edge():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from randnets import layered_dag_network, random_dag_network
+from randnets import enumerate_paths, layered_dag_network, random_dag_network
 from robusttolls import equilibrium, optim
 from robusttolls.equilibrium import (
     LatencyModel,
@@ -15,8 +15,7 @@ from robusttolls.equilibrium import (
     system_latency,
 )
 from robusttolls.exceptions import ConvergenceError, OutOfRegimeError
-from robusttolls.network import (Edge, Network, _endpoints, _max_min_flow, enumerate_paths,
-                                 incidence, is_feasible_flow)
+from robusttolls.network import Edge, Network, _endpoints, _max_min_flow, incidence, is_feasible_flow
 from robusttolls.optim import STATUS_OPTIMAL, active_set_qp
 from test_network import braess, pigou
 
@@ -36,6 +35,9 @@ def test_latency_model_validation():
         LatencyModel(np.array([]))
     with pytest.raises(ValueError):
         LatencyModel(np.array([[1.0]]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            LatencyModel(np.array([bad, 0.1]))
     model = LatencyModel([2.0, 3.0])
     with pytest.raises(ValueError):
         model.beta[0] = 9.0  # stored array is read-only
@@ -195,8 +197,7 @@ def test_potential_solver_satisfies_variational_inequality():
         sol = nash_flow_potential(data, lat, alpha, tau)
         assert is_feasible_flow(data, sol.flow, tol=1e-7)
         cost = lat.beta * sol.flow + alpha + tau
-        paths = enumerate_paths(net).paths
-        for path in paths:
+        for path in enumerate_paths(net):
             other = np.zeros(m)
             other[list(path)] = net.demand
             gap = float(cost @ (other - sol.flow))

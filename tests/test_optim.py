@@ -14,7 +14,6 @@ from robusttolls.optim import (
     _balance_qr,
     _barrier_newton,
     active_set_qp,
-    psd_sqrt,
 )
 
 
@@ -284,28 +283,6 @@ def test_composite_iteration_cap_reports_its_state(monkeypatch):
     assert report.status == STATUS_ITERATION_CAP
     assert report.iterations == 2
     assert 0.0 < report.gap < np.inf
-
-
-def test_psd_sqrt_roundtrip():
-    rng = np.random.default_rng(3)
-    root = rng.normal(size=(4, 4))
-    mat = root @ root.T
-    half = psd_sqrt(mat)
-    assert half @ half == pytest.approx(mat, abs=1e-10)
-    assert half == pytest.approx(half.T, abs=1e-12)
-
-
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(ValueError):
-        psd_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_psd_sqrt_rejects_non_finite(bad):
-    # A NaN would otherwise slip through every comparison, and an infinity
-    # makes the symmetry test read inf - inf.
-    with pytest.raises(ValueError, match="finite"):
-        psd_sqrt(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_convergence_error_carries_diagnostics():
