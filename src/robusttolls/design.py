@@ -120,7 +120,7 @@ def _ceiling(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, np.ndar
     k, m = blocks.inc.matrix.shape
     if k == m:
         # As many independent balance rows as edges leave R no null space,
-        # so the flow response is structurally zero and ||gamma|| is round-off.
+        # so the flow response and ||gamma|| are exactly zero.
         return float("inf"), None
     flow = _max_min_flow(blocks.inc)
     ceiling = float(flow.min()) / blocks.gamma_norm - model.support_radius
@@ -178,17 +178,19 @@ def _min_norm_equivalent(blocks: KktBlocks, tau: np.ndarray) -> np.ndarray:
     The flow response is blind to anything in the row space of the
     incidence matrix, so optima form the family ``tau + R' v`` clipped to
     nonnegativity; minimizing the norm over that family is a small
-    strictly convex QP in ``v``.
+    strictly convex QP in ``v``.  Edges whose nonnegativity constraint
+    carries a positive multiplier are on the optimal face, so their tolls
+    are exactly ``0.0`` rather than the round-off of ``tau + R' v``.
     """
     matrix = blocks.inc.matrix
     hess = matrix @ matrix.T
     grad = matrix @ tau
-    v, _, iters, residual, status = active_set_qp(hess, grad, -matrix.T, tau,
-                                                  np.zeros(matrix.shape[0]))
+    v, lam, iters, residual, status = active_set_qp(hess, grad, -matrix.T, tau,
+                                                    np.zeros(matrix.shape[0]))
     if status != STATUS_OPTIMAL:
         raise ConvergenceError("canonicalization QP did not converge", iters, residual)
     out = tau + matrix.T @ v
-    out[out < 0.0] = 0.0
+    out[(out < 0.0) | (lam > 0.0)] = 0.0
     return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError, NumericalDegeneracyError, OutOfRegimeError
+from .exceptions import ConvergenceError, OutOfRegimeError
 from .network import IncidenceData, _endpoints, _max_min_flow
 from .optim import STATUS_OPTIMAL, _balance_qr, _barrier_newton
 
@@ -57,12 +57,14 @@ class KktBlocks:
 
     For slope matrix B and reduced incidence R these are
     ``s = (R B^-1 R')^-1``, ``lam = B^-1 R' s``, and
-    ``gamma = B^-1 - lam R B^-1`` (symmetric positive semidefinite with
-    null space spanned by the rows of R), plus ``c = lam @ injections``,
-    the equilibrium flow when perceived edge costs vanish.  ``gamma``
-    maps a perceived-cost vector to the flow it displaces, which is why
-    every formula downstream is affine in it.  The source incidence and
-    latency data ride along so later stages need only this object.
+    ``gamma = B^-1 - lam R B^-1``, built as ``W W'`` (positive
+    semidefinite, annihilating the rows of R; exactly zero when R is
+    square), its spectral norm ``gamma_norm``, plus
+    ``c = lam @ injections``, the equilibrium flow when perceived edge
+    costs vanish.  ``gamma`` maps a perceived-cost vector to the flow it
+    displaces, which is why every formula downstream is affine in it.
+    The source incidence and latency data ride along so later stages
+    need only this object.
     """
 
     gamma: np.ndarray
@@ -98,42 +100,29 @@ class NashSolution:
 def kkt_blocks(inc: IncidenceData, lat: LatencyModel) -> KktBlocks:
     """Factor the equilibrium system once for a network and latency model.
 
-    Uses a Cholesky factorization of ``R B^-1 R'`` (dense, one row per
-    non-destination node) rather than inverting the full saddle-point
-    matrix.  Construction verifies the two structural identities the rest
-    of the package leans on: ``gamma`` is positive semidefinite and
-    annihilates the rows of R.
+    Every block comes from one complete QR of ``B^-1/2 R' = [Q1 Q2] [T; 0]``
+    with ``T`` square (the null-space method; Golub & Van Loan, *Matrix
+    Computations*, sec. 6.2): ``R B^-1 R' = T'T``, so ``s = T^-1 T^-T``
+    and ``lam = B^-1/2 Q1 T^-T``, and ``W = B^-1/2 Q2`` gives
+    ``gamma = W W'`` and ``||gamma|| = sigma_max(W)^2``, the top
+    eigenvalue of the small Gram ``W'W``.  So ``gamma`` is positive
+    semidefinite and annihilates the rows of R by construction, and when
+    R has as many rows as edges it is exactly zero.  ``inc`` must come
+    from :func:`~robusttolls.network.incidence`, whose validation
+    guarantees R full row rank.
     """
     matrix, eta = inc.matrix, inc.injections
-    if lat.beta.shape != (matrix.shape[1],):
-        raise ValueError(f"beta must have length {matrix.shape[1]}, got {lat.beta.shape}")
-    binv = 1.0 / lat.beta
-    weighted = matrix * binv  # R B^-1, shape (k, m)
-    normal = weighted @ matrix.T
-    try:
-        chol = np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError as err:
-        raise NumericalDegeneracyError("R B^-1 R' is not positive definite") from err
-    chol_inv = np.linalg.solve(chol, np.eye(chol.shape[0]))
-    s = chol_inv.T @ chol_inv
-    lam = weighted.T @ s
-    gamma = np.diag(binv) - lam @ weighted
-    gamma = 0.5 * (gamma + gamma.T)
-
-    eigvals = np.linalg.eigvalsh(gamma)
-    gamma_norm = float(np.abs(eigvals).max(initial=0.0))
-    # When the network has as many independent balance rows as edges the
-    # block is structurally zero and gamma_norm is round-off dust, so the
-    # definiteness test needs the scale of B^-1 itself as a floor.
-    floor = max(gamma_norm, float(binv.max()))
-    if eigvals.size and eigvals[0] < -1e-10 * floor:
-        raise NumericalDegeneracyError(f"flow-response block has eigenvalue {eigvals[0]:.3e} < 0")
-    # Round-off in gamma scales with B^-1 too, so the annihilation check
-    # shares that floor.
-    annihilation = float(np.abs(gamma @ matrix.T).max(initial=0.0))
-    if annihilation > 1e-10 * floor * max(1.0, float(np.abs(matrix).max(initial=0.0))):
-        raise NumericalDegeneracyError("flow-response block does not annihilate the incidence rows")
-
+    k, m = matrix.shape
+    if lat.beta.shape != (m,):
+        raise ValueError(f"beta must have length {m}, got {lat.beta.shape}")
+    root = np.sqrt(lat.beta)[:, None]
+    q, t = np.linalg.qr(matrix.T / root, mode="complete")
+    t_inv = np.linalg.inv(t[:k])
+    w = q[:, k:] / root
+    gamma = w @ w.T
+    gamma_norm = float(np.linalg.eigvalsh(w.T @ w).max(initial=0.0))
+    s = t_inv @ t_inv.T
+    lam = (q[:, :k] / root) @ t_inv.T
     c = lam @ eta
     for arr in (gamma, lam, s, c):
         arr.setflags(write=False)

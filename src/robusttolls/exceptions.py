@@ -26,11 +26,11 @@ class InvalidNetworkError(TollDesignError):
 
 
 class NumericalDegeneracyError(TollDesignError):
-    """A matrix that must be full rank or positive definite is not.
+    """A solve has no interior to start from.
 
-    For structurally valid networks this should be unreachable; seeing it
-    means the instance is numerically pathological (for example latency
-    slopes spanning hundreds of orders of magnitude).
+    Raised by the design solve when the robustness ceiling's certificate
+    keeps no positive slack on some edge, which means a ceiling of zero
+    up to rounding: no toll leaves any room for the solver to move in.
     """
 
 

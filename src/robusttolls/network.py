@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import FileFormatError, InvalidNetworkError, NumericalDegeneracyError
+from .exceptions import FileFormatError, InvalidNetworkError
 
 
 @dataclass(frozen=True)
@@ -225,9 +225,11 @@ def incidence(net: Network) -> IncidenceData:
     """Build the reduced incidence matrix and injection vector.
 
     Raises :class:`InvalidNetworkError` (carrying the full validation
-    report) for structurally broken networks and
-    :class:`NumericalDegeneracyError` in the should-be-impossible case of
-    a rank-deficient reduced incidence matrix.
+    report) for structurally broken networks.  A valid network's reduced
+    matrix has full row rank: every node but the destination has an
+    out-edge and the graph is acyclic, so following out-edges from any
+    node ends at the destination, and one out-edge per node forms a
+    spanning tree into it.
     """
     report = validate_network(net)
     if not report.ok:
@@ -242,9 +244,6 @@ def incidence(net: Network) -> IncidenceData:
             matrix[e.head, j] -= 1.0
     injections = np.zeros(n - 1)
     injections[0] = net.demand
-
-    if np.linalg.matrix_rank(matrix) < n - 1:
-        raise NumericalDegeneracyError("reduced incidence matrix is rank deficient")
     matrix.setflags(write=False)
     injections.setflags(write=False)
     return IncidenceData(matrix=matrix, injections=injections)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from randnets import golden_section, layered_dag_network, random_instance, sample_strict_toll
+from randnets import (golden_section, layered_dag_network, random_dag_network, random_instance,
+                      sample_strict_toll)
 from robusttolls import optim
 from robusttolls.design import (
     DesignResult,
@@ -194,6 +195,19 @@ def test_epsilon_max_two_roads_with_extreme_slopes_is_finite():
     assert certificate.min() >= 0.0
 
 
+@pytest.mark.parametrize("slow", [1e9, 1e11, 1e13])
+def test_two_roads_with_extreme_slopes_have_exact_gamma_norm(slow):
+    # Two parallel roads: gamma = (1, -1)(1, -1)' / (b1 + b2), so
+    # ||gamma|| = 2 / (b1 + b2) and the ceiling is demand (b1 + b2) / 4 - delta.
+    beta = np.array([1e-3, slow])
+    net = Network(num_nodes=2, edges=(Edge("e1", 0, 1), Edge("e2", 0, 1)), demand=100.0)
+    blocks = kkt_blocks(incidence(net), LatencyModel(beta))
+    model = DisturbanceModel(mean=np.zeros(2), cov=np.zeros((2, 2)), support_radius=0.2)
+    assert blocks.gamma_norm == pytest.approx(2.0 / beta.sum(), rel=1e-14)
+    ceiling, _ = epsilon_max(blocks, model)
+    assert ceiling == pytest.approx(100.0 * beta.sum() / 4.0 - 0.2, rel=1e-12)
+
+
 def test_epsilon_max_infeasible_support():
     # With a huge support radius even the nominal polytope is empty.
     _assert_ceilings([_pigou_with_radius(50.0)], InfeasibleError)
@@ -221,6 +235,58 @@ def test_solve_dro_tolls_starts_inside_on_wide_slope_spreads():
         assert 0.0 <= result.residual <= 1e-7 * abs(result.worst_case_latency)
         poly = toll_polytope(blocks, model, 0.0)
         assert poly.contains(result.tau_star, tol=1e-9 * float(np.abs(poly.rhs).max()))
+
+
+def test_blocks_and_designs_hold_on_slopes_across_twelve_decades():
+    # gamma = W W' is positive semidefinite and annihilates R by
+    # construction, so no slope spread may break either property beyond
+    # round-off relative to ||gamma||, nor keep the design from starting.
+    rng = np.random.default_rng(11)
+    stalled = set()
+    for index in range(200):
+        if index % 2:
+            net = random_dag_network(rng, 10, 20)
+        else:
+            n = int(rng.choice([6, 8, 10, 12]))
+            net = layered_dag_network(rng, n, 2 * n, 50.0)
+        m = net.num_edges
+        data = incidence(net)
+        blocks = kkt_blocks(data, LatencyModel(10.0 ** rng.uniform(-6.0, 6.0, m)))
+        model = DisturbanceModel(mean=np.zeros(m), cov=np.zeros((m, m)), support_radius=0.0)
+        ceiling, _ = epsilon_max(blocks, model)
+        try:
+            result = solve_dro_tolls(blocks, model, 0.5 * ceiling if np.isfinite(ceiling) else 1.0)
+        except ConvergenceError:
+            stalled.add(index)
+        else:
+            assert np.all(result.tau_star >= 0.0) and np.isfinite(result.worst_case_latency)
+        if m == data.matrix.shape[0]:
+            assert blocks.gamma_norm == 0.0 and not blocks.gamma.any()
+            continue
+        eigvals = np.linalg.eigvalsh(blocks.gamma)
+        assert eigvals[0] >= -1e-10 * blocks.gamma_norm
+        assert float(np.abs(blocks.gamma @ data.matrix.T).max()) <= 1e-10 * blocks.gamma_norm
+        assert blocks.gamma_norm == pytest.approx(eigvals[-1], rel=1e-12)
+    # Instance 86 reaches the kernel's gap tolerance but stalls with its
+    # dual residual at 4e-10 relative, above the kernel's 1e-10 (see the
+    # FOUND line on optim._barrier_newton in CHANGES.md).  Any other stall
+    # is a regression.
+    assert stalled <= {86}
+
+
+def test_canonical_zero_tolls_are_exact_zeros():
+    # Edges on the canonicalization's optimal face get a toll of exactly
+    # 0.0, not the round-off of tau + R' v; the CSV prints repr.
+    rng = np.random.default_rng(7)
+    for n, m in ((6, 12), (40, 100)):
+        for _ in range(10):
+            net = layered_dag_network(rng, n, m, 100.0)
+            blocks = kkt_blocks(incidence(net), LatencyModel(rng.uniform(0.5, 2.0, m)))
+            model = DisturbanceModel(mean=rng.uniform(10.0, 30.0, m), cov=np.zeros((m, m)),
+                                     support_radius=0.2)
+            ceiling, _ = epsilon_max(blocks, model)
+            tau = solve_dro_tolls(blocks, model, 0.5 * ceiling).tau_star
+            assert not np.any((tau > 0.0) & (tau <= 1e-12 * float(tau.max())))
 
 
 def test_dro_objective_values():

@@ -96,8 +96,9 @@ def test_kkt_blocks_invariants_on_random_networks():
 
 
 def test_kkt_blocks_accept_slopes_across_six_decades():
-    # Round-off in gamma scales with max(1/beta); an annihilation check
-    # floored at 1 instead rejected this valid network.
+    # Slopes across six decades: gamma stays positive semidefinite and
+    # annihilates the incidence rows, up to round-off on the scale of
+    # max(1/beta).
     edges = [(0, 1), (0, 2), (0, 3), (2, 4), (1, 4), (3, 4), (0, 4)]
     net = Network(num_nodes=5, edges=tuple(Edge(f"e{k}", t, h) for k, (t, h) in enumerate(edges)),
                   demand=10.0)
