@@ -7,7 +7,11 @@ The experiment crosses anticipated radii (the design column) with actual
 radii (the adversary row): for each anticipated radius it designs tolls
 once, then for each actual radius it simulates disturbances from the
 worst-case mean shift at that radius and compares the Monte Carlo
-latency average against the closed-form expectation.
+latency average against the closed-form expectation.  Each cell streams
+its draws in blocks into running moments, and the cells run concurrently,
+one thread per usable CPU at most; every cell is computed whole by one
+thread from its own seed, so the results do not depend on the number of
+threads.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import _CEILING_SLACK, epsilon_max, solve_dro_tolls
-from .equilibrium import LatencyModel, kkt_blocks, latency_decomposition
-from .exceptions import FileFormatError, InfeasibleError
+from .equilibrium import _REGIME_TOL, LatencyModel, kkt_blocks, latency_decomposition
+from .exceptions import FileFormatError, InfeasibleError, OutOfRegimeError
 from .network import Network, _number, _read_json, _require, incidence, load_network
-from .uncertainty import DisturbanceModel, estimate_nominal, load_samples, sample_uniform_ball, worst_case_mean
+from .uncertainty import DisturbanceModel, _ball_blocks, estimate_nominal, load_samples, worst_case_mean
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,39 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
                     mc_samples=int(raw["mc_samples"]), seed=seed)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _cell_moments(center: np.ndarray, delta: float, q: np.ndarray, q0: float,
+                  count: int, seed: tuple[int, ...]) -> tuple[float, float]:
+    """Mean and standard error of ``q @ draw + q0`` over one cell's ball draws.
+
+    The draws arrive in blocks; each block's count, mean and sum of
+    squared deviations are merged into the running ones with the
+    pairwise update of Chan, Golub & LeVeque (1983), so no array of
+    ``count`` values is ever held.
+    """
+    seen, mean, squares = 0, 0.0, 0.0
+    for points in _ball_blocks(center, delta, count, seed):
+        values = points @ q + q0
+        block_mean = float(values.mean())
+        deviations = values - block_mean
+        block_squares = float(deviations @ deviations)
+        take = values.shape[0]
+        total = seen + take
+        shift = block_mean - mean
+        mean += shift * take / total
+        squares += block_squares + shift * shift * seen * take / total
+        seen = total
+    spread = float(np.sqrt(squares / (count - 1))) if count > 1 else 0.0
+    return mean, spread / float(np.sqrt(count))
+
+
 def run_experiment(scenario: Scenario) -> ExperimentGrid:
     """Design tolls per anticipated radius and Monte Carlo the whole grid.
 
@@ -135,16 +172,26 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     at the worst-case mean for actual radius ``grid[i]`` under the tolls
     designed for anticipated radius ``grid[j]``, streams them through the
     affine latency decomposition, and records the sample mean, its
-    standard error, and the closed-form expectation.  The stream for each
-    cell is seeded by ``(seed, i, j)``, so cells are reproducible in
-    isolation and the full table is byte-stable across runs.
+    standard error, and the closed-form expectation.  That decomposition
+    holds only while every edge carries flow, so before any sampling each
+    cell's lowest closed-form flow over its whole support ball,
+    ``(c - gamma (center + tau))_e - delta ||gamma_e||``, is checked; if
+    any falls below round-off (``_REGIME_TOL`` of the demand),
+    :class:`OutOfRegimeError` carries the lowest over the grid.
+
+    The stream for each cell is seeded by ``(seed, i, j)``, so cells are
+    reproducible in isolation and the full table is byte-stable across
+    runs.  Draws are streamed block by block into running moments, never
+    held whole, and the cells run concurrently on up to one thread per
+    usable CPU; each cell is computed by one thread in a fixed order, so
+    the results do not depend on the number of threads.
     """
     inc = incidence(scenario.network)
     blocks = kkt_blocks(inc, scenario.lat)
     model = scenario.model
 
-    if any(e < 0.0 for e in scenario.grid):
-        raise ValueError("grid radii must be nonnegative")
+    if not all(0.0 <= e < np.inf for e in scenario.grid):
+        raise ValueError("grid radii must be finite and nonnegative")
     ceiling, _ = epsilon_max(blocks, model)
     too_big = [e for e in scenario.grid if e > ceiling + _CEILING_SLACK]
     if too_big:
@@ -155,21 +202,31 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     designs = [solve_dro_tolls(blocks, model, eps_hat) for eps_hat in scenario.grid]
 
     delta = model.support_radius
-    cells: list[CellResult] = []
+    reach = delta * np.linalg.norm(blocks.gamma, axis=1)
+    jobs, heads, lowest = [], [], np.inf
     for i, eps in enumerate(scenario.grid):
-        for j, _eps_hat in enumerate(scenario.grid):
-            tau = designs[j].tau_star
+        for j, design in enumerate(designs):
+            tau = design.tau_star
             q, q0 = latency_decomposition(blocks, tau)
             center = worst_case_mean(blocks, tau, model, eps)
-            draws = sample_uniform_ball(center, delta, scenario.mc_samples,
-                                        seed=(scenario.seed, i, j))
-            values = draws @ q + q0
-            estimate = float(values.mean())
-            spread = float(values.std(ddof=1)) if values.size > 1 else 0.0
-            stderr = spread / float(np.sqrt(values.size))
+            lowest = min(lowest, float((blocks.c - blocks.gamma @ (center + tau) - reach).min()))
+            jobs.append((center, delta, q, q0, scenario.mc_samples, (scenario.seed, i, j)))
             expectation = float(eps * np.linalg.norm(q) + q @ model.mean + q0)
-            cells.append(CellResult(eps=eps, eps_hat=scenario.grid[j], estimate=estimate,
-                                    stderr=stderr, expectation=expectation, tau_star=tau))
-    return ExperimentGrid(grid=scenario.grid, cells=tuple(cells),
+            heads.append((eps, scenario.grid[j], expectation, tau))
+    if lowest < -_REGIME_TOL * max(1.0, scenario.network.demand):
+        raise OutOfRegimeError(lowest)
+
+    workers = min(len(jobs), _usable_cpus())
+    if workers == 1:
+        moments = [_cell_moments(*job) for job in jobs]
+    else:
+        # Imported here: it would add several milliseconds to every import of the package.
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            moments = list(pool.map(_cell_moments, *zip(*jobs)))
+    cells = tuple(CellResult(eps=eps, eps_hat=eps_hat, estimate=estimate, stderr=stderr,
+                             expectation=expectation, tau_star=tau)
+                  for (eps, eps_hat, expectation, tau), (estimate, stderr) in zip(heads, moments))
+    return ExperimentGrid(grid=scenario.grid, cells=cells,
                           edge_ids=scenario.network.edge_ids(),
                           mc_samples=scenario.mc_samples, seed=scenario.seed)

@@ -13,6 +13,11 @@ The worst distribution in that ball shifts the mean by eps along the
 latency gradient and keeps the plug-in covariance, so the covariance
 terms vanish and only the mean shift appears here; no distance is ever
 computed.
+
+Uniform draws from the support ball come in seeded blocks of 4096
+(:func:`sample_uniform_ball`).  The experiment harness streams the same
+blocks, each cell whole on one thread, so its cells see the same points
+whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -162,6 +168,48 @@ def worst_case_mean(blocks: KktBlocks, tau: np.ndarray, model: DisturbanceModel,
     return model.mean + eps * q / norm
 
 
+def _row_norms(direction: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(direction, axis=1)``, bit for bit, without its slow row reduction.
+
+    Below eight columns numpy sums a row's squares in order, which a
+    running column sum reproduces; from eight on it sums them pairwise,
+    so those rows go through numpy itself.
+    """
+    n = direction.shape[1]
+    if n >= 8:
+        return np.linalg.norm(direction, axis=1)
+    squares = direction[:, 0] * direction[:, 0]
+    for k in range(1, n):
+        squares += direction[:, k] * direction[:, k]
+    return np.sqrt(squares)
+
+
+def _ball_blocks(center: np.ndarray, radius: float, count: int,
+                 seed: int | tuple[int, ...]) -> Iterator[np.ndarray]:
+    """The rows of :func:`sample_uniform_ball`, one block of at most 4096 at a time.
+
+    Block ``b`` draws 4096 Gaussian directions, then 4096 uniform radii,
+    from ``SeedSequence(entropy=seed, spawn_key=(b,))``; the last block
+    yields only the rows still wanted.  Each yielded ``(rows, n)`` array is
+    ``center + direction / norm * radius``, computed on a transposed copy
+    with one contiguous row per coordinate (the same operations on every
+    entry, so the same bits).  Arguments are not checked here.
+    """
+    n = center.shape[0]
+    for block, start in enumerate(range(0, count, _BALL_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        direction = rng.standard_normal((_BALL_BLOCK, n))
+        take = min(_BALL_BLOCK, count - start)
+        radii = radius * rng.random(_BALL_BLOCK)[:take] ** (1.0 / n)
+        norms = _row_norms(direction[:take])
+        norms[norms < 1e-300] = 1.0
+        columns = direction[:take].T.copy()
+        columns /= norms
+        columns *= radii
+        columns += center[:, None]
+        yield columns.T
+
+
 def sample_uniform_ball(center: np.ndarray, radius: float, count: int,
                         seed: int | tuple[int, ...]) -> np.ndarray:
     """Draw ``count`` points uniformly from a closed Euclidean ball.
@@ -171,30 +219,22 @@ def sample_uniform_ball(center: np.ndarray, radius: float, count: int,
     each from its own ``SeedSequence(entropy=seed, spawn_key=(block,))``
     stream, so a given seed always produces the same records no matter
     how many are requested (prefixes agree) and cells of a larger
-    experiment can be generated independently.
+    experiment can be generated independently.  The experiment harness
+    streams the same blocks (:func:`_ball_blocks`) without collecting
+    them, so its cells see exactly these points.  Raises ``ValueError``
+    unless ``center`` is a finite nonempty vector, ``radius`` finite and
+    nonnegative and ``count`` nonnegative.
     """
     center = np.asarray(center, dtype=float)
-    if center.ndim != 1 or center.size == 0:
-        raise ValueError("center must be a nonempty vector")
-    if radius < 0.0:
-        raise ValueError("radius must be nonnegative")
+    if center.ndim != 1 or center.size == 0 or not np.isfinite(center).all():
+        raise ValueError("center must be a finite nonempty vector")
+    if not 0.0 <= radius < np.inf:
+        raise ValueError("radius must be finite and nonnegative")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    n = center.shape[0]
-    out = np.empty((count, n))
-    done = 0
-    block = 0
-    while done < count:
-        take = min(_BALL_BLOCK, count - done)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-        direction = rng.standard_normal((_BALL_BLOCK, n))
-        norms = np.linalg.norm(direction, axis=1, keepdims=True)
-        norms[norms < 1e-300] = 1.0
-        radii = radius * rng.random(_BALL_BLOCK) ** (1.0 / n)
-        points = center + direction / norms * radii[:, None]
-        out[done:done + take] = points[:take]
-        done += take
-        block += 1
+    out = np.empty((count, center.shape[0]))
+    for start, points in zip(range(0, count, _BALL_BLOCK), _ball_blocks(center, radius, count, seed)):
+        out[start:start + points.shape[0]] = points
     return out
 
 

@@ -2,16 +2,21 @@
 
 import json
 import pathlib
+import threading
 
 import numpy as np
 import pytest
+from randnets import random_instance
 
 import robusttolls
+from robusttolls import harness
+from robusttolls.cli import _experiment_csv
 from robusttolls.design import solve_dro_tolls
 from robusttolls.equilibrium import kkt_blocks, latency_decomposition
-from robusttolls.exceptions import FileFormatError, InfeasibleError
+from robusttolls.exceptions import FileFormatError, InfeasibleError, OutOfRegimeError
 from robusttolls.harness import ExperimentGrid, Scenario, load_scenario, run_experiment
 from robusttolls.network import incidence
+from robusttolls.uncertainty import sample_uniform_ball, worst_case_mean
 
 DATA = pathlib.Path(robusttolls.__file__).parent / "data"
 BUNDLED_SCENARIO = str(DATA / "pigou_scenario.json")
@@ -165,10 +170,97 @@ def test_run_experiment_deterministic_and_seed_sensitive():
     assert all(a.expectation == b.expectation for a, b in zip(first.cells, other.cells))
 
 
+@pytest.mark.parametrize("mc_samples", [1, 2, 4096, 4097, 10_000])
+def test_run_experiment_cells_are_moments_of_the_sampler_draws(mc_samples):
+    # The streamed moments equal the two-pass ones over the whole draw array.
+    scenario = small_scenario(load_scenario(BUNDLED_SCENARIO), mc_samples=mc_samples)
+    blocks = kkt_blocks(incidence(scenario.network), scenario.lat)
+    grid = run_experiment(scenario)
+    for i, eps in enumerate(grid.grid):
+        for j in range(len(grid.grid)):
+            cell = grid.cell(i, j)
+            q, q0 = latency_decomposition(blocks, cell.tau_star)
+            center = worst_case_mean(blocks, cell.tau_star, scenario.model, eps)
+            draws = sample_uniform_ball(center, scenario.model.support_radius, mc_samples,
+                                        seed=(scenario.seed, i, j))
+            values = draws @ q + q0
+            stderr = values.std(ddof=1) / np.sqrt(mc_samples) if mc_samples > 1 else 0.0
+            assert cell.estimate == pytest.approx(values.mean(), rel=1e-12, abs=0.0)
+            assert cell.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
+def test_run_experiment_does_not_depend_on_the_cpu_count(monkeypatch):
+    scenario = small_scenario(load_scenario(BUNDLED_SCENARIO), grid=(0.0, 10.0, 20.0),
+                              mc_samples=5000)
+    cell_moments = harness._cell_moments
+    threads = []
+
+    def spy(*job):
+        threads.append(threading.current_thread())
+        return cell_moments(*job)
+
+    monkeypatch.setattr(harness, "_cell_moments", spy)
+    grids = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
+        grids.append(run_experiment(scenario))
+    # One CPU: every cell on the calling thread; four: none of them there.
+    assert all(thread is threading.main_thread() for thread in threads[:9])
+    assert len(threads) == 18
+    assert not any(thread is threading.main_thread() for thread in threads[9:])
+    one, four = grids
+    assert _experiment_csv(one) == _experiment_csv(four)
+    assert (one.grid, one.edge_ids, one.mc_samples, one.seed) == \
+        (four.grid, four.edge_ids, four.mc_samples, four.seed)
+    for a, b in zip(one.cells, four.cells, strict=True):
+        assert (a.eps, a.eps_hat, a.estimate, a.stderr, a.expectation) == \
+            (b.eps, b.eps_hat, b.estimate, b.stderr, b.expectation)
+        assert np.array_equal(a.tau_star, b.tau_star)
+
+
+def test_run_experiment_reraises_a_worker_exception(monkeypatch):
+    scenario = small_scenario(load_scenario(BUNDLED_SCENARIO), mc_samples=10)
+    ball_blocks = harness._ball_blocks
+
+    def failing(center, radius, count, seed):
+        if seed[1:] == (1, 0):
+            raise ArithmeticError("cell (1, 0) failed")
+        return ball_blocks(center, radius, count, seed)
+
+    monkeypatch.setattr(harness, "_ball_blocks", failing)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    with pytest.raises(ArithmeticError, match=r"cell \(1, 0\) failed"):
+        run_experiment(scenario)
+
+
+def test_run_experiment_refuses_cells_that_leave_the_regime(monkeypatch):
+    net, lat, blocks, model, ceiling = random_instance(np.random.default_rng(15))
+    grid = (0.0, 0.5 * ceiling, 0.9 * ceiling)
+    scenario = Scenario(network=net, lat=lat, model=model, grid=grid, mc_samples=100, seed=1)
+
+    def no_sampling(*job):
+        raise AssertionError("a cell was sampled before the regime check")
+
+    monkeypatch.setattr(harness, "_cell_moments", no_sampling)
+    with pytest.raises(OutOfRegimeError) as info:
+        run_experiment(scenario)
+    # The lowest flow sits in cell (2, 2), and a point of its support ball
+    # attains it: the closed form there is genuinely out of regime.
+    tau = solve_dro_tolls(blocks, model, grid[2]).tau_star
+    center = worst_case_mean(blocks, tau, model, grid[2])
+    rows = np.linalg.norm(blocks.gamma, axis=1)
+    edge = int(np.argmin(blocks.c - blocks.gamma @ (center + tau) - model.support_radius * rows))
+    worst = center + model.support_radius * blocks.gamma[edge] / rows[edge]
+    flow = blocks.c - blocks.gamma @ (worst + tau)
+    assert info.value.min_flow == pytest.approx(flow[edge], rel=1e-9)
+    assert info.value.min_flow == pytest.approx(-0.0147, abs=5e-5)
+
+
 def test_run_experiment_rejects_bad_grids():
     base = load_scenario(BUNDLED_SCENARIO)
-    with pytest.raises(ValueError):
-        run_experiment(small_scenario(base, grid=(0.0, -1.0)))
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            run_experiment(small_scenario(base, grid=(0.0, bad)))
     with pytest.raises(InfeasibleError) as info:
         run_experiment(small_scenario(base, grid=(0.0, 45.0)))
     assert "45" in str(info.value)

@@ -1,6 +1,7 @@
 """Tests for disturbance estimation, the worst-case mean, and sampling."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -157,6 +158,42 @@ def test_sample_uniform_ball_prefix_stable():
     assert large[:100] == pytest.approx(small, abs=0.0)
 
 
+# Literal draws of sample_uniform_ball(linspace(-1.5, 2, n), 0.75, 4097,
+# seed=(2026, 3, n)): rows 0, 4095 and 4096 (the first row of the second
+# block) and the SHA-256 of the whole little-endian float64 array.
+PINNED_DRAWS = {
+    1: ({0: [-2.075745475966478],
+         4095: [-1.2697704858721854],
+         4096: [-2.0761986872477607]},
+        "b5227599d547583dc88b1751ea76d0a75bd0ca566445a4cad0486df2cef2b1f0"),
+    2: ({0: [-1.3816543450821284, 2.395372562202756],
+         4095: [-1.504614050777872, 2.055272590956095],
+         4096: [-1.2835423075005847, 2.627639466008004]},
+        "a3adc9bda501c3d1fa536b6063508b741883c9a5429e5960e25d2a5ab11e8b00"),
+    9: ({0: [-1.9651742323847599, -1.0542475642864606, -0.9522210268285455,
+             0.1706728095849323, 0.388130632669427, 0.5856894433258548,
+             1.0254868911046824, 1.675245860337565, 2.241812296538378],
+         4095: [-1.630096610531347, -1.212841629560738, -0.8844735457760803,
+                -0.13961752856682647, 0.649678781163403, 0.3986134377024861,
+                1.1503069907096801, 1.6072216469650351, 1.5457174262428575],
+         4096: [-1.2372134721433221, -0.8624866155278516, -1.0344823386040933,
+                -0.5137729132765979, 0.32948382351836175, 0.5729498452971461,
+                1.2138088138486973, 1.3495809772474132, 1.7836860729302413]},
+        "a7f201887f521769097dbe656403a31e2a85b8f9bea94ccc7aace98d3b2421a7"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_DRAWS))
+def test_sample_uniform_ball_pinned_draws(n):
+    rows, digest = PINNED_DRAWS[n]
+    draws = sample_uniform_ball(np.linspace(-1.5, 2.0, n), 0.75, 4097, seed=(2026, 3, n))
+    assert draws.shape == (4097, n)
+    for row, values in rows.items():
+        assert draws[row].tolist() == values
+    data = np.ascontiguousarray(draws, dtype="<f8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_sample_uniform_ball_deterministic_and_seed_sensitive():
     a = sample_uniform_ball(np.zeros(2), 1.0, 50, seed=(1, 2, 3))
     b = sample_uniform_ball(np.zeros(2), 1.0, 50, seed=(1, 2, 3))
@@ -173,6 +210,15 @@ def test_sample_uniform_ball_edge_cases():
     assert empty.shape == (0, 2)
     with pytest.raises(ValueError):
         sample_uniform_ball(center, -1.0, 5, seed=0)
+
+
+@pytest.mark.parametrize("center, radius", [
+    ([0.0, np.nan], 1.0), ([np.inf, 0.0], 1.0), ([0.0, -np.inf], 1.0),
+    ([0.0, 0.0], np.nan), ([0.0, 0.0], np.inf),
+], ids=["nan-center", "inf-center", "minus-inf-center", "nan-radius", "inf-radius"])
+def test_sample_uniform_ball_rejects_non_finite_input(center, radius):
+    with pytest.raises(ValueError):
+        sample_uniform_ball(np.array(center), radius, 5, seed=0)
     with pytest.raises(ValueError):
         sample_uniform_ball(center, 1.0, -5, seed=0)
 
