@@ -150,7 +150,8 @@ def _regime_flow(blocks: KktBlocks, cost: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(blocks.inc.injections).max(initial=0.0)))
     lowest = float(flow.min())
     if lowest < -_REGIME_TOL * scale:
-        raise OutOfRegimeError(lowest)
+        raise OutOfRegimeError(f"closed-form equilibrium leaves the nonnegative regime (min flow "
+                               f"{lowest:.6g}); use the potential-based solver instead", lowest)
     return flow
 
 

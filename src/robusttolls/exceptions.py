@@ -35,18 +35,16 @@ class NumericalDegeneracyError(TollDesignError):
 
 
 class OutOfRegimeError(TollDesignError):
-    """The closed-form equilibrium has a negative component.
+    """A closed-form equilibrium has a negative component.
 
     The interior formula only applies when every edge carries positive
-    flow; callers should fall back to the potential-minimization solver.
+    flow.  ``min_flow`` is the lowest closed-form flow found; the message
+    says where it was found and what to do about it.
     """
 
-    def __init__(self, min_flow: float) -> None:
+    def __init__(self, message: str, min_flow: float) -> None:
         self.min_flow = float(min_flow)
-        super().__init__(
-            f"closed-form equilibrium leaves the nonnegative regime (min flow {self.min_flow:.6g}); "
-            "use the potential-based solver instead"
-        )
+        super().__init__(message)
 
 
 class ConvergenceError(TollDesignError):

@@ -177,7 +177,8 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     cell's lowest closed-form flow over its whole support ball,
     ``(c - gamma (center + tau))_e - delta ||gamma_e||``, is checked; if
     any falls below round-off (``_REGIME_TOL`` of the demand),
-    :class:`OutOfRegimeError` carries the lowest over the grid.
+    :class:`OutOfRegimeError` carries the lowest over the grid and names
+    its cell.
 
     The stream for each cell is seeded by ``(seed, i, j)``, so cells are
     reproducible in isolation and the full table is byte-stable across
@@ -203,18 +204,22 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
 
     delta = model.support_radius
     reach = delta * np.linalg.norm(blocks.gamma, axis=1)
-    jobs, heads, lowest = [], [], np.inf
+    jobs, heads, lowest, lowest_cell = [], [], np.inf, (0.0, 0.0)
     for i, eps in enumerate(scenario.grid):
         for j, design in enumerate(designs):
             tau = design.tau_star
             q, q0 = latency_decomposition(blocks, tau)
             center = worst_case_mean(blocks, tau, model, eps)
-            lowest = min(lowest, float((blocks.c - blocks.gamma @ (center + tau) - reach).min()))
+            flow = float((blocks.c - blocks.gamma @ (center + tau) - reach).min())
+            if flow < lowest:
+                lowest, lowest_cell = flow, (eps, scenario.grid[j])
             jobs.append((center, delta, q, q0, scenario.mc_samples, (scenario.seed, i, j)))
             expectation = float(eps * np.linalg.norm(q) + q @ model.mean + q0)
             heads.append((eps, scenario.grid[j], expectation, tau))
     if lowest < -_REGIME_TOL * max(1.0, scenario.network.demand):
-        raise OutOfRegimeError(lowest)
+        raise OutOfRegimeError(
+            f"experiment cell eps={lowest_cell[0]:g}, eps_hat={lowest_cell[1]:g} leaves the "
+            f"closed-form regime: its lowest flow over the support ball is {lowest:.6g}", lowest)
 
     workers = min(len(jobs), _usable_cpus())
     if workers == 1:

@@ -5,7 +5,8 @@ so every test run sees the same instances.  The oracles are deliberately
 dumb: path listing for route-level checks, active-subset enumeration
 for quadratic programs, golden-section search for one-dimensional design
 problems.  Slow but independent of the
-code under test.
+code under test.  ``active_set_qp`` is a primal active-set QP solver that
+the package used to ship; the tests keep it as a reference solver.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from robusttolls.design import epsilon_max, toll_polytope
 from robusttolls.equilibrium import LatencyModel, kkt_blocks
 from robusttolls.network import Edge, Network, incidence, validate_network
+from robusttolls.optim import STATUS_ITERATION_CAP, STATUS_OPTIMAL
 from robusttolls.uncertainty import DisturbanceModel, sample_uniform_ball
 
 
@@ -228,3 +230,71 @@ def brute_force_qp(hess: np.ndarray, grad: np.ndarray, rows: np.ndarray,
                 best = x
     assert best is not None, "brute-force QP found no KKT point"
     return best
+
+
+def active_set_qp(hess: np.ndarray, grad: np.ndarray, rows: np.ndarray, rhs: np.ndarray,
+                  start: np.ndarray, max_iter: int = 0,
+                  tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, int, float, str]:
+    """Minimize ``0.5 x'Hx + g'x`` s.t. ``rows @ x <= rhs`` from a feasible start.
+
+    Primal active-set iteration for positive definite ``hess``: solve the
+    equality problem on the working set, step to the nearest blocking
+    constraint, and drop the constraint with the most negative multiplier
+    when stationary.  Subproblems go through ``lstsq`` so redundant active
+    constraints cannot derail the solve.
+
+    Returns ``(x, multipliers, iterations, kkt_residual, status)``.
+    """
+    x = np.asarray(start, dtype=float).copy()
+    n = x.shape[0]
+    m = rows.shape[0]
+    if max_iter <= 0:
+        max_iter = 20 * (n + m) + 20
+    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    if m and float(np.max(rows @ x - rhs)) > 1e-9 * scale:
+        raise ValueError("active-set start point violates the constraints")
+    working = [int(i) for i in np.flatnonzero(rows @ x >= rhs - tol * scale)]
+    lam = np.zeros(m)
+
+    status = STATUS_ITERATION_CAP
+    it = 0
+    for it in range(1, max_iter + 1):
+        act = rows[working]
+        k = len(working)
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = hess
+        if k:
+            kkt[:n, n:] = act.T
+            kkt[n:, :n] = act
+        target = np.concatenate([-grad, rhs[working]])
+        sol = np.linalg.lstsq(kkt, target, rcond=None)[0]
+        direction = sol[:n] - x
+        if float(np.linalg.norm(direction)) <= tol * (1.0 + float(np.linalg.norm(x))):
+            lam = np.zeros(m)
+            lam[working] = sol[n:]
+            worst = min(working, key=lambda i: lam[i], default=-1)
+            if worst < 0 or lam[worst] >= -tol * (1.0 + float(np.abs(lam).max(initial=0.0))):
+                status = STATUS_OPTIMAL
+                break
+            working.remove(worst)
+            continue
+        gain = rows @ direction
+        step = 1.0
+        blocker = -1
+        for i in range(m):
+            if i not in working and gain[i] > tol:
+                t = (rhs[i] - float(rows[i] @ x)) / gain[i]
+                if t < step - 1e-14:
+                    step = t
+                    blocker = i
+        x = x + max(step, 0.0) * direction
+        if blocker >= 0:
+            working.append(blocker)
+            working.sort()
+
+    clamped = np.clip(lam, 0.0, None)
+    stationarity = float(np.abs(hess @ x + grad + rows.T @ clamped).max(initial=0.0))
+    violation = float(np.max(rows @ x - rhs, initial=0.0))
+    comple = float(np.abs(clamped * (rows @ x - rhs)).max(initial=0.0))
+    residual = max(stationarity, violation, comple, 0.0)
+    return x, clamped, it, residual, status

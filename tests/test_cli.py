@@ -5,6 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from randnets import random_instance
 
 import robusttolls
 from robusttolls.cli import main
@@ -293,6 +294,31 @@ def test_experiment_infeasible_grid_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "experiment", "--scenario", scenario)
     assert code == 1
     assert "45" in err
+
+
+def test_experiment_out_of_regime_grid_exits_one_naming_the_cell(tmp_path, capsys):
+    # The grid of this instance leaves the closed-form regime lowest in
+    # cell (2, 2) (see the harness's regime test).
+    net, lat, _, model, ceiling = random_instance(np.random.default_rng(15))
+    grid = [0.0, 0.5 * ceiling, 0.9 * ceiling]
+    names = [str(v) for v in range(net.num_nodes)]
+    (tmp_path / "net.json").write_text(json.dumps({
+        "nodes": names,
+        "edges": [{"id": e.id, "from": names[e.tail], "to": names[e.head], "beta": float(b)}
+                  for e, b in zip(net.edges, lat.beta)],
+        "source": names[0], "destination": names[-1], "demand": net.demand,
+    }))
+    (tmp_path / "scenario.json").write_text(json.dumps({
+        "network": "net.json",
+        "disturbance": {"mean": model.mean.tolist(), "cov": model.cov.tolist(),
+                        "delta": model.support_radius},
+        "grid": grid, "mc_samples": 100, "seed": 1,
+    }))
+    code, out, err = run(capsys, "experiment", "--scenario", str(tmp_path / "scenario.json"))
+    assert code == 1
+    assert out == ""
+    assert f"eps={grid[2]:g}, eps_hat={grid[2]:g}" in err
+    assert "solver" not in err
 
 
 def test_experiment_missing_scenario_exits_two(capsys):

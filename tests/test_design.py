@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from randnets import (golden_section, layered_dag_network, random_dag_network, random_instance,
-                      sample_strict_toll)
-from robusttolls import optim
+from randnets import (active_set_qp, golden_section, layered_dag_network, random_dag_network,
+                      random_instance, sample_strict_toll)
+from robusttolls import design, optim
 from robusttolls.design import (
     DesignResult,
+    _min_norm_toll,
+    _toll_for_circulation,
     dro_objective,
     epsilon_max,
     polytope_nonempty,
@@ -17,6 +19,7 @@ from robusttolls.design import (
 from robusttolls.equilibrium import LatencyModel, equilibrium_latency_g, kkt_blocks
 from robusttolls.exceptions import ConvergenceError, InfeasibleError
 from robusttolls.network import Edge, Network, incidence
+from robusttolls.optim import STATUS_OPTIMAL, _balance_qr
 from robusttolls.uncertainty import DisturbanceModel, worst_case_mean
 from test_equilibrium import pigou_blocks
 
@@ -237,21 +240,27 @@ def test_solve_dro_tolls_starts_inside_on_wide_slope_spreads():
         assert poly.contains(result.tau_star, tol=1e-9 * float(np.abs(poly.rhs).max()))
 
 
-def test_blocks_and_designs_hold_on_slopes_across_twelve_decades():
-    # gamma = W W' is positive semidefinite and annihilates R by
-    # construction, so no slope spread may break either property beyond
-    # round-off relative to ||gamma||, nor keep the design from starting.
+def _twelve_decade_networks(count):
+    """Seeded random and layered DAGs with slopes log-uniform on [1e-6, 1e6]."""
     rng = np.random.default_rng(11)
-    stalled = set()
-    for index in range(200):
+    for index in range(count):
         if index % 2:
             net = random_dag_network(rng, 10, 20)
         else:
             n = int(rng.choice([6, 8, 10, 12]))
             net = layered_dag_network(rng, n, 2 * n, 50.0)
+        yield net, 10.0 ** rng.uniform(-6.0, 6.0, net.num_edges)
+
+
+def test_blocks_and_designs_hold_on_slopes_across_twelve_decades():
+    # gamma = W W' is positive semidefinite and annihilates R by
+    # construction, so no slope spread may break either property beyond
+    # round-off relative to ||gamma||, nor keep the design from starting.
+    stalled = set()
+    for index, (net, beta) in enumerate(_twelve_decade_networks(200)):
         m = net.num_edges
         data = incidence(net)
-        blocks = kkt_blocks(data, LatencyModel(10.0 ** rng.uniform(-6.0, 6.0, m)))
+        blocks = kkt_blocks(data, LatencyModel(beta))
         model = DisturbanceModel(mean=np.zeros(m), cov=np.zeros((m, m)), support_radius=0.0)
         ceiling, _ = epsilon_max(blocks, model)
         try:
@@ -274,6 +283,22 @@ def test_blocks_and_designs_hold_on_slopes_across_twelve_decades():
     assert stalled <= {86}
 
 
+def test_round_off_tolls_on_a_degenerate_face_are_exact_zeros():
+    # On instances 25 and 506 of the twelve-decade sweep one edge's toll
+    # is zero up to round-off, and the face solve leaves 5.2e-14 and
+    # -4.4e-14 there (of tolls up to 252 and 191).
+    for index, (net, beta) in enumerate(_twelve_decade_networks(507)):
+        if index not in (25, 506):
+            continue
+        m = net.num_edges
+        blocks = kkt_blocks(incidence(net), LatencyModel(beta))
+        model = DisturbanceModel(mean=np.zeros(m), cov=np.zeros((m, m)), support_radius=0.0)
+        ceiling, _ = epsilon_max(blocks, model)
+        tau = solve_dro_tolls(blocks, model, 0.5 * ceiling).tau_star
+        assert float(tau.min()) >= 0.0 and not np.signbit(tau).any()
+        assert not np.any((tau > 0.0) & (tau <= 1e-12 * float(tau.max())))
+
+
 def test_canonical_zero_tolls_are_exact_zeros():
     # Edges on the canonicalization's optimal face get a toll of exactly
     # 0.0, not the round-off of tau + R' v; the CSV prints repr.
@@ -287,6 +312,119 @@ def test_canonical_zero_tolls_are_exact_zeros():
             ceiling, _ = epsilon_max(blocks, model)
             tau = solve_dro_tolls(blocks, model, 0.5 * ceiling).tau_star
             assert not np.any((tau > 0.0) & (tau <= 1e-12 * float(tau.max())))
+
+
+def _tau_space_min_norm(blocks, y):
+    """The least-norm nonnegative toll with response ``y``, from the toll-space QP.
+
+    Minimizes ``||tau0 + R' v||^2`` over ``v`` subject to ``tau0 + R' v >= 0``
+    with the active-set oracle, from the longest-path toll ``tau0`` (so
+    ``v = 0`` is feasible).  Returns the toll, exactly 0.0 wherever its
+    bound carries a positive multiplier, and the multipliers.
+    """
+    matrix = blocks.inc.matrix
+    tau0 = _toll_for_circulation(blocks, y)
+    v, lam, _, _, status = active_set_qp(matrix @ matrix.T, matrix @ tau0, -matrix.T, tau0,
+                                         np.zeros(matrix.shape[0]))
+    assert status == STATUS_OPTIMAL
+    tau = tau0 + matrix.T @ v
+    tau[(tau < 0.0) | (lam > 0.0)] = 0.0
+    return tau, lam
+
+
+def _canonicalization_cases():
+    """Layered DAGs with m = 12, 24, 100 and 250, then random DAGs with
+    slopes log-uniform over twelve decades, with their disturbance models."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for n, m, count in ((6, 12, 6), (10, 24, 6), (40, 100, 3), (100, 250, 1)):
+        for _ in range(count):
+            net = layered_dag_network(rng, n, m, 10.0 * m)
+            blocks = kkt_blocks(incidence(net), LatencyModel(rng.uniform(0.5, 2.0, m)))
+            cases.append((blocks, DisturbanceModel(mean=rng.uniform(10.0, 30.0, m),
+                                                   cov=np.zeros((m, m)), support_radius=0.2)))
+    while len(cases) < 40:
+        net = random_dag_network(rng, 10, 20)
+        m = net.num_edges
+        blocks = kkt_blocks(incidence(net), LatencyModel(10.0 ** rng.uniform(-6.0, 6.0, m)))
+        if blocks.inc.matrix.shape[0] < m:
+            cases.append((blocks, DisturbanceModel(mean=np.zeros(m), cov=np.zeros((m, m)),
+                                                   support_radius=0.0)))
+    return cases
+
+
+def test_canonical_tolls_match_the_toll_space_qp(monkeypatch):
+    # The oracle canonicalizes the very circulation the design hands to
+    # _min_norm_toll (as the toll beta * y); a circulation rebuilt as
+    # gamma @ tau_star would carry round-off of ||gamma|| max(beta) |tau|.
+    handed = []
+
+    def spy(null, toll):
+        handed.append(toll)
+        return _min_norm_toll(null, toll)
+
+    monkeypatch.setattr(design, "_min_norm_toll", spy)
+    compared = 0
+    for index, (blocks, model) in enumerate(_canonicalization_cases()):
+        ceiling, _ = epsilon_max(blocks, model)
+        tau = solve_dro_tolls(blocks, model, (0.0, 0.5, 0.9)[index % 3] * ceiling).tau_star
+        oracle, lam = _tau_space_min_norm(blocks, handed[-1] / blocks.lat.beta)
+        top = float(oracle.max())
+        assert float(np.abs(tau - oracle).max()) <= 1e-12 * top, index
+        # Where the toll or the multiplier of a zero toll is round-off,
+        # which tolls come out as zeros is round-off too.
+        if np.any((oracle > 0.0) & (oracle <= 1e-12 * top)) \
+                or np.any((oracle == 0.0) & (lam <= 1e-12 * top)):
+            continue
+        compared += 1
+        assert np.array_equal(tau == 0.0, oracle == 0.0), index
+    assert compared >= 30
+
+
+def test_min_norm_toll_carries_its_certificate():
+    # For a circulation y, beta * y is a toll with response y.  The
+    # canonical toll must keep that response, be nonnegative, and come
+    # with multipliers lam >= 0 on its zero tolls such that
+    # R (tau - lam) = 0: then tau - lam = N mu, and tau is optimal.
+    rng = np.random.default_rng(99)
+    for blocks, _ in _canonicalization_cases():
+        matrix, beta = blocks.inc.matrix, blocks.lat.beta
+        null = _balance_qr(matrix)[2]
+        for _ in range(3):
+            y = null @ rng.normal(size=null.shape[1]) * float(rng.uniform(0.1, 10.0))
+            tau = _min_norm_toll(null, beta * y)
+            top = float(tau.max())
+            assert float(tau.min()) >= 0.0 and not np.signbit(tau).any()
+            response = blocks.gamma @ tau
+            assert float(np.abs(response - y).max()) <= 1e-12 * float(np.abs(y).max()) \
+                + 1e-12 * blocks.gamma_norm * float(np.abs(beta * y).max())
+            zero = tau == 0.0
+            lam = np.zeros_like(tau)
+            lam[zero] = np.linalg.lstsq(matrix[:, zero], matrix @ tau, rcond=None)[0]
+            assert float(lam.min()) >= -1e-12 * top
+            assert float(np.abs(matrix @ (tau - lam)).max()) <= 1e-12 * top
+
+
+def test_single_route_tolls_are_exact_zeros():
+    net = Network(num_nodes=4, edges=(Edge("a", 0, 1), Edge("b", 1, 2), Edge("c", 2, 3)),
+                  demand=5.0)
+    blocks = kkt_blocks(incidence(net), LatencyModel(np.array([1.0, 2.0, 3.0])))
+    model = DisturbanceModel(mean=np.array([1.0, 2.0, 3.0]), cov=np.zeros((3, 3)),
+                             support_radius=0.1)
+    tau = solve_dro_tolls(blocks, model, 2.0).tau_star
+    assert np.array_equal(tau, np.zeros(3)) and not np.signbit(tau).any()
+    tau = _min_norm_toll(np.zeros((3, 0)), np.array([1.0, -2.0, 3.0]))
+    assert np.array_equal(tau, np.zeros(3)) and not np.signbit(tau).any()
+
+
+def test_min_norm_toll_reports_a_stall(monkeypatch):
+    blocks, model = _canonicalization_cases()[12]
+    ceiling, _ = epsilon_max(blocks, model)
+    monkeypatch.setattr(design, "_CANONICAL_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="canonicalization") as info:
+        solve_dro_tolls(blocks, model, 0.5 * ceiling)
+    assert info.value.iterations == 1
+    assert 0.0 < info.value.residual < np.inf
 
 
 def test_dro_objective_values():

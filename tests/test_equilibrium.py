@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from randnets import enumerate_paths, layered_dag_network, random_dag_network
+from randnets import active_set_qp, enumerate_paths, layered_dag_network, random_dag_network
 from robusttolls import equilibrium, optim
 from robusttolls.equilibrium import (
     LatencyModel,
@@ -16,7 +16,7 @@ from robusttolls.equilibrium import (
 )
 from robusttolls.exceptions import ConvergenceError, OutOfRegimeError
 from robusttolls.network import Edge, Network, _endpoints, _max_min_flow, incidence, is_feasible_flow
-from robusttolls.optim import STATUS_OPTIMAL, active_set_qp
+from robusttolls.optim import STATUS_OPTIMAL
 from test_network import braess, pigou
 
 PIGOU_BETA = np.array([1.5, 0.1])

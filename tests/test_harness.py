@@ -254,6 +254,12 @@ def test_run_experiment_refuses_cells_that_leave_the_regime(monkeypatch):
     flow = blocks.c - blocks.gamma @ (worst + tau)
     assert info.value.min_flow == pytest.approx(flow[edge], rel=1e-9)
     assert info.value.min_flow == pytest.approx(-0.0147, abs=5e-5)
+    # The message names that cell and its flow, and offers no solver to
+    # switch to: an experiment has none.
+    message = str(info.value)
+    assert f"eps={grid[2]:g}, eps_hat={grid[2]:g}" in message
+    assert f"{info.value.min_flow:.6g}" in message
+    assert "solver" not in message
 
 
 def test_run_experiment_rejects_bad_grids():

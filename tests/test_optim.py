@@ -1,11 +1,11 @@
-"""Tests for the quadratic and interior-point composite solvers."""
+"""Tests for the interior-point kernel and the active-set QP the tests use as a reference."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from randnets import brute_force_qp
+from randnets import active_set_qp, brute_force_qp
 from robusttolls import optim
 from robusttolls.exceptions import ConvergenceError
 from robusttolls.optim import (
@@ -13,7 +13,6 @@ from robusttolls.optim import (
     STATUS_OPTIMAL,
     _balance_qr,
     _barrier_newton,
-    active_set_qp,
 )
 
 

@@ -27,7 +27,7 @@ PUBLIC = {
 REMOVED = (
     "enumerate_paths", "PathSet", "DEFAULT_MAX_PATHS", "TooManyPathsError",
     "GelbrichPoint", "gelbrich_distance", "in_gelbrich_ball", "support_check",
-    "psd_sqrt", "_psd_eigh", "nominal_tolls", "SolveReport",
+    "psd_sqrt", "_psd_eigh", "nominal_tolls", "SolveReport", "active_set_qp",
 )
 
 MODULES = ("cli", "design", "equilibrium", "exceptions", "harness", "network", "optim",
