@@ -14,14 +14,11 @@ enters through the objective's mean-shift term while the constraint set
 stays the nominal (radius-zero) polytope, so designs anticipating
 different radii remain comparable on a common footing and the ceiling
 acts as a validity bound on ``eps`` rather than shrinking the feasible
-set.  Because the objective only sees tolls through the flow response
-``y = gamma @ tau``, the design is solved in that circulation (a convex
-program with a smooth norm term, handled by an interior-point Newton
-method), and optima come in affine families of tolls.  The result is
-the family's minimum-norm nonnegative member, found by a semismooth
-Newton method on the dual of that projection in the same null-space
-basis the design solve uses (:func:`_min_norm_toll`); tolls on its
-optimal face are exact zeros.
+set.  The objective only sees tolls through the flow response
+``y = gamma @ tau``, so the design is solved in that circulation by the
+interior-point method of :mod:`robusttolls.optim`, and optima come in
+affine families of tolls.  The result is the family's minimum-norm
+nonnegative member (:func:`_min_norm_toll`), with exact zero tolls.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import numpy as np
 from .equilibrium import KktBlocks, latency_decomposition
 from .exceptions import ConvergenceError, InfeasibleError, NumericalDegeneracyError
 from .network import IncidenceData, _endpoints, _max_min_flow
-from .optim import STATUS_OPTIMAL, _balance_qr, _barrier_newton
+from .optim import STATUS_OPTIMAL, _balance_qr, _barrier_newton, _dual_newton
 from .uncertainty import DisturbanceModel
 
 # An anticipated radius this far past the robustness ceiling still counts
@@ -42,7 +39,6 @@ _CEILING_SLACK = 1e-9
 # Step budget of the toll canonicalization (:func:`_min_norm_toll`); it
 # took at most 24 steps on layered DAGs of up to 500 edges.
 _CANONICAL_STEPS = 50
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -184,72 +180,21 @@ def dro_objective(blocks: KktBlocks, model: DisturbanceModel, eps: float, tau: n
 def _min_norm_toll(null: np.ndarray, toll: np.ndarray) -> np.ndarray:
     """Smallest-norm nonnegative toll with the same flow response as ``toll``.
 
-    The flow response is blind to the row space of the incidence matrix,
-    so with ``N = null`` an orthonormal basis of its null space the
-    family is ``{tau : N' tau = b}``, ``b = N' toll``.  The dual of
-    minimizing ``||tau||^2 / 2`` over ``tau >= 0`` in it is the concave
-    piecewise quadratic ``max b' mu - ||(N mu)_+||^2 / 2``, with ``tau* =
-    (N mu)_+`` and the multipliers of ``tau >= 0`` in ``(N mu)_-``.  It is
-    maximized by a damped semismooth Newton method (Qi & Sun 2006;
-    Hintermueller, Ito & Kunisch 2002) from ``mu = b``: on the face
-    ``P = {N mu > 0}`` the step solves ``(N_P' N_P + rho I) d = gradient``,
-    with ``rho`` shrinking with the gradient, and the step length
-    maximizes the piecewise quadratic dual along ``d`` exactly.  Once a
-    full step keeps the sign pattern of ``N mu``, one exact solve on ``P``
-    finishes: tolls off ``P`` are exactly ``0.0``, and face entries within
-    round-off of zero are clamped to ``0.0``.  An iterate whose dual
-    gradient is already at round-off is returned as it is.
+    With ``N = null`` an orthonormal basis of the incidence matrix's null
+    space, the family is ``{tau : N' tau = b}``, ``b = N' toll``.
+    :func:`~robusttolls.optim._dual_newton` minimizes ``||tau||^2 / 2``
+    over its nonnegative members through the dual ``max b' mu -
+    ||(N mu)_+||^2 / 2`` from ``mu = b``: ``tau* = (N mu)_+``, exact zeros
+    off the optimal face.  Raises :class:`ConvergenceError` if
+    ``_CANONICAL_STEPS`` steps do not finish.
     """
-    m, size = null.shape
+    m = null.shape[0]
     b = null.T @ toll
-    mu = b
-    u = null @ mu
-    grad_norm = 0.0
-    for _ in range(_CANONICAL_STEPS):
-        face = u > 0.0
-        grad = b - null[face].T @ u[face]
-        grad_norm = float(np.linalg.norm(grad))
-        roundoff = m * _EPS * float(np.abs(u).max(initial=0.0))
-        if grad_norm <= roundoff:
-            return np.where(u > roundoff, u, 0.0)
-        hess = null[face].T @ null[face]
-        damping = 0.01 * min(1.0, grad_norm / float(np.linalg.norm(b)))
-        step = np.linalg.solve(hess + damping * np.eye(size), grad)
-        if np.array_equal(null @ (mu + step) > 0.0, face):
-            try:
-                exact = null @ np.linalg.solve(hess, b)
-            except np.linalg.LinAlgError:
-                pass  # the face leaves a circulation free; keep stepping
-            else:
-                roundoff = m * _EPS * float(np.abs(exact).max())
-                if (exact[face].min(initial=0.0) >= -roundoff
-                        and exact[~face].max(initial=0.0) <= roundoff):
-                    return np.where(face & (exact > roundoff), exact, 0.0)
-        mu = mu + _dual_line_max(u, null @ step, float(b @ step)) * step
-        u = null @ mu
-    raise ConvergenceError("toll canonicalization did not converge", _CANONICAL_STEPS, grad_norm)
-
-
-def _dual_line_max(u: np.ndarray, w: np.ndarray, slope: float) -> float:
-    """The step ``s >= 0`` maximizing ``slope*s - ||(u + s*w)_+||^2 / 2``.
-
-    The derivative is piecewise linear and nonincreasing with a kink
-    where an entry of ``u + s*w`` changes sign, so the root is found by
-    walking the kinks in order.
-    """
-    enter = (u <= 0.0) & (w > 0.0)
-    moving = enter | ((u > 0.0) & (w < 0.0))
-    kinks = -u[moving] / w[moving]
-    order = np.argsort(kinks, kind="stable")
-    sign = np.where(enter[moving], 1.0, -1.0)[order]
-    face = u > 0.0
-    # Over the segment after the j-th kink the derivative is
-    # slope - lin[j] - s * quad[j].
-    lin = np.cumsum(np.concatenate([[float(u[face] @ w[face])], sign * (u * w)[moving][order]]))
-    quad = np.cumsum(np.concatenate([[float(w[face] @ w[face])], sign * (w * w)[moving][order]]))
-    past = slope - lin[:-1] - kinks[order] * quad[:-1] <= 0.0
-    j = int(np.argmax(past)) if past.any() else len(kinks)
-    return (slope - lin[j]) / quad[j]
+    tau, _, _, residual = _dual_newton(null.T, lambda face: null[face].T @ null[face], b,
+                                       np.ones(m), np.zeros(m), b, _CANONICAL_STEPS)
+    if tau is None:
+        raise ConvergenceError("toll canonicalization did not converge", _CANONICAL_STEPS, residual)
+    return tau
 
 
 def _toll_for_circulation(blocks: KktBlocks, y: np.ndarray) -> np.ndarray:
@@ -293,10 +238,9 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     ``||gamma|| epsilon_max`` on every row.  The toll ``beta * y`` has
     response ``y``; it is canonicalized to the minimum-norm nonnegative
     toll with that response by :func:`_min_norm_toll`, which reuses the
-    null-space basis of the Newton solve.  A solve that does not close its
-    duality gap raises :class:`ConvergenceError` with the Newton
-    iterations and the gap, as does a canonicalization that runs out of
-    steps (with its steps and dual gradient norm).
+    null-space basis of the Newton solve.  A solve that stops short of
+    optimal raises :class:`ConvergenceError` naming the stopping test
+    that failed, with its iterations and that test's relative value.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
@@ -322,8 +266,8 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
         y, _, report = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean, factors, rhs,
                                        start)
         if report.status != STATUS_OPTIMAL:
-            raise ConvergenceError("design solve did not close its duality gap",
-                                   report.iterations, report.gap)
+            raise ConvergenceError(f"design solve did not converge: {report.failed}",
+                                   report.iterations, report.value)
         iterations, gap = report.iterations, report.gap
         # gamma @ (beta * y) = y for a circulation y, so beta * y is one toll of the family.
         tau_star = _min_norm_toll(factors[2], blocks.lat.beta * y)

@@ -8,10 +8,9 @@ constraints once per network yields a small set of dense blocks
 equilibrium latency are all affine or quadratic evaluations.  The closed
 form is only valid while every edge keeps positive flow; the
 potential-minimization solver (:func:`nash_flow_potential`) is the
-regime-free reference that also handles boundary equilibria: the
-interior-point kernel of :mod:`robusttolls.optim` run from the max-min
-flow, then a crossover that pins the edges on the optimal face at
-exactly zero and solves the equality system on the rest once.
+regime-free reference that also handles boundary equilibria, by a
+semismooth Newton method on the potential's dual in the node potentials
+that pins unused edges at exactly zero.
 """
 
 from __future__ import annotations
@@ -21,13 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, OutOfRegimeError
-from .network import IncidenceData, _endpoints, _max_min_flow
-from .optim import STATUS_OPTIMAL, _balance_qr, _barrier_newton
+from .network import IncidenceData, _endpoints
+from .optim import _dual_newton
 
 # How far below zero (relative to the demand) a closed-form flow may dip
 # from round-off and still count as in regime.
 _REGIME_TOL = 1e-9
-# The potential solver's bound on its result's KKT residual, relative to the demand.
+# The potential solver's step budget (it took at most 44 steps on slopes
+# over six decades) and bound on its result's KKT residual, per demand.
+_POTENTIAL_STEPS = 100
 _KKT_TOL = 1e-8
 
 
@@ -62,9 +63,8 @@ class KktBlocks:
     square), its spectral norm ``gamma_norm``, plus
     ``c = lam @ injections``, the equilibrium flow when perceived edge
     costs vanish.  ``gamma`` maps a perceived-cost vector to the flow it
-    displaces, which is why every formula downstream is affine in it.
-    The source incidence and latency data ride along so later stages
-    need only this object.
+    displaces, so every formula downstream is affine in it.  The
+    incidence and latency data ride along.
     """
 
     gamma: np.ndarray
@@ -129,8 +129,7 @@ def kkt_blocks(inc: IncidenceData, lat: LatencyModel) -> KktBlocks:
     return KktBlocks(gamma=gamma, lam=lam, s=s, gamma_norm=gamma_norm, c=c, inc=inc, lat=lat)
 
 
-def _check_cost_vectors(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = blocks.gamma.shape[0]
+def _check_cost_vectors(m: int, alpha: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     alpha = np.asarray(alpha, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if alpha.shape != (m,):
@@ -163,7 +162,7 @@ def nash_flow_closed_form(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray)
     :class:`OutOfRegimeError` is raised; callers should switch to
     :func:`nash_flow_potential`, which handles flows pinned at zero.
     """
-    alpha, tau = _check_cost_vectors(blocks, alpha, tau)
+    alpha, tau = _check_cost_vectors(blocks.gamma.shape[0], alpha, tau)
     cost = alpha + tau
     flow = _regime_flow(blocks, cost)
     # The raw multiplier of the balance constraint is the negated trip
@@ -177,75 +176,48 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
                         tau: np.ndarray) -> NashSolution:
     """Equilibrium flow by minimizing the congestion potential directly.
 
-    Minimizes ``sum(0.5 beta f^2 + (alpha+tau) f)`` over flows with
-    ``R f = injections`` and ``f >= 0``, written ``f = f* - y`` with
-    ``f*`` the max-min flow, feasible and positive on every edge.  In
-    ``y`` this is the interior-point kernel's problem
-    (:func:`~robusttolls.optim._barrier_newton`): weights ``beta/2``,
-    linear term ``-(beta f* + cost)``, circulations ``R y = 0`` and
-    bounds ``y <= f*``, solved from ``y = 0`` within the kernel's Newton
-    budget.  A crossover then lands on the optimal face exactly (Megiddo
-    1991; Ye 1992): edges whose bound multiplier exceeds their flow are
-    pinned at exactly ``0.0``, and one equality KKT solve on the free
-    edges, the weighted Laplacian ``R_F B_F^-1 R_F'`` over the nodes they
-    touch, gives those nodes' potentials and the free flows.  Nodes that
-    no free edge touches keep the kernel's potentials, and the pinned
-    edges' multipliers are read off the potentials.  Raises
-    :class:`ConvergenceError` if the kernel runs out of steps, the face
-    system is singular, or the KKT residual of the result (stationarity,
-    balance, negative flows or multipliers, complementarity) exceeds
-    ``_KKT_TOL`` (scaled by demand).
+    The potential ``sum(0.5 beta f^2 + cost f)`` (``cost = alpha + tau``)
+    over ``R f = injections``, ``f >= 0`` is minimized through its dual in
+    the node potentials ``p`` by :func:`~robusttolls.optim._dual_newton`,
+    with the weighted Laplacians ``R B^-1 R'`` of the used edges as
+    Hessians, from the potentials that use every edge.  ``f = (R' p -
+    cost)_+ / beta`` is exactly ``0.0`` on unused edges.  Raises
+    :class:`ConvergenceError` if ``_POTENTIAL_STEPS`` steps do not finish
+    or the result's KKT residual (stationarity, balance, negative flows or
+    multipliers, complementarity) exceeds ``_KKT_TOL`` (scaled by demand).
     """
     matrix, eta = inc.matrix, inc.injections
     k, m = matrix.shape
-    alpha = np.asarray(alpha, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if alpha.shape != (m,) or tau.shape != (m,):
-        raise ValueError(f"alpha and tau must have length {m}")
+    alpha, tau = _check_cost_vectors(m, alpha, tau)
     cost = alpha + tau
-    beta = lat.beta
-
-    factors = _balance_qr(matrix)
-    span, triangle, _ = factors
-    start = _max_min_flow(inc)
-    y, lam, report = _barrier_newton(0.0, np.zeros(m), 0.5 * beta, -(beta * start + cost),
-                                     factors, start, np.zeros(m))
-    if report.status != STATUS_OPTIMAL:
-        raise ConvergenceError("potential minimization did not converge",
-                               report.iterations, report.gap)
-    barrier_flow = start - y
-    pinned = lam > barrier_flow
-    free = ~pinned
-    # The kernel's balance multipliers: R' p = beta f + cost - lam.
-    potentials = np.linalg.solve(triangle, span.T @ (beta * barrier_flow + cost - lam))
-
-    # Crossover: the equality KKT system on the free edges, over the
-    # nodes they touch (the destination, index k, stays at zero).
+    weights = 1.0 / lat.beta
     tails, heads = _endpoints(inc)
-    touched = np.zeros(k + 1, dtype=bool)
-    touched[tails[free]] = touched[heads[free]] = True
-    nodes = np.flatnonzero(touched[:k])
-    face = matrix[np.ix_(nodes, np.flatnonzero(free))]
-    weighted = face / beta[free]
-    try:
-        potentials[nodes] = np.linalg.solve(weighted @ face.T, eta[nodes] + weighted @ cost[free])
-    except np.linalg.LinAlgError:
-        raise ConvergenceError(f"the optimal face with {int(pinned.sum())} pinned edges is singular",
-                               report.iterations, np.inf) from None
-    drop = matrix.T @ potentials
-    flow = np.zeros(m)
-    flow[free] = (drop[free] - cost[free]) / beta[free]
-    multipliers = np.where(pinned, cost - drop, 0.0)
+    size = k + 1
+    cells = np.concatenate([tails * size + tails, heads * size + heads,
+                            tails * size + heads, heads * size + tails])
 
-    scale = max(1.0, float(np.abs(eta).max(initial=0.0)))
-    residual = max(float(np.abs(beta * flow + cost - drop - multipliers).max(initial=0.0)),
+    def laplacian(d: np.ndarray) -> np.ndarray:
+        # R diag(d) R' edge by edge, without the destination's row and column (node k).
+        full = np.bincount(cells, np.concatenate([d, d, -d, -d]), size * size)
+        return full.reshape(size, size)[:k, :k]
+
+    start = np.linalg.solve(laplacian(weights), eta + matrix @ (weights * cost))
+    flow, potentials, steps, grad_norm = _dual_newton(
+        matrix, lambda face: laplacian(np.where(face, weights, 0.0)), eta, weights, cost, start,
+        _POTENTIAL_STEPS)
+    if flow is None:
+        raise ConvergenceError("potential minimization did not converge", steps, grad_norm)
+    pinned = flow == 0.0
+    drop = matrix.T @ potentials
+    multipliers = np.where(pinned, cost - drop, 0.0)
+    residual = max(float(np.abs(lat.beta * flow + cost - drop - multipliers).max(initial=0.0)),
                    float(np.abs(matrix @ flow - eta).max(initial=0.0)),
                    max(0.0, -float(flow.min(initial=0.0))),
                    max(0.0, -float(multipliers.min(initial=0.0))),
                    float(np.abs(multipliers * flow).max(initial=0.0)))
-    if residual > _KKT_TOL * scale:
+    if residual > _KKT_TOL * max(1.0, float(np.abs(eta).max(initial=0.0))):
         raise ConvergenceError(f"the optimal face with {int(pinned.sum())} pinned edges fails "
-                               "the KKT check", report.iterations, residual)
+                               "the KKT check", steps, residual)
     return NashSolution(flow=flow, node_potentials=potentials, method="potential")
 
 
@@ -287,7 +259,7 @@ def equilibrium_latency_g(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray)
     :func:`nash_flow_closed_form`).  Tolls shift which equilibrium
     arises but are not themselves counted as travel time.
     """
-    alpha, tau = _check_cost_vectors(blocks, alpha, tau)
+    alpha, tau = _check_cost_vectors(blocks.gamma.shape[0], alpha, tau)
     _regime_flow(blocks, alpha + tau)
     q, q0 = latency_decomposition(blocks, tau)
     return float(q @ alpha + q0)

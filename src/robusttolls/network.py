@@ -9,10 +9,9 @@ diagnosis.  :func:`incidence` turns a valid network into the reduced
 node-edge incidence matrix (destination row dropped) and the nodal
 injection vector that the equilibrium layer consumes, and
 :func:`_max_min_flow` the feasible flow whose smallest edge flow is
-largest: the design's robustness ceiling and the equilibrium solver's
-start point.  Nothing here lists paths: everything downstream works on
-the incidence matrix, so the number of source-destination paths,
-exponential in general, never enters.
+largest, the design's robustness ceiling.  Nothing here lists paths:
+everything downstream works on the incidence matrix, so the number of
+source-destination paths, exponential in general, never enters.
 """
 
 from __future__ import annotations

@@ -240,9 +240,9 @@ def test_solve_dro_tolls_starts_inside_on_wide_slope_spreads():
         assert poly.contains(result.tau_star, tol=1e-9 * float(np.abs(poly.rhs).max()))
 
 
-def _twelve_decade_networks(count):
+def _twelve_decade_networks(count, seed=11):
     """Seeded random and layered DAGs with slopes log-uniform on [1e-6, 1e6]."""
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(seed)
     for index in range(count):
         if index % 2:
             net = random_dag_network(rng, 10, 20)
@@ -281,6 +281,38 @@ def test_blocks_and_designs_hold_on_slopes_across_twelve_decades():
     # FOUND line on optim._barrier_newton in CHANGES.md).  Any other stall
     # is a regression.
     assert stalled <= {86}
+
+
+def _twelve_decade_design(seed, index):
+    """Instance ``index`` of the twelve-decade generator, designed at half its ceiling."""
+    for at, (net, beta) in enumerate(_twelve_decade_networks(index + 1, seed)):
+        if at == index:
+            m = net.num_edges
+            blocks = kkt_blocks(incidence(net), LatencyModel(beta))
+            model = DisturbanceModel(mean=np.zeros(m), cov=np.zeros((m, m)), support_radius=0.0)
+            return blocks, model, 0.5 * epsilon_max(blocks, model)[0]
+
+
+def test_twelve_decade_instance_479_of_seed_12_raises_a_typed_error():
+    # A random DAG with 11 edges and slopes 1.1e-6 to 7.2e4: the reduced
+    # Newton matrix is singular in floating point, which surfaced as a
+    # bare LinAlgError ("Singular matrix") and made the CLI exit 1.
+    blocks, model, eps = _twelve_decade_design(12, 479)
+    with pytest.raises(ConvergenceError, match="Newton system of step .* is singular") as info:
+        solve_dro_tolls(blocks, model, eps)
+    assert info.value.iterations >= 1
+    assert info.value.residual == np.inf
+
+
+def test_twelve_decade_instance_86_names_the_dual_residual():
+    # The kernel closes its duality gap on this layered DAG but stalls with
+    # its dual residual above tolerance, so that is the test the error
+    # names, with its value as the residual.
+    blocks, model, eps = _twelve_decade_design(11, 86)
+    with pytest.raises(ConvergenceError, match="relative dual residual .* is above 1e-10") as info:
+        solve_dro_tolls(blocks, model, eps)
+    assert "duality gap" not in str(info.value)
+    assert 1e-10 < info.value.residual < 1e-6
 
 
 def test_round_off_tolls_on_a_degenerate_face_are_exact_zeros():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from randnets import active_set_qp, enumerate_paths, layered_dag_network, random_dag_network
-from robusttolls import equilibrium, optim
+from robusttolls import equilibrium
 from robusttolls.equilibrium import (
     LatencyModel,
     equilibrium_latency_g,
@@ -206,33 +206,38 @@ def test_potential_solver_satisfies_variational_inequality():
 
 
 def test_potential_solver_iteration_budget(monkeypatch):
-    data = incidence(pigou())
-    lat = LatencyModel(PIGOU_BETA)
-    monkeypatch.setattr(optim, "_NEWTON_ITERS", 1)
-    with pytest.raises(ConvergenceError) as info:
-        nash_flow_potential(data, lat, np.array([0.0, 200.0]), np.zeros(2))
+    # Raising the cost of Braess's outer roads takes the dual Newton method
+    # two steps; a budget of one stops it with a typed error.
+    data = incidence(braess())
+    lat = LatencyModel(np.linspace(1.0, 1.5, 5))
+    alpha = np.array([5.0, 0.0, 0.0, 5.0, 0.0])
+    nash_flow_potential(data, lat, alpha, np.zeros(5))
+    monkeypatch.setattr(equilibrium, "_POTENTIAL_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="did not converge") as info:
+        nash_flow_potential(data, lat, alpha, np.zeros(5))
     assert info.value.iterations == 1
+    assert 0.0 < info.value.residual < np.inf
 
 
 @pytest.mark.parametrize("net, alpha, wrong, message", [
     # Pinning Pigou's cheap road leaves it a negative multiplier.
     (pigou(), [20.0, 30.0], [0], "1 pinned edges fails"),
     # Pinning Braess's edges into the destination leaves a face that
-    # never reaches it, so its Laplacian has no grounded node.
-    (braess(), [0.0] * 5, [2, 3], "2 pinned edges is singular"),
+    # never reaches it, so no flow on it balances.
+    (braess(), [0.0] * 5, [2, 3], "2 pinned edges fails"),
 ], ids=["negative-multiplier", "singular"])
 def test_potential_solver_refuses_a_wrong_face(monkeypatch, net, alpha, wrong, message):
-    # The crossover certifies the face it is given; a kernel answer that
-    # points at the wrong one raises instead of returning.
-    solve = equilibrium._barrier_newton
+    # The KKT check certifies the face the dual solve returns; an answer
+    # that points at the wrong one raises instead of returning.
+    solve = equilibrium._dual_newton
 
     def misleading(*args):
-        y, lam, report = solve(*args)
-        lam = lam.copy()
-        lam[wrong] = 1e6
-        return y, lam, report
+        flow, potentials, steps, residual = solve(*args)
+        flow = flow.copy()
+        flow[wrong] = 0.0
+        return flow, potentials, steps, residual
 
-    monkeypatch.setattr(equilibrium, "_barrier_newton", misleading)
+    monkeypatch.setattr(equilibrium, "_dual_newton", misleading)
     data = incidence(net)
     with pytest.raises(ConvergenceError, match=message):
         nash_flow_potential(data, LatencyModel(np.linspace(1.0, 1.5, net.num_edges)),
@@ -339,6 +344,79 @@ def test_potential_solver_matches_active_set_reference():
             touched[tails[~pinned]] = touched[heads[~pinned]] = True
             untouched += int((~touched).sum())
     assert untouched > 0
+
+
+def _six_decade_equilibria(seed, count=150):
+    """Random and layered DAGs with slopes log-uniform over six decades.
+
+    Even instances are layered DAGs with 20 to 119 edges, odd ones small
+    random DAGs.  Constant costs reach about ``median(beta) * demand``
+    (or a hundredth of it), and on half the instances a third of the
+    edges are shifted by that much again, which pins many of them.
+    """
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        if index % 2 == 0:
+            m = int(rng.integers(20, 120))
+            net = layered_dag_network(rng, max(3, 2 * m // 5), m, 10.0 * m)
+        else:
+            net = random_dag_network(rng)
+        m = net.num_edges
+        beta = 10.0 ** rng.uniform(-3.0, 3.0, m)
+        scale = float(np.median(beta)) * net.demand
+        alpha = rng.uniform(0.0, 1.0, m) * scale * rng.choice([0.01, 1.0])
+        if rng.random() < 0.5:
+            hit = rng.choice(m, max(1, m // 3), replace=False)
+            alpha[hit] += scale * rng.uniform(0.5, 1.5, hit.size)
+        yield index, net, beta, alpha
+
+
+def _assert_wardrop_certificate(data, lat, alpha, sol):
+    """Balance, and used edges costing their potential drop with the rest no cheaper."""
+    assert float(np.abs(data.matrix @ sol.flow - data.injections).max()) \
+        <= 1e-8 * float(data.injections.max())
+    assert float(sol.flow.min()) >= 0.0
+    cost = lat.beta * sol.flow + alpha
+    multipliers = cost - data.matrix.T @ sol.node_potentials
+    scale = float(np.abs(cost).max())
+    assert float(np.abs(multipliers[sol.flow > 0.0]).max(initial=0.0)) <= 1e-8 * scale
+    assert float(multipliers.min()) >= -1e-8 * scale
+
+
+def test_potential_solver_certifies_equilibria_across_six_decades():
+    # Every answer is KKT-certified or a typed ConvergenceError.  The
+    # interior-point solve with its crossover picked a wrong face on 15
+    # of these 450 instances; the dual Newton method raises on none.
+    raised = []
+    for seed in (6000, 6001, 6002):
+        for index, net, beta, alpha in _six_decade_equilibria(seed):
+            data = incidence(net)
+            lat = LatencyModel(beta)
+            try:
+                sol = nash_flow_potential(data, lat, alpha, np.zeros(net.num_edges))
+            except ConvergenceError:
+                raised.append((seed, index))
+                continue
+            _assert_wardrop_certificate(data, lat, alpha, sol)
+    assert raised == []
+
+
+def test_potential_solver_finds_the_face_of_six_decade_instance_25():
+    # Seed 6000, instance 25 (a random DAG with 13 edges): the crossover
+    # pinned 7 edges and failed its KKT check (residual 1.261e-2).  The
+    # equilibrium pins 6, as the active-set reference does.
+    for index, net, beta, alpha in _six_decade_equilibria(6000, 26):
+        if index == 25:
+            break
+    data = incidence(net)
+    lat = LatencyModel(beta)
+    tau = np.zeros(net.num_edges)
+    sol = nash_flow_potential(data, lat, alpha, tau)
+    _assert_wardrop_certificate(data, lat, alpha, sol)
+    reference = _active_set_reference(data, lat, alpha, tau)
+    assert int((sol.flow == 0.0).sum()) == 6
+    assert np.array_equal(sol.flow == 0.0, reference == 0.0)
+    assert float(np.abs(sol.flow - reference).max()) <= 1e-9 * float(reference.max())
 
 
 def test_system_latency_single_edge():
