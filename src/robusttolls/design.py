@@ -30,7 +30,7 @@ import numpy as np
 from .equilibrium import KktBlocks, latency_decomposition
 from .exceptions import ConvergenceError, InfeasibleError, NumericalDegeneracyError
 from .network import IncidenceData, _endpoints, _max_min_flow
-from .optim import STATUS_OPTIMAL, _balance_qr, _barrier_newton, _dual_newton
+from .optim import STATUS_OPTIMAL, _barrier_newton, _dual_newton, _null_basis
 from .uncertainty import DisturbanceModel
 
 # An anticipated radius this far past the robustness ceiling still counts
@@ -190,10 +190,9 @@ def _min_norm_toll(null: np.ndarray, toll: np.ndarray) -> np.ndarray:
     """
     m = null.shape[0]
     b = null.T @ toll
-    tau, _, _, residual = _dual_newton(null.T, lambda face: null[face].T @ null[face], b,
-                                       np.ones(m), np.zeros(m), b, _CANONICAL_STEPS)
+    tau, _, steps, residual = _dual_newton(null.T, b, np.ones(m), np.zeros(m), b, _CANONICAL_STEPS)
     if tau is None:
-        raise ConvergenceError("toll canonicalization did not converge", _CANONICAL_STEPS, residual)
+        raise ConvergenceError("toll canonicalization did not converge", steps, residual)
     return tau
 
 
@@ -262,15 +261,14 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
             raise NumericalDegeneracyError(
                 f"the robustness ceiling's certificate has slack {slack:.3e} (ceiling "
                 f"{ceiling:g}), so the design has no interior start point")
-        factors = _balance_qr(blocks.inc.matrix)
-        y, _, report = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean, factors, rhs,
-                                       start)
+        null = _null_basis(blocks.inc.matrix)
+        y, _, report = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean, null, rhs, start)
         if report.status != STATUS_OPTIMAL:
             raise ConvergenceError(f"design solve did not converge: {report.failed}",
                                    report.iterations, report.value)
         iterations, gap = report.iterations, report.gap
         # gamma @ (beta * y) = y for a circulation y, so beta * y is one toll of the family.
-        tau_star = _min_norm_toll(factors[2], blocks.lat.beta * y)
+        tau_star = _min_norm_toll(null, blocks.lat.beta * y)
 
     objective = dro_objective(blocks, model, eps, tau_star)
     q, q0 = latency_decomposition(blocks, tau_star)

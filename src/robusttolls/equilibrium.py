@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, OutOfRegimeError
-from .network import IncidenceData, _endpoints
+from .network import IncidenceData
 from .optim import _dual_newton
 
 # How far below zero (relative to the demand) a closed-form flow may dip
@@ -63,8 +63,9 @@ class KktBlocks:
     square), its spectral norm ``gamma_norm``, plus
     ``c = lam @ injections``, the equilibrium flow when perceived edge
     costs vanish.  ``gamma`` maps a perceived-cost vector to the flow it
-    displaces, so every formula downstream is affine in it.  The
-    incidence and latency data ride along.
+    displaces, which is why every formula downstream is affine in it.
+    The source incidence and latency data ride along so later stages
+    need only this object.
     """
 
     gamma: np.ndarray
@@ -187,24 +188,13 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
     multipliers, complementarity) exceeds ``_KKT_TOL`` (scaled by demand).
     """
     matrix, eta = inc.matrix, inc.injections
-    k, m = matrix.shape
+    m = matrix.shape[1]
     alpha, tau = _check_cost_vectors(m, alpha, tau)
     cost = alpha + tau
     weights = 1.0 / lat.beta
-    tails, heads = _endpoints(inc)
-    size = k + 1
-    cells = np.concatenate([tails * size + tails, heads * size + heads,
-                            tails * size + heads, heads * size + tails])
-
-    def laplacian(d: np.ndarray) -> np.ndarray:
-        # R diag(d) R' edge by edge, without the destination's row and column (node k).
-        full = np.bincount(cells, np.concatenate([d, d, -d, -d]), size * size)
-        return full.reshape(size, size)[:k, :k]
-
-    start = np.linalg.solve(laplacian(weights), eta + matrix @ (weights * cost))
-    flow, potentials, steps, grad_norm = _dual_newton(
-        matrix, lambda face: laplacian(np.where(face, weights, 0.0)), eta, weights, cost, start,
-        _POTENTIAL_STEPS)
+    start = np.linalg.solve((matrix * weights) @ matrix.T, eta + matrix @ (weights * cost))
+    flow, potentials, steps, grad_norm = _dual_newton(matrix, eta, weights, cost, start,
+                                                      _POTENTIAL_STEPS)
     if flow is None:
         raise ConvergenceError("potential minimization did not converge", steps, grad_norm)
     pinned = flow == 0.0

@@ -1,7 +1,7 @@
 """Deterministic dense Newton methods in plain numpy, for small instances.
 
-:func:`_barrier_newton`, an interior-point method in the null-space basis
-of one complete QR (:func:`_balance_qr`), solves the robust design.
+:func:`_barrier_newton`, an interior-point method in a null-space basis
+from one complete QR (:func:`_null_basis`), solves the robust design.
 :func:`_dual_newton`, a semismooth Newton method on the dual of a
 separable quadratic over ``{v >= 0 : A v = b}``, lands on the optimal
 face exactly: the toll canonicalization, and Wardrop equilibria in node
@@ -11,7 +11,6 @@ potentials.  Determinism matters here, not sparse scalability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,25 +41,22 @@ class SolveReport:
     value: float = 0.0
 
 
-def _balance_qr(balance: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Complete QR of ``balance'`` for a full-row-rank ``balance``.
+def _null_basis(balance: np.ndarray) -> np.ndarray:
+    """An orthonormal basis, as columns, of the null space of ``balance``.
 
-    Returns ``(span, triangle, null)``: ``balance' = span @ triangle``
-    with ``triangle`` square upper triangular, and the columns of
-    ``null`` are an orthonormal basis of the null space of ``balance``.
+    ``balance`` must have full row rank; the basis is the trailing
+    columns of the complete QR factor of ``balance'``.
     """
-    q, r = np.linalg.qr(balance.T, mode="complete")
-    k = balance.shape[0]
-    return q[:, :k], r[:k], q[:, k:]
+    return np.linalg.qr(balance.T, mode="complete")[0][:, balance.shape[0]:]
 
 
 def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np.ndarray,
-                    factors: tuple[np.ndarray, np.ndarray, np.ndarray], upper: np.ndarray,
+                    basis: np.ndarray, upper: np.ndarray,
                     start: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Minimize ``eps*||y + offset|| + sum(weights*y**2) + lin @ y`` on a polyhedron.
 
     The feasible set is ``{y : balance @ y = 0, y <= upper}``, where
-    ``factors`` is :func:`_balance_qr` of ``balance``.  This is a
+    ``basis`` is :func:`_null_basis` of ``balance``.  This is a
     primal-dual interior-point method (Boyd & Vandenberghe, *Convex
     Optimization*, sec. 11.7) with one multiplier per bound and a
     backtracking search on the residual norm.  There is no epigraph
@@ -84,7 +80,6 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     upper = np.asarray(upper, dtype=float)
     m = upper.shape[0]
     offset, weights, lin, start = (np.asarray(v, dtype=float) for v in (offset, weights, lin, start))
-    basis = factors[2]
     if basis.shape[0] != m or any(v.shape != (m,) for v in (offset, weights, lin, start)):
         raise ValueError("offset, weights, lin, start and the balance rows must have the length of upper")
     y = basis @ (basis.T @ start)
@@ -164,16 +159,15 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     return y, lam, SolveReport(status, it, gap, failed, value)
 
 
-def _dual_newton(matrix: np.ndarray, gram: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
-                 weights: np.ndarray, cost: np.ndarray, x: np.ndarray,
-                 steps: int) -> tuple[np.ndarray | None, np.ndarray, int, float]:
+def _dual_newton(matrix: np.ndarray, b: np.ndarray, weights: np.ndarray, cost: np.ndarray,
+                 x: np.ndarray, steps: int) -> tuple[np.ndarray | None, np.ndarray, int, float]:
     """Maximize ``b'x - sum(weights * ((matrix' x - cost)_+)**2) / 2`` from ``x``.
 
     That is the dual of ``min sum(v**2 / weights) / 2 + cost @ v`` over
     ``v >= 0`` with ``matrix @ v = b``, and ``v = weights * (matrix' x -
     cost)_+``.  Damped semismooth Newton (Qi & Sun 2006; Hintermueller,
     Ito & Kunisch 2002): on the face ``P = {matrix' x > cost}`` the step
-    solves ``(gram(P) + rho D) d = gradient``, with ``gram(P) = matrix
+    solves ``(H(P) + rho D) d = gradient``, with ``H(P) = matrix
     diag(weights on P) matrix'``, ``D`` the diagonal of ``matrix
     diag(weights) matrix'`` and ``rho = 1e-4 min(1, |gradient| / |b|)``
     (0.01 took up to 283 steps on six-decade slopes); an exact line search
@@ -199,7 +193,7 @@ def _dual_newton(matrix: np.ndarray, gram: Callable[[np.ndarray], np.ndarray], b
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= m * _EPS * float(np.abs(weights * u).max(initial=0.0)):
             return on_face(u, face)[0], x, it, grad_norm
-        hess = gram(face)
+        hess = (matrix[:, face] * weights[face]) @ matrix[:, face].T
         try:
             step = np.linalg.solve(hess + np.diag(1e-4 * min(1.0, grad_norm / b_norm) * damping),
                                    grad)

@@ -6,14 +6,10 @@ import pathlib
 import numpy as np
 import pytest
 from randnets import random_instance
-from test_design import _twelve_decade_networks
+from test_design import _twelve_decade_design
 
 import robusttolls
 from robusttolls.cli import main
-from robusttolls.design import epsilon_max
-from robusttolls.equilibrium import LatencyModel, kkt_blocks
-from robusttolls.network import incidence
-from robusttolls.uncertainty import DisturbanceModel
 
 DATA = pathlib.Path(robusttolls.__file__).parent / "data"
 NETWORK = str(DATA / "pigou_network.json")
@@ -213,15 +209,12 @@ def test_design_radius_above_ceiling_exits_one(capsys):
 def test_design_exits_three_on_a_singular_newton_system(tmp_path, capsys):
     # Instance 479 of the seed-12 twelve-decade designs: the kernel's
     # Newton system is singular, a typed solver failure (exit 3).
-    net, beta = list(_twelve_decade_networks(480, 12))[479]
+    net, blocks, _, eps = _twelve_decade_design(12, 479)
     m = net.num_edges
-    blocks = kkt_blocks(incidence(net), LatencyModel(beta))
-    model = DisturbanceModel(mean=np.zeros(m), cov=np.zeros((m, m)), support_radius=0.0)
-    eps = 0.5 * epsilon_max(blocks, model)[0]
     (tmp_path / "net.json").write_text(json.dumps({
         "nodes": list(net.node_ids),
         "edges": [{"id": e.id, "from": net.node_ids[e.tail], "to": net.node_ids[e.head],
-                   "beta": float(b)} for e, b in zip(net.edges, beta)],
+                   "beta": float(b)} for e, b in zip(net.edges, blocks.lat.beta)],
         "source": net.node_ids[0], "destination": net.node_ids[-1], "demand": net.demand}))
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({

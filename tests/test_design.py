@@ -19,7 +19,7 @@ from robusttolls.design import (
 from robusttolls.equilibrium import LatencyModel, equilibrium_latency_g, kkt_blocks
 from robusttolls.exceptions import ConvergenceError, InfeasibleError
 from robusttolls.network import Edge, Network, incidence
-from robusttolls.optim import STATUS_OPTIMAL, _balance_qr
+from robusttolls.optim import STATUS_OPTIMAL, _null_basis
 from robusttolls.uncertainty import DisturbanceModel, worst_case_mean
 from test_equilibrium import pigou_blocks
 
@@ -284,20 +284,23 @@ def test_blocks_and_designs_hold_on_slopes_across_twelve_decades():
 
 
 def _twelve_decade_design(seed, index):
-    """Instance ``index`` of the twelve-decade generator, designed at half its ceiling."""
+    """Instance ``index`` of the twelve-decade generator, designed at half its ceiling.
+
+    Returns the network with its blocks, a zero disturbance model and the radius.
+    """
     for at, (net, beta) in enumerate(_twelve_decade_networks(index + 1, seed)):
         if at == index:
             m = net.num_edges
             blocks = kkt_blocks(incidence(net), LatencyModel(beta))
             model = DisturbanceModel(mean=np.zeros(m), cov=np.zeros((m, m)), support_radius=0.0)
-            return blocks, model, 0.5 * epsilon_max(blocks, model)[0]
+            return net, blocks, model, 0.5 * epsilon_max(blocks, model)[0]
 
 
 def test_twelve_decade_instance_479_of_seed_12_raises_a_typed_error():
     # A random DAG with 11 edges and slopes 1.1e-6 to 7.2e4: the reduced
     # Newton matrix is singular in floating point, which surfaced as a
     # bare LinAlgError ("Singular matrix") and made the CLI exit 1.
-    blocks, model, eps = _twelve_decade_design(12, 479)
+    _, blocks, model, eps = _twelve_decade_design(12, 479)
     with pytest.raises(ConvergenceError, match="Newton system of step .* is singular") as info:
         solve_dro_tolls(blocks, model, eps)
     assert info.value.iterations >= 1
@@ -308,7 +311,7 @@ def test_twelve_decade_instance_86_names_the_dual_residual():
     # The kernel closes its duality gap on this layered DAG but stalls with
     # its dual residual above tolerance, so that is the test the error
     # names, with its value as the residual.
-    blocks, model, eps = _twelve_decade_design(11, 86)
+    _, blocks, model, eps = _twelve_decade_design(11, 86)
     with pytest.raises(ConvergenceError, match="relative dual residual .* is above 1e-10") as info:
         solve_dro_tolls(blocks, model, eps)
     assert "duality gap" not in str(info.value)
@@ -421,7 +424,7 @@ def test_min_norm_toll_carries_its_certificate():
     rng = np.random.default_rng(99)
     for blocks, _ in _canonicalization_cases():
         matrix, beta = blocks.inc.matrix, blocks.lat.beta
-        null = _balance_qr(matrix)[2]
+        null = _null_basis(matrix)
         for _ in range(3):
             y = null @ rng.normal(size=null.shape[1]) * float(rng.uniform(0.1, 10.0))
             tau = _min_norm_toll(null, beta * y)

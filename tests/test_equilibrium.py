@@ -219,23 +219,26 @@ def test_potential_solver_iteration_budget(monkeypatch):
     assert 0.0 < info.value.residual < np.inf
 
 
-@pytest.mark.parametrize("net, alpha, wrong, message", [
-    # Pinning Pigou's cheap road leaves it a negative multiplier.
-    (pigou(), [20.0, 30.0], [0], "1 pinned edges fails"),
+@pytest.mark.parametrize("net, alpha, mislead, message", [
+    # All of Pigou's demand on the dear road, at its cost of 1.5 * 100 + 30,
+    # balances and is stationary, but leaves the cheap road pinned with a
+    # negative multiplier (20 - 180).
+    (pigou(), [20.0, 30.0], lambda flow, potentials: ([0.0, 100.0], [180.0]),
+     "1 pinned edges fails"),
     # Pinning Braess's edges into the destination leaves a face that
     # never reaches it, so no flow on it balances.
-    (braess(), [0.0] * 5, [2, 3], "2 pinned edges fails"),
+    (braess(), [0.0] * 5, lambda flow, potentials: (flow * [1, 1, 0, 0, 1], potentials),
+     "2 pinned edges fails"),
 ], ids=["negative-multiplier", "singular"])
-def test_potential_solver_refuses_a_wrong_face(monkeypatch, net, alpha, wrong, message):
+def test_potential_solver_refuses_a_wrong_face(monkeypatch, net, alpha, mislead, message):
     # The KKT check certifies the face the dual solve returns; an answer
     # that points at the wrong one raises instead of returning.
     solve = equilibrium._dual_newton
 
     def misleading(*args):
         flow, potentials, steps, residual = solve(*args)
-        flow = flow.copy()
-        flow[wrong] = 0.0
-        return flow, potentials, steps, residual
+        flow, potentials = mislead(flow, potentials)
+        return np.array(flow, dtype=float), np.array(potentials, dtype=float), steps, residual
 
     monkeypatch.setattr(equilibrium, "_dual_newton", misleading)
     data = incidence(net)

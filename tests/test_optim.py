@@ -11,8 +11,8 @@ from robusttolls.exceptions import ConvergenceError
 from robusttolls.optim import (
     STATUS_ITERATION_CAP,
     STATUS_OPTIMAL,
-    _balance_qr,
     _barrier_newton,
+    _null_basis,
 )
 
 
@@ -29,7 +29,7 @@ def _kernel_lp(cost, rows, rhs, start, lower=None):
     w = lower - start
     y, _, report = _barrier_newton(0.0, np.zeros(n + k), np.zeros(n + k),
                                    np.concatenate([cost, np.zeros(k)]),
-                                   _balance_qr(np.hstack([rows, np.eye(k)])),
+                                   _null_basis(np.hstack([rows, np.eye(k)])),
                                    np.concatenate([np.zeros(n), rhs - rows @ lower]),
                                    np.concatenate([w, -rows @ w]))
     return lower - y[:n], report
@@ -77,10 +77,10 @@ def test_lp_iteration_cap(monkeypatch):
 def test_lp_shape_validation():
     with pytest.raises(ValueError):
         _barrier_newton(0.0, np.zeros(2), np.zeros(2), np.array([1.0]),
-                        _balance_qr(np.array([[1.0, 1.0]])), np.ones(2), np.zeros(2))
+                        _null_basis(np.array([[1.0, 1.0]])), np.ones(2), np.zeros(2))
     with pytest.raises(ValueError):
         _barrier_newton(0.0, np.zeros(2), np.zeros(2), np.zeros(2),
-                        _balance_qr(np.array([[1.0, 1.0, 1.0]])), np.ones(2), np.zeros(2))
+                        _null_basis(np.array([[1.0, 1.0, 1.0]])), np.ones(2), np.zeros(2))
 
 
 def test_lp_matches_vertex_enumeration():
@@ -182,7 +182,7 @@ def test_projection_known_answer():
     # eps = 1, offset = -p and nothing else leaves the distance to p.
     # Projecting (3, 1) onto {y1 = y2, y <= 1} gives (1, 1).
     y, _, report = _barrier_newton(1.0, np.array([-3.0, -1.0]), np.zeros(2), np.zeros(2),
-                                   _balance_qr(np.array([[1.0, -1.0]])), np.ones(2), np.zeros(2))
+                                   _null_basis(np.array([[1.0, -1.0]])), np.ones(2), np.zeros(2))
     assert report.status == STATUS_OPTIMAL
     assert y == pytest.approx([1.0, 1.0], abs=1e-8)
 
@@ -194,7 +194,7 @@ def test_projection_variational_inequality():
         balance, upper, anchor, _ = _circulation_instance(rng, n, int(rng.integers(1, n)))
         target = rng.normal(size=n) * 4.0
         proj, _, report = _barrier_newton(1.0, -target, np.zeros(n), np.zeros(n),
-                                          _balance_qr(balance), upper, anchor)
+                                          _null_basis(balance), upper, anchor)
         assert report.status == STATUS_OPTIMAL
         assert float(np.max(proj - upper)) <= 1e-12
         assert float(np.abs(balance @ proj).max()) <= 1e-12
@@ -214,7 +214,7 @@ def test_composite_reduces_to_projection():
         n = int(rng.integers(2, 5))
         balance, upper, anchor, basis = _circulation_instance(rng, n, 1)
         p = rng.normal(size=n) * 3.0
-        x, _, report = _barrier_newton(1.0, -p, np.zeros(n), np.zeros(n), _balance_qr(balance),
+        x, _, report = _barrier_newton(1.0, -p, np.zeros(n), np.zeros(n), _null_basis(balance),
                                        upper, anchor)
         z = brute_force_qp(2.0 * basis.T @ basis, -2.0 * basis.T @ p, basis, upper)
         dist = float(np.linalg.norm(basis @ z - p))
@@ -229,7 +229,7 @@ def test_composite_pure_quadratic_matches_enumeration():
         balance, upper, anchor, basis = _circulation_instance(rng, n, int(rng.integers(0, n)))
         weights = rng.uniform(0.1, 3.0, n)
         lin = rng.normal(size=n) * 2.0
-        x, _, report = _barrier_newton(0.0, np.zeros(n), weights, lin, _balance_qr(balance),
+        x, _, report = _barrier_newton(0.0, np.zeros(n), weights, lin, _null_basis(balance),
                                        upper, anchor)
         # The kernel minimizes sum(w y^2) + g'y; the subset oracle uses
         # (1/2)z'Hz + g'z, so H = 2 N'WN in null-space coordinates.
@@ -246,7 +246,7 @@ def test_composite_linear_matches_lp():
     # eps = 0 and no quadratic term is a plain LP: maximize y1 subject to
     # y1 + y2 = 0 and y <= (2, 3), whose optimum is the vertex (2, -2).
     x, _, report = _barrier_newton(0.0, np.zeros(2), np.zeros(2), np.array([-1.0, 0.0]),
-                                   _balance_qr(np.array([[1.0, 1.0]])), np.array([2.0, 3.0]),
+                                   _null_basis(np.array([[1.0, 1.0]])), np.array([2.0, 3.0]),
                                    np.zeros(2))
     assert report.status == STATUS_OPTIMAL
     assert x == pytest.approx([2.0, -2.0], abs=1e-9)
@@ -254,7 +254,7 @@ def test_composite_linear_matches_lp():
 
 def test_composite_rejects_negative_eps():
     with pytest.raises(ValueError):
-        _barrier_newton(-1.0, np.ones(1), np.zeros(1), np.zeros(1), _balance_qr(np.zeros((0, 1))),
+        _barrier_newton(-1.0, np.ones(1), np.zeros(1), np.zeros(1), _null_basis(np.zeros((0, 1))),
                         np.ones(1), np.zeros(1))
 
 
@@ -262,7 +262,7 @@ def test_composite_infeasible_polytope():
     # y1 + y2 = 0 with both below -1 is empty, so no start can be strict.
     with pytest.raises(ValueError):
         _barrier_newton(1.0, np.ones(2), np.zeros(2), np.zeros(2),
-                        _balance_qr(np.array([[1.0, 1.0]])), -np.ones(2), np.zeros(2))
+                        _null_basis(np.array([[1.0, 1.0]])), -np.ones(2), np.zeros(2))
 
 
 def test_projection_infeasible_raises():
@@ -271,13 +271,13 @@ def test_projection_infeasible_raises():
     # refuses it.
     with pytest.raises(ValueError):
         _barrier_newton(1.0, np.zeros(2), np.zeros(2), np.zeros(2),
-                        _balance_qr(np.array([[1.0, 1.0]])), np.array([-1.0, 0.0]), np.zeros(2))
+                        _null_basis(np.array([[1.0, 1.0]])), np.array([-1.0, 0.0]), np.zeros(2))
 
 
 def test_composite_iteration_cap_reports_its_state(monkeypatch):
     monkeypatch.setattr(optim, "_NEWTON_ITERS", 2)
     _, _, report = _barrier_newton(0.0, np.zeros(2), np.ones(2), np.array([-1.0, 0.0]),
-                                   _balance_qr(np.array([[1.0, 1.0]])), np.array([2.0, 3.0]),
+                                   _null_basis(np.array([[1.0, 1.0]])), np.array([2.0, 3.0]),
                                    np.zeros(2))
     assert report.status == STATUS_ITERATION_CAP
     assert report.iterations == 2
