@@ -8,7 +8,10 @@ radii (the adversary row): for each anticipated radius it designs tolls
 once, then for each actual radius it simulates disturbances from the
 worst-case mean shift at that radius and compares the Monte Carlo
 latency average against the closed-form expectation.  Each cell streams
-its draws in blocks into running moments, and the cells run concurrently,
+its draws in blocks of unit-ball pieces (directions, their norms and
+radius factors), projects each block straight onto the cell's latency
+slope without forming the ball points, and merges the projections into
+running moments.  The cells run concurrently,
 one thread per usable CPU at most; every cell is computed whole by one
 thread from its own seed, so the results do not depend on the number of
 threads.
@@ -66,6 +69,11 @@ class ExperimentGrid:
         return self.cells[i * len(self.grid) + j]
 
 
+def _is_whole(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy integer (and not a bool)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     """Load a scenario JSON file, resolving its network and disturbance.
 
@@ -82,8 +90,12 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     moments are estimated from the residuals.  Relative paths resolve
     against the scenario file's directory.  Schema problems raise
     :class:`FileFormatError` naming the file at fault: the scenario, or
-    the network or sample file it points to.
+    the network or sample file it points to.  ``seed_override`` replaces
+    the file's seed; one that is not a nonnegative integer raises
+    ``ValueError`` naming it.
     """
+    if seed_override is not None and (not _is_whole(seed_override) or seed_override < 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed_override!r}")
     raw = _read_json(path, "scenario")
     where = f"scenario file {path}"
     _require(isinstance(raw, dict), where, "must hold a JSON object")
@@ -124,7 +136,8 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     grid = tuple(float(v) for v in grid)
     _require(type(raw["mc_samples"]) is int and raw["mc_samples"] >= 1, where,
              "'mc_samples' must be a positive integer")
-    _require(type(raw["seed"]) is int, where, "'seed' must be an integer")
+    _require(type(raw["seed"]) is int and raw["seed"] >= 0, where,
+             "'seed' must be a nonnegative integer")
     seed = int(raw["seed"]) if seed_override is None else int(seed_override)
     return Scenario(network=net, lat=lat, model=model, grid=grid,
                     mc_samples=int(raw["mc_samples"]), seed=seed)
@@ -142,32 +155,43 @@ def _cell_moments(center: np.ndarray, delta: float, q: np.ndarray, q0: float,
                   count: int, seed: tuple[int, ...]) -> tuple[float, float]:
     """Mean and standard error of ``q @ draw + q0`` over one cell's ball draws.
 
-    The draws arrive in blocks; each block's count, mean and sum of
+    A draw is ``center + delta * z`` with ``z = scale * direction / norm``
+    a point of the unit ball, so its value is ``(q @ center + q0) + delta
+    * (q @ z)``: each block of unit-ball pieces from :func:`_ball_blocks`
+    is projected onto ``q`` as ``scale * (direction @ q) / norm``, and no
+    draw is ever formed.  The moments of ``q @ z`` are kept, then shifted
+    and scaled once at the end.  Each block's count, mean and sum of
     squared deviations are merged into the running ones with the
     pairwise update of Chan, Golub & LeVeque (1983), so no array of
     ``count`` values is ever held.
     """
+    base = float(center @ q) + q0
     seen, mean, squares = 0, 0.0, 0.0
-    for points in _ball_blocks(center, delta, count, seed):
-        values = points @ q + q0
-        block_mean = float(values.mean())
-        deviations = values - block_mean
-        block_squares = float(deviations @ deviations)
+    for direction, norms, scale in _ball_blocks(center.shape[0], count, seed):
+        values = direction @ q
+        values /= norms
+        values *= scale
         take = values.shape[0]
+        block_mean = float(values.sum()) / take
+        values -= block_mean
+        block_squares = float(values @ values)
         total = seen + take
         shift = block_mean - mean
         mean += shift * take / total
         squares += block_squares + shift * shift * seen * take / total
         seen = total
     spread = float(np.sqrt(squares / (count - 1))) if count > 1 else 0.0
-    return mean, spread / float(np.sqrt(count))
+    return base + delta * mean, delta * spread / float(np.sqrt(count))
 
 
 def run_experiment(scenario: Scenario) -> ExperimentGrid:
     """Design tolls per anticipated radius and Monte Carlo the whole grid.
 
-    Every grid value is checked against the robustness ceiling before any
-    design or simulation work starts.  Cell (i, j) draws
+    Before any design or simulation work starts, ``ValueError`` refuses a
+    grid radius that is negative or not finite, an ``mc_samples`` that is
+    not a positive integer and a ``seed`` that is not a nonnegative
+    integer, and every grid value is checked against the robustness
+    ceiling.  Cell (i, j) draws
     ``mc_samples`` disturbances uniformly from the support ball centered
     at the worst-case mean for actual radius ``grid[i]`` under the tolls
     designed for anticipated radius ``grid[j]``, streams them through the
@@ -182,17 +206,21 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
 
     The stream for each cell is seeded by ``(seed, i, j)``, so cells are
     reproducible in isolation and the full table is byte-stable across
-    runs.  Draws are streamed block by block into running moments, never
-    held whole, and the cells run concurrently on up to one thread per
-    usable CPU; each cell is computed by one thread in a fixed order, so
-    the results do not depend on the number of threads.
+    runs.  Each cell's draws are projected onto its latency slope block
+    by block, without forming ball points, and merged into running
+    moments, never held whole.  The cells run concurrently on up to one
+    thread per usable CPU; each cell is computed by one thread in a fixed
+    order, so the results do not depend on the number of threads.
     """
+    if not all(0.0 <= e < np.inf for e in scenario.grid):
+        raise ValueError("grid radii must be finite and nonnegative")
+    if not _is_whole(scenario.mc_samples) or scenario.mc_samples < 1:
+        raise ValueError(f"mc_samples must be a positive integer, got {scenario.mc_samples!r}")
+    if not _is_whole(scenario.seed) or scenario.seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {scenario.seed!r}")
     inc = incidence(scenario.network)
     blocks = kkt_blocks(inc, scenario.lat)
     model = scenario.model
-
-    if not all(0.0 <= e < np.inf for e in scenario.grid):
-        raise ValueError("grid radii must be finite and nonnegative")
     ceiling, _ = epsilon_max(blocks, model)
     too_big = [e for e in scenario.grid if e > ceiling + _CEILING_SLACK]
     if too_big:

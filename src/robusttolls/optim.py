@@ -189,28 +189,35 @@ def _dual_newton(matrix: np.ndarray, b: np.ndarray, weights: np.ndarray, cost: n
     for it in range(steps):
         u = matrix.T @ x - cost
         face = u > 0.0
-        grad = b - matrix @ np.where(face, weights * u, 0.0)
+        weighted = weights * u
+        grad = b - matrix @ np.where(face, weighted, 0.0)
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= m * _EPS * float(np.abs(weights * u).max(initial=0.0)):
+        if grad_norm <= m * _EPS * float(np.abs(weighted).max(initial=0.0)):
             return on_face(u, face)[0], x, it, grad_norm
         hess = (matrix[:, face] * weights[face]) @ matrix[:, face].T
+        damped = hess.copy()
+        damped.flat[::damped.shape[0] + 1] += 1e-4 * min(1.0, grad_norm / b_norm) * damping
         try:
-            step = np.linalg.solve(hess + np.diag(1e-4 * min(1.0, grad_norm / b_norm) * damping),
-                                   grad)
+            step = np.linalg.solve(damped, grad)
         except np.linalg.LinAlgError:
             return None, x, it, grad_norm  # the damping is lost to round-off
         if np.array_equal(matrix.T @ (x + step) - cost > 0.0, face):
             rows = np.diagonal(hess) > 0.0
-            exact = x.copy()
+            every_row = rows.all()
             rhs = b + matrix @ np.where(face, weights * cost, 0.0)
             try:
-                exact[rows] = np.linalg.solve(hess[np.ix_(rows, rows)], rhs[rows])
+                if every_row:
+                    exact = np.linalg.solve(hess, rhs)
+                else:
+                    exact = x.copy()
+                    exact[rows] = np.linalg.solve(hess[np.ix_(rows, rows)], rhs[rows])
             except np.linalg.LinAlgError:
                 pass  # the face leaves a direction free; keep stepping
             else:
                 exact_u = matrix.T @ exact - cost
                 v, roundoff = on_face(exact_u, face)
-                if (not b[~rows].any() and exact_u[face].min(initial=0.0) >= -roundoff
+                if ((every_row or not b[~rows].any())
+                        and exact_u[face].min(initial=0.0) >= -roundoff
                         and exact_u[~face].max(initial=0.0) <= roundoff):
                     return v, exact, it + 1, grad_norm
         x = x + _dual_line_max(root * u, root * (matrix.T @ step), float(b @ step)) * step

@@ -15,8 +15,11 @@ terms vanish and only the mean shift appears here; no distance is ever
 computed.
 
 Uniform draws from the support ball come in seeded blocks of 4096
-(:func:`sample_uniform_ball`).  The experiment harness streams the same
-blocks, each cell whole on one thread, so its cells see the same points
+(:func:`sample_uniform_ball`).  One generator, :func:`_ball_blocks`,
+yields each block's unit-ball pieces (Gaussian directions, their norms
+and radius factors): :func:`sample_uniform_ball` assembles points from
+them, and the experiment harness projects them straight onto a latency
+slope, each cell whole on one thread, so its cells see the same draws
 whatever the number of threads.
 """
 
@@ -184,30 +187,26 @@ def _row_norms(direction: np.ndarray) -> np.ndarray:
     return np.sqrt(squares)
 
 
-def _ball_blocks(center: np.ndarray, radius: float, count: int,
-                 seed: int | tuple[int, ...]) -> Iterator[np.ndarray]:
-    """The rows of :func:`sample_uniform_ball`, one block of at most 4096 at a time.
+def _ball_blocks(n: int, count: int, seed: int | tuple[int, ...]
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The unit-ball pieces of :func:`sample_uniform_ball`'s rows, at most 4096 at a time.
 
-    Block ``b`` draws 4096 Gaussian directions, then 4096 uniform radii,
-    from ``SeedSequence(entropy=seed, spawn_key=(b,))``; the last block
-    yields only the rows still wanted.  Each yielded ``(rows, n)`` array is
-    ``center + direction / norm * radius``, computed on a transposed copy
-    with one contiguous row per coordinate (the same operations on every
-    entry, so the same bits).  Arguments are not checked here.
+    Block ``b`` draws 4096 Gaussian directions in ``n`` dimensions, then
+    4096 uniforms ``U``, from ``SeedSequence(entropy=seed, spawn_key=(b,))``;
+    the last block keeps only the rows still wanted.  Each block yields
+    ``(direction, norms, scale)``: the ``(rows, n)`` directions, their
+    Euclidean norms (1.0 where a norm is below 1e-300) and ``U**(1/n)``.
+    Row ``r`` of the unit ball is ``direction[r] / norms[r] * scale[r]``;
+    nothing here forms it.  Arguments are not checked here.
     """
-    n = center.shape[0]
     for block, start in enumerate(range(0, count, _BALL_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
         direction = rng.standard_normal((_BALL_BLOCK, n))
         take = min(_BALL_BLOCK, count - start)
-        radii = radius * rng.random(_BALL_BLOCK)[:take] ** (1.0 / n)
+        scale = rng.random(_BALL_BLOCK)[:take] ** (1.0 / n)
         norms = _row_norms(direction[:take])
         norms[norms < 1e-300] = 1.0
-        columns = direction[:take].T.copy()
-        columns /= norms
-        columns *= radii
-        columns += center[:, None]
-        yield columns.T
+        yield direction[:take], norms, scale
 
 
 def sample_uniform_ball(center: np.ndarray, radius: float, count: int,
@@ -219,11 +218,13 @@ def sample_uniform_ball(center: np.ndarray, radius: float, count: int,
     each from its own ``SeedSequence(entropy=seed, spawn_key=(block,))``
     stream, so a given seed always produces the same records no matter
     how many are requested (prefixes agree) and cells of a larger
-    experiment can be generated independently.  The experiment harness
-    streams the same blocks (:func:`_ball_blocks`) without collecting
-    them, so its cells see exactly these points.  Raises ``ValueError``
-    unless ``center`` is a finite nonempty vector, ``radius`` finite and
-    nonnegative and ``count`` nonnegative.
+    experiment can be generated independently.  The blocks come from
+    :func:`_ball_blocks`, and each point ``center + direction / norm *
+    radius`` is assembled on a transposed copy with one contiguous row
+    per coordinate.  The experiment harness projects the same blocks
+    onto a latency slope without forming these points.  Raises
+    ``ValueError`` unless ``center`` is a finite nonempty vector,
+    ``radius`` finite and nonnegative and ``count`` nonnegative.
     """
     center = np.asarray(center, dtype=float)
     if center.ndim != 1 or center.size == 0 or not np.isfinite(center).all():
@@ -233,8 +234,13 @@ def sample_uniform_ball(center: np.ndarray, radius: float, count: int,
     if count < 0:
         raise ValueError("count must be nonnegative")
     out = np.empty((count, center.shape[0]))
-    for start, points in zip(range(0, count, _BALL_BLOCK), _ball_blocks(center, radius, count, seed)):
-        out[start:start + points.shape[0]] = points
+    blocks = _ball_blocks(center.shape[0], count, seed)
+    for start, (direction, norms, scale) in zip(range(0, count, _BALL_BLOCK), blocks):
+        columns = direction.T.copy()
+        columns /= norms
+        columns *= radius * scale
+        columns += center[:, None]
+        out[start:start + norms.shape[0]] = columns.T
     return out
 
 

@@ -290,6 +290,19 @@ def test_experiment_seed_override_changes_estimates(tmp_path, capsys):
         assert a[2] != b[2]
 
 
+def test_experiment_refuses_negative_seeds(tmp_path, capsys):
+    # A negative seed in the file is a schema error naming the file (exit 2).
+    scenario = small_scenario_file(tmp_path, seed=-3)
+    code, out, err = run(capsys, "experiment", "--scenario", scenario, "--format", "csv")
+    assert (code, out) == (2, "")
+    assert scenario in err and "'seed' must be a nonnegative integer" in err
+    # A negative override is a bad argument naming the seed (exit 1).
+    scenario = small_scenario_file(tmp_path)
+    code, out, err = run(capsys, "experiment", "--scenario", scenario, "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert "seed must be a nonnegative integer, got -1" in err
+
+
 def test_experiment_json_structure(tmp_path, capsys):
     scenario = small_scenario_file(tmp_path)
     code, out, _ = run(capsys, "experiment", "--scenario", scenario, "--format", "json")

@@ -6,17 +6,17 @@ import threading
 
 import numpy as np
 import pytest
-from randnets import random_instance
+from randnets import layered_dag_network, random_instance
 
 import robusttolls
 from robusttolls import harness
 from robusttolls.cli import _experiment_csv
-from robusttolls.design import solve_dro_tolls
-from robusttolls.equilibrium import kkt_blocks, latency_decomposition
+from robusttolls.design import epsilon_max, solve_dro_tolls
+from robusttolls.equilibrium import LatencyModel, kkt_blocks, latency_decomposition
 from robusttolls.exceptions import FileFormatError, InfeasibleError, OutOfRegimeError
 from robusttolls.harness import ExperimentGrid, Scenario, load_scenario, run_experiment
 from robusttolls.network import incidence
-from robusttolls.uncertainty import sample_uniform_ball, worst_case_mean
+from robusttolls.uncertainty import DisturbanceModel, sample_uniform_ball, worst_case_mean
 
 DATA = pathlib.Path(robusttolls.__file__).parent / "data"
 BUNDLED_SCENARIO = str(DATA / "pigou_scenario.json")
@@ -170,10 +170,30 @@ def test_run_experiment_deterministic_and_seed_sensitive():
     assert all(a.expectation == b.expectation for a, b in zip(first.cells, other.cells))
 
 
-@pytest.mark.parametrize("mc_samples", [1, 2, 4096, 4097, 10_000])
-def test_run_experiment_cells_are_moments_of_the_sampler_draws(mc_samples):
+def layered_scenario(mc_samples: int, seed: int = 2026) -> Scenario:
+    """A layered DAG with 6 nodes and 12 edges, gridded at 0 and half its ceiling."""
+    rng = np.random.default_rng(seed)
+    net = layered_dag_network(rng, 6, 12, 120.0)
+    lat = LatencyModel(rng.uniform(0.5, 2.0, 12))
+    model = DisturbanceModel(mean=rng.uniform(10.0, 30.0, 12), cov=np.zeros((12, 12)),
+                             support_radius=0.2)
+    ceiling, _ = epsilon_max(kkt_blocks(incidence(net), lat), model)
+    return Scenario(network=net, lat=lat, model=model, grid=(0.0, 0.5 * ceiling),
+                    mc_samples=mc_samples, seed=seed)
+
+
+@pytest.mark.parametrize("mc_samples, layered", [
+    *(pytest.param(count, False, id=str(count)) for count in (1, 2, 4096, 4097, 10_000)),
+    # Twelve edges: the row norms go through np.linalg.norm (from eight
+    # coordinates on) and the projection through a matrix-vector product.
+    pytest.param(4097, True, id="m12-4097"),
+])
+def test_run_experiment_cells_are_moments_of_the_sampler_draws(mc_samples, layered):
     # The streamed moments equal the two-pass ones over the whole draw array.
-    scenario = small_scenario(load_scenario(BUNDLED_SCENARIO), mc_samples=mc_samples)
+    if layered:
+        scenario = layered_scenario(mc_samples)
+    else:
+        scenario = small_scenario(load_scenario(BUNDLED_SCENARIO), mc_samples=mc_samples)
     blocks = kkt_blocks(incidence(scenario.network), scenario.lat)
     grid = run_experiment(scenario)
     for i, eps in enumerate(grid.grid):
@@ -222,10 +242,10 @@ def test_run_experiment_reraises_a_worker_exception(monkeypatch):
     scenario = small_scenario(load_scenario(BUNDLED_SCENARIO), mc_samples=10)
     ball_blocks = harness._ball_blocks
 
-    def failing(center, radius, count, seed):
+    def failing(n, count, seed):
         if seed[1:] == (1, 0):
             raise ArithmeticError("cell (1, 0) failed")
-        return ball_blocks(center, radius, count, seed)
+        return ball_blocks(n, count, seed)
 
     monkeypatch.setattr(harness, "_ball_blocks", failing)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
@@ -270,6 +290,32 @@ def test_run_experiment_rejects_bad_grids():
     with pytest.raises(InfeasibleError) as info:
         run_experiment(small_scenario(base, grid=(0.0, 45.0)))
     assert "45" in str(info.value)
+
+
+@pytest.mark.parametrize("field, value", [("mc_samples", 0), ("mc_samples", -5),
+                                          ("mc_samples", 2.5), ("seed", -3)])
+def test_run_experiment_checks_the_sample_count_and_seed_first(monkeypatch, field, value):
+    def no_design(*args):
+        raise AssertionError(f"a design was solved before {field} was checked")
+
+    monkeypatch.setattr(harness, "solve_dro_tolls", no_design)
+    scenario = small_scenario(load_scenario(BUNDLED_SCENARIO), **{field: value})
+    kind = "positive" if field == "mc_samples" else "nonnegative"
+    with pytest.raises(ValueError, match=f"{field} must be a {kind} integer, got {value}"):
+        run_experiment(scenario)
+
+
+def test_load_scenario_rejects_negative_seeds(tmp_path):
+    write_two_road_network(tmp_path)
+    payload = two_road_payload()
+    payload["seed"] = -3
+    path = write_scenario(tmp_path, payload)
+    with pytest.raises(FileFormatError) as info:
+        load_scenario(path)
+    assert path in str(info.value) and "'seed' must be a nonnegative integer" in str(info.value)
+    for override in (-1, 2.5):
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {override}"):
+            load_scenario(BUNDLED_SCENARIO, seed_override=override)
 
 
 @pytest.mark.parametrize("field, token", [("mean", "NaN"), ("cov", "Infinity"),
