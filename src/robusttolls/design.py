@@ -30,15 +30,8 @@ import numpy as np
 from .equilibrium import KktBlocks, latency_decomposition
 from .exceptions import ConvergenceError, InfeasibleError, NumericalDegeneracyError
 from .network import IncidenceData, _endpoints, _max_min_flow
-from .optim import STATUS_OPTIMAL, _barrier_newton, _dual_newton, _null_basis
+from .optim import _barrier_newton, _dual_newton, _null_basis
 from .uncertainty import DisturbanceModel
-
-# An anticipated radius this far past the robustness ceiling still counts
-# as within it (here and in the harness's grid check).
-_CEILING_SLACK = 1e-9
-# Step budget of the toll canonicalization (:func:`_min_norm_toll`); it
-# took at most 24 steps on layered DAGs of up to 500 edges.
-_CANONICAL_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -106,33 +99,43 @@ def toll_polytope(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> Tol
     return TollPolytope(gamma=blocks.gamma, rhs=rhs, margin=margin, inc=blocks.inc)
 
 
+def _admissible(margin: float, top: float) -> bool:
+    """The one admissibility rule: ``margin <= t* (1 + 1e-12)``.
+
+    ``margin`` is ``||gamma|| (eps + delta)`` and ``top`` the smallest
+    entry ``t*`` of the max-min flow; the relative 1e-12 absorbs the
+    rounding of a margin built from :func:`epsilon_max` itself.
+    """
+    return margin <= top * (1.0 + 1e-12)
+
+
 def polytope_nonempty(poly: TollPolytope) -> bool:
     """Whether any nonnegative toll satisfies the polytope.
 
     Every feasible flow is the flow of some nonnegative toll, so the set
-    is nonempty exactly when some feasible flow keeps ``margin`` on every
-    edge, that is when ``margin`` is at most the smallest entry of the
-    max-min flow.  A relative 1e-12 absorbs the rounding of a margin
-    built from :func:`epsilon_max` itself.
+    is nonempty exactly when ``margin`` is at most ``t*``, the smallest
+    entry of the max-min flow, by the rule every radius check applies
+    (:func:`_admissible`).
     """
-    return poly.margin <= float(_max_min_flow(poly.inc).min()) * (1.0 + 1e-12)
+    return _admissible(poly.margin, float(_max_min_flow(poly.inc).min()))
 
 
-def _ceiling(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, np.ndarray | None]:
-    """The robustness ceiling and the circulation of its certificate toll."""
+def _ceiling(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, float, np.ndarray | None]:
+    """The robustness ceiling, ``t*`` and the circulation of its certificate toll."""
     if model.mean.shape[0] != blocks.gamma.shape[0]:
         raise ValueError("model dimension does not match the network")
     k, m = blocks.inc.matrix.shape
     if k == m:
         # As many independent balance rows as edges leave R no null space,
         # so the flow response and ||gamma|| are exactly zero.
-        return float("inf"), None
+        return float("inf"), float("inf"), None
     flow = _max_min_flow(blocks.inc)
-    ceiling = float(flow.min()) / blocks.gamma_norm - model.support_radius
-    if ceiling < 0.0:
+    top = float(flow.min())
+    if not _admissible(blocks.gamma_norm * model.support_radius, top):
         raise InfeasibleError("no nonnegative toll keeps every edge utilized at the nominal "
                               "moments; the support radius is too large for this network")
-    return ceiling, blocks.c - blocks.gamma @ model.mean - flow
+    ceiling = max(top / blocks.gamma_norm - model.support_radius, 0.0)
+    return ceiling, top, blocks.c - blocks.gamma @ model.mean - flow
 
 
 def epsilon_max(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, np.ndarray | None]:
@@ -149,11 +152,13 @@ def epsilon_max(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, np.n
     and covariance do not enter.  Returns the radius and a certificate
     toll attaining it, the nonnegative toll whose plug-in flow is ``f*``.
     When the flow response is zero (single-route networks) every radius
-    is admissible and the result is ``(inf, None)``.  A negative ceiling
-    means no toll keeps the network fully utilized even nominally; that
-    is a modelling problem, reported as :class:`InfeasibleError`.
+    is admissible and the result is ``(inf, None)``.  When radius 0 fails
+    the admissibility rule, no toll keeps the network fully utilized even
+    nominally; that is a modelling problem, reported as
+    :class:`InfeasibleError`.  A ceiling that rounds below 0 but passes
+    the rule is 0.
     """
-    ceiling, circulation = _ceiling(blocks, model)
+    ceiling, _, circulation = _ceiling(blocks, model)
     if circulation is None:
         return ceiling, None
     return ceiling, _toll_for_circulation(blocks, circulation)
@@ -185,12 +190,12 @@ def _min_norm_toll(null: np.ndarray, toll: np.ndarray) -> np.ndarray:
     :func:`~robusttolls.optim._dual_newton` minimizes ``||tau||^2 / 2``
     over its nonnegative members through the dual ``max b' mu -
     ||(N mu)_+||^2 / 2`` from ``mu = b``: ``tau* = (N mu)_+``, exact zeros
-    off the optimal face.  Raises :class:`ConvergenceError` if
-    ``_CANONICAL_STEPS`` steps do not finish.
+    off the optimal face.  Raises :class:`ConvergenceError` if the dual
+    Newton budget (``optim._DUAL_STEPS``) does not finish it.
     """
     m = null.shape[0]
     b = null.T @ toll
-    tau, _, steps, residual = _dual_newton(null.T, b, np.ones(m), np.zeros(m), b, _CANONICAL_STEPS)
+    tau, _, steps, residual = _dual_newton(null.T, b, np.ones(m), np.zeros(m), b)
     if tau is None:
         raise ConvergenceError("toll canonicalization did not converge", steps, residual)
     return tau
@@ -226,9 +231,9 @@ def _toll_for_circulation(blocks: KktBlocks, y: np.ndarray) -> np.ndarray:
 def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> DesignResult:
     """Design the toll minimizing worst-case expected latency at radius ``eps``.
 
-    Validates ``eps`` against the robustness ceiling first (an
-    anticipated radius beyond it has no fully-utilized interpretation and
-    raises :class:`InfeasibleError` carrying the ceiling).  The search
+    Validates ``eps`` against the robustness ceiling first, by the rule
+    :func:`polytope_nonempty` applies; a radius beyond it raises
+    :class:`InfeasibleError` carrying the ceiling.  The search
     runs over the nominal admissible polytope, in the circulation
     ``y = gamma @ tau``: minimize ``eps ||y + c|| + sum beta y^2 + mean @ y``
     subject to ``R y = 0`` and ``y <= rhs(0)``, by the interior-point
@@ -243,8 +248,8 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    ceiling, start = _ceiling(blocks, model)
-    if eps > ceiling + _CEILING_SLACK:
+    ceiling, top, start = _ceiling(blocks, model)
+    if not _admissible(blocks.gamma_norm * (eps + model.support_radius), top):
         raise InfeasibleError(
             f"anticipated radius {eps:g} exceeds the robustness ceiling {ceiling:g}",
             epsilon_max=ceiling)
@@ -262,11 +267,8 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
                 f"the robustness ceiling's certificate has slack {slack:.3e} (ceiling "
                 f"{ceiling:g}), so the design has no interior start point")
         null = _null_basis(blocks.inc.matrix)
-        y, _, report = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean, null, rhs, start)
-        if report.status != STATUS_OPTIMAL:
-            raise ConvergenceError(f"design solve did not converge: {report.failed}",
-                                   report.iterations, report.value)
-        iterations, gap = report.iterations, report.gap
+        y, iterations, gap = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean, null,
+                                             rhs, start)
         # gamma @ (beta * y) = y for a circulation y, so beta * y is one toll of the family.
         tau_star = _min_norm_toll(null, blocks.lat.beta * y)
 

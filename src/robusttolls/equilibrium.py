@@ -26,9 +26,7 @@ from .optim import _dual_newton
 # How far below zero (relative to the demand) a closed-form flow may dip
 # from round-off and still count as in regime.
 _REGIME_TOL = 1e-9
-# The potential solver's step budget (it took at most 44 steps on slopes
-# over six decades) and bound on its result's KKT residual, per demand.
-_POTENTIAL_STEPS = 100
+# Bound on the potential solver's KKT residual, per demand.
 _KKT_TOL = 1e-8
 
 
@@ -183,9 +181,10 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
     with the weighted Laplacians ``R B^-1 R'`` of the used edges as
     Hessians, from the potentials that use every edge.  ``f = (R' p -
     cost)_+ / beta`` is exactly ``0.0`` on unused edges.  Raises
-    :class:`ConvergenceError` if ``_POTENTIAL_STEPS`` steps do not finish
-    or the result's KKT residual (stationarity, balance, negative flows or
-    multipliers, complementarity) exceeds ``_KKT_TOL`` (scaled by demand).
+    :class:`ConvergenceError` if the dual Newton budget
+    (``optim._DUAL_STEPS``) does not finish or the result's KKT residual
+    (stationarity, balance, negative flows or multipliers,
+    complementarity) exceeds ``_KKT_TOL`` (scaled by demand).
     """
     matrix, eta = inc.matrix, inc.injections
     m = matrix.shape[1]
@@ -193,8 +192,7 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
     cost = alpha + tau
     weights = 1.0 / lat.beta
     start = np.linalg.solve((matrix * weights) @ matrix.T, eta + matrix @ (weights * cost))
-    flow, potentials, steps, grad_norm = _dual_newton(matrix, eta, weights, cost, start,
-                                                      _POTENTIAL_STEPS)
+    flow, potentials, steps, grad_norm = _dual_newton(matrix, eta, weights, cost, start)
     if flow is None:
         raise ConvergenceError("potential minimization did not converge", steps, grad_norm)
     pinned = flow == 0.0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import _CEILING_SLACK, epsilon_max, solve_dro_tolls
+from .design import _admissible, _ceiling, solve_dro_tolls
 from .equilibrium import _REGIME_TOL, LatencyModel, kkt_blocks, latency_decomposition
 from .exceptions import FileFormatError, InfeasibleError, OutOfRegimeError
 from .network import Network, _number, _read_json, _require, incidence, load_network
@@ -191,7 +191,8 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     grid radius that is negative or not finite, an ``mc_samples`` that is
     not a positive integer and a ``seed`` that is not a nonnegative
     integer, and every grid value is checked against the robustness
-    ceiling.  Cell (i, j) draws
+    ceiling by the rule ``solve_dro_tolls`` and ``polytope_nonempty``
+    apply.  Cell (i, j) draws
     ``mc_samples`` disturbances uniformly from the support ball centered
     at the worst-case mean for actual radius ``grid[i]`` under the tolls
     designed for anticipated radius ``grid[j]``, streams them through the
@@ -221,8 +222,9 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     inc = incidence(scenario.network)
     blocks = kkt_blocks(inc, scenario.lat)
     model = scenario.model
-    ceiling, _ = epsilon_max(blocks, model)
-    too_big = [e for e in scenario.grid if e > ceiling + _CEILING_SLACK]
+    delta = model.support_radius
+    ceiling, top, _ = _ceiling(blocks, model)
+    too_big = [e for e in scenario.grid if not _admissible(blocks.gamma_norm * (e + delta), top)]
     if too_big:
         raise InfeasibleError(
             f"grid radii {too_big} exceed the robustness ceiling {ceiling:g}",
@@ -230,7 +232,6 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
 
     designs = [solve_dro_tolls(blocks, model, eps_hat) for eps_hat in scenario.grid]
 
-    delta = model.support_radius
     reach = delta * np.linalg.norm(blocks.gamma, axis=1)
     jobs, heads, lowest, lowest_cell = [], [], np.inf, (0.0, 0.0)
     for i, eps in enumerate(scenario.grid):

@@ -18,8 +18,11 @@ import numpy as np
 from robusttolls.design import epsilon_max, toll_polytope
 from robusttolls.equilibrium import LatencyModel, kkt_blocks
 from robusttolls.network import Edge, Network, incidence, validate_network
-from robusttolls.optim import STATUS_ITERATION_CAP, STATUS_OPTIMAL
 from robusttolls.uncertainty import DisturbanceModel, sample_uniform_ball
+
+# Statuses of the reference solver ``active_set_qp``.
+STATUS_OPTIMAL = "optimal"
+STATUS_ITERATION_CAP = "iteration_cap"
 
 
 def random_dag_network(rng: np.random.Generator, max_nodes: int = 8,

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from randnets import (active_set_qp, golden_section, layered_dag_network, random_dag_network,
-                      random_instance, sample_strict_toll)
+from randnets import (STATUS_OPTIMAL, active_set_qp, golden_section, layered_dag_network,
+                      random_dag_network, random_instance, sample_strict_toll)
 from robusttolls import design, optim
 from robusttolls.design import (
     DesignResult,
@@ -17,11 +17,13 @@ from robusttolls.design import (
     toll_polytope,
 )
 from robusttolls.equilibrium import LatencyModel, equilibrium_latency_g, kkt_blocks
-from robusttolls.exceptions import ConvergenceError, InfeasibleError
+from robusttolls.exceptions import ConvergenceError, InfeasibleError, NumericalDegeneracyError
+from robusttolls.harness import Scenario, run_experiment
 from robusttolls.network import Edge, Network, incidence
-from robusttolls.optim import STATUS_OPTIMAL, _null_basis
+from robusttolls.optim import _null_basis
 from robusttolls.uncertainty import DisturbanceModel, worst_case_mean
-from test_equilibrium import pigou_blocks
+from test_equilibrium import PIGOU_BETA, pigou_blocks
+from test_network import pigou
 
 PIGOU_MODEL = DisturbanceModel(mean=np.array([20.0, 30.0]), cov=0.01 * np.eye(2),
                                support_radius=0.2)
@@ -455,7 +457,7 @@ def test_single_route_tolls_are_exact_zeros():
 def test_min_norm_toll_reports_a_stall(monkeypatch):
     blocks, model = _canonicalization_cases()[12]
     ceiling, _ = epsilon_max(blocks, model)
-    monkeypatch.setattr(design, "_CANONICAL_STEPS", 1)
+    monkeypatch.setattr(optim, "_DUAL_STEPS", 1)
     with pytest.raises(ConvergenceError, match="canonicalization") as info:
         solve_dro_tolls(blocks, model, 0.5 * ceiling)
     assert info.value.iterations == 1
@@ -520,6 +522,57 @@ def test_solve_dro_tolls_rejects_radius_above_ceiling():
     assert info.value.epsilon_max == pytest.approx(39.8, abs=1e-6)
     with pytest.raises(ValueError):
         solve_dro_tolls(pigou_blocks(), PIGOU_MODEL, -1.0)
+
+
+def _two_roads_with_extreme_slopes():
+    # Slopes 1e-3 and 1e11 put the ceiling near 2.5e12, where an absolute
+    # slack of 1e-9 is below the spacing of doubles.
+    net = Network(num_nodes=2, edges=(Edge("e1", 0, 1), Edge("e2", 0, 1)), demand=100.0)
+    blocks = kkt_blocks(incidence(net), LatencyModel(np.array([1e-3, 1e11])))
+    return blocks, DisturbanceModel(mean=np.zeros(2), cov=np.zeros((2, 2)), support_radius=0.0)
+
+
+@pytest.mark.parametrize("instance, past", [(lambda: _pigou_with_radius(0.2), 5e-10),
+                                            (_two_roads_with_extreme_slopes, 1e-3)],
+                         ids=["pigou", "extreme-slopes"])
+def test_design_admits_a_radius_exactly_when_its_toll_set_is_nonempty(instance, past):
+    # The design admits a radius exactly when its toll set is nonempty, at
+    # the ceiling and just past it, on a small ceiling and on a huge one.
+    blocks, model = instance()
+    ceiling, _ = epsilon_max(blocks, model)
+    for eps in (ceiling, ceiling + past):
+        nonempty = polytope_nonempty(toll_polytope(blocks, model, eps))
+        try:
+            solve_dro_tolls(blocks, model, eps)
+        except InfeasibleError as err:
+            assert not nonempty and err.epsilon_max == ceiling
+        else:
+            assert nonempty
+        assert nonempty or eps > ceiling
+
+
+def test_experiment_grid_refuses_what_the_design_refuses():
+    blocks, model = _pigou_with_radius(0.2)
+    ceiling, _ = epsilon_max(blocks, model)
+    refused = ceiling + 5e-10
+    assert not polytope_nonempty(toll_polytope(blocks, model, refused))
+    scenario = Scenario(network=pigou(), lat=LatencyModel(PIGOU_BETA), model=model,
+                        grid=(0.0, refused), mc_samples=10, seed=1)
+    with pytest.raises(InfeasibleError) as info:
+        run_experiment(scenario)
+    assert info.value.epsilon_max == ceiling
+
+
+def test_support_radius_a_rounding_past_the_ceiling_leaves_a_zero_ceiling():
+    # Pigou's zero-radius ceiling is 40.  A support radius 1e-14 past it
+    # still passes the rule, so the nominal toll set is nonempty and the
+    # ceiling is 0 (not infeasible, nor a negative round-off): the design
+    # has no interior to start from, as at a radius of exactly 40.
+    blocks, model = _pigou_with_radius(40.0 * (1.0 + 1e-14))
+    assert polytope_nonempty(toll_polytope(blocks, model, 0.0))
+    assert epsilon_max(blocks, model)[0] == 0.0
+    with pytest.raises(NumericalDegeneracyError):
+        solve_dro_tolls(blocks, model, 0.0)
 
 
 def test_solve_dro_tolls_single_edge():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from randnets import active_set_qp, enumerate_paths, layered_dag_network, random_dag_network
-from robusttolls import equilibrium
+from randnets import (STATUS_OPTIMAL, active_set_qp, enumerate_paths, layered_dag_network,
+                      random_dag_network)
+from robusttolls import equilibrium, optim
 from robusttolls.equilibrium import (
     LatencyModel,
     equilibrium_latency_g,
@@ -16,7 +17,6 @@ from robusttolls.equilibrium import (
 )
 from robusttolls.exceptions import ConvergenceError, OutOfRegimeError
 from robusttolls.network import Edge, Network, _endpoints, _max_min_flow, incidence, is_feasible_flow
-from robusttolls.optim import STATUS_OPTIMAL
 from test_network import braess, pigou
 
 PIGOU_BETA = np.array([1.5, 0.1])
@@ -212,7 +212,7 @@ def test_potential_solver_iteration_budget(monkeypatch):
     lat = LatencyModel(np.linspace(1.0, 1.5, 5))
     alpha = np.array([5.0, 0.0, 0.0, 5.0, 0.0])
     nash_flow_potential(data, lat, alpha, np.zeros(5))
-    monkeypatch.setattr(equilibrium, "_POTENTIAL_STEPS", 1)
+    monkeypatch.setattr(optim, "_DUAL_STEPS", 1)
     with pytest.raises(ConvergenceError, match="did not converge") as info:
         nash_flow_potential(data, lat, alpha, np.zeros(5))
     assert info.value.iterations == 1

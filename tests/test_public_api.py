@@ -28,6 +28,7 @@ REMOVED = (
     "enumerate_paths", "PathSet", "DEFAULT_MAX_PATHS", "TooManyPathsError",
     "GelbrichPoint", "gelbrich_distance", "in_gelbrich_ball", "support_check",
     "psd_sqrt", "_psd_eigh", "nominal_tolls", "SolveReport", "active_set_qp",
+    "STATUS_OPTIMAL", "STATUS_ITERATION_CAP",
 )
 
 MODULES = ("cli", "design", "equilibrium", "exceptions", "harness", "network", "optim",
@@ -44,9 +45,7 @@ def test_all_is_the_public_surface():
 @pytest.mark.parametrize("module", MODULES)
 def test_removed_names_stay_removed(module):
     loaded = importlib.import_module(f"robusttolls.{module}")
-    # SolveReport stays in optim, where the private kernel returns it.
-    kept = ["SolveReport"] if module == "optim" else []
-    assert [name for name in REMOVED if hasattr(loaded, name)] == kept
+    assert [name for name in REMOVED if hasattr(loaded, name)] == []
     assert [name for name in REMOVED if hasattr(robusttolls, name)] == []
 
 
