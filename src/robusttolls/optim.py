@@ -13,6 +13,8 @@ a radius is admissible is decided before any solve, by the one rule of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import ConvergenceError
@@ -78,7 +80,7 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
 
     def gradient(point: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         resid = point + offset
-        size = float(np.linalg.norm(resid))
+        size = math.sqrt(resid @ resid)
         unit = resid / size if eps > 0.0 else np.zeros(m)
         return unit, size, eps * unit + 2.0 * weights * point + lin
 
@@ -91,14 +93,15 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     reach = np.abs(y + offset) + slack
     scale = eps * size + float((y + offset) @ (weights * (y + offset))) \
         + float(np.abs(lin) @ reach) + np.finfo(float).tiny
-    grad_scale = scale / float(np.linalg.norm(reach))
+    grad_scale = scale / math.sqrt(reach @ reach)
     lam = scale / (m * slack)
+    reduced = basis.T @ (grad + lam)
+    dual_norm = math.sqrt(reduced @ reduced)
     it = 0
     while True:
         gap = float(slack @ lam)
-        dual_norm = float(np.linalg.norm(basis.T @ (grad + lam)))
         gap_rel = gap / scale
-        dual_rel = dual_norm / (grad_scale + float(np.linalg.norm(lam)))
+        dual_rel = dual_norm / (grad_scale + math.sqrt(lam @ lam))
         if gap_rel <= _GAP_TOL and dual_rel <= _DUAL_TOL:
             return y, it, gap
         if it == _NEWTON_ITERS:
@@ -108,35 +111,39 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
         target = gap / (10.0 * m)
         curvature = eps / size if eps > 0.0 else 0.0
         reduced_unit = basis.T @ unit
-        hess = (basis.T * (2.0 * weights + curvature + lam / slack)) @ basis \
-            - curvature * np.outer(reduced_unit, reduced_unit)
+        ratio, aim = lam / slack, target / slack
+        hess = (basis.T * (2.0 * weights + curvature + ratio)) @ basis \
+            - curvature * (reduced_unit[:, None] * reduced_unit)
         try:
-            dy = basis @ np.linalg.solve(hess, -(basis.T @ (grad + target / slack)))
+            dy = basis @ np.linalg.solve(hess, -(basis.T @ (grad + aim)))
         except np.linalg.LinAlgError:
             raise ConvergenceError(f"design solve did not converge: the Newton system of step "
                                    f"{it} is singular", it, np.inf) from None
-        dlam = target / slack - lam + lam / slack * dy
+        dlam = aim - lam + ratio * dy
 
         step = 1.0
         for room, rate in ((lam, -dlam), (slack, dy)):
             closing = rate > 0.0
             if closing.any():
                 step = min(step, 0.99 * float((room[closing] / rate[closing]).min()))
-        before = float(np.hypot(dual_norm, np.linalg.norm(lam * slack - target)))
+        centering = lam * slack - target
+        before = float(np.hypot(dual_norm, math.sqrt(centering @ centering)))
         while step > 1e-14:
             trial = y + step * dy
             trial_slack = upper - trial
             trial_lam = lam + step * dlam
             if float(trial_slack.min()) > 0.0:
                 trial_unit, trial_size, trial_grad = gradient(trial)
-                after = float(np.hypot(np.linalg.norm(basis.T @ (trial_grad + trial_lam)),
-                                       np.linalg.norm(trial_lam * trial_slack - target)))
+                reduced = basis.T @ (trial_grad + trial_lam)
+                trial_dual = math.sqrt(reduced @ reduced)
+                centering = trial_lam * trial_slack - target
+                after = float(np.hypot(trial_dual, math.sqrt(centering @ centering)))
                 if after <= (1.0 - 0.01 * step) * before:
                     break
             step *= 0.5
         else:
             break
-        y, slack, lam = trial, trial_slack, trial_lam
+        y, slack, lam, dual_norm = trial, trial_slack, trial_lam, trial_dual
         unit, size, grad = trial_unit, trial_size, trial_grad
 
     test, value, tol = (("duality gap", gap_rel, _GAP_TOL) if gap_rel > _GAP_TOL
@@ -164,7 +171,7 @@ def _dual_newton(matrix: np.ndarray, b: np.ndarray, weights: np.ndarray, cost: n
     """
     m = cost.shape[0]
     damping = (matrix * matrix) @ weights
-    b_norm = float(np.linalg.norm(b))
+    b_norm = math.sqrt(b @ b)
     root = np.sqrt(weights)
     top_cost = float(np.abs(cost).max(initial=0.0))
 
@@ -177,7 +184,7 @@ def _dual_newton(matrix: np.ndarray, b: np.ndarray, weights: np.ndarray, cost: n
         face = u > 0.0
         weighted = weights * u
         grad = b - matrix @ np.where(face, weighted, 0.0)
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = math.sqrt(grad @ grad)
         if grad_norm <= m * _EPS * float(np.abs(weighted).max(initial=0.0)):
             return on_face(u, face)[0], x, it, grad_norm
         hess = (matrix[:, face] * weights[face]) @ matrix[:, face].T
