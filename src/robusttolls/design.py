@@ -29,8 +29,8 @@ import numpy as np
 
 from .equilibrium import KktBlocks, latency_decomposition
 from .exceptions import ConvergenceError, InfeasibleError, NumericalDegeneracyError
-from .network import IncidenceData, _endpoints, _max_min_flow
-from .optim import _barrier_newton, _dual_newton, _null_basis
+from .network import IncidenceData, _endpoints
+from .optim import _barrier_newton, _dual_newton
 from .uncertainty import DisturbanceModel
 
 
@@ -117,7 +117,7 @@ def polytope_nonempty(poly: TollPolytope) -> bool:
     entry of the max-min flow, by the rule every radius check applies
     (:func:`_admissible`).
     """
-    return _admissible(poly.margin, float(_max_min_flow(poly.inc).min()))
+    return _admissible(poly.margin, float(poly.inc.max_min_flow.min()))
 
 
 def _ceiling(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, float, np.ndarray | None]:
@@ -129,7 +129,7 @@ def _ceiling(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, float, 
         # As many independent balance rows as edges leave R no null space,
         # so the flow response and ||gamma|| are exactly zero.
         return float("inf"), float("inf"), None
-    flow = _max_min_flow(blocks.inc)
+    flow = blocks.inc.max_min_flow
     top = float(flow.min())
     if not _admissible(blocks.gamma_norm * model.support_radius, top):
         raise InfeasibleError("no nonnegative toll keeps every edge utilized at the nominal "
@@ -266,7 +266,7 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
             raise NumericalDegeneracyError(
                 f"the robustness ceiling's certificate has slack {slack:.3e} (ceiling "
                 f"{ceiling:g}), so the design has no interior start point")
-        null = _null_basis(blocks.inc.matrix)
+        null = blocks.inc.null_basis
         y, iterations, gap = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean, null,
                                              rhs, start)
         # gamma @ (beta * y) = y for a circulation y, so beta * y is one toll of the family.

@@ -21,10 +21,12 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import FileFormatError, InvalidNetworkError
+from .optim import _null_basis
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,29 @@ class IncidenceData:
     the node, -1 where it enters.  ``injections`` puts the demand on the
     source row and zero elsewhere.  Arrays are write-locked; treat them
     as shared immutable state.
+
+    The max-min flow and the orthonormal null basis of ``matrix`` are the
+    per-network work every design on the network shares; each is computed
+    on first use and kept, write-locked, on the object.
     """
 
     matrix: np.ndarray
     injections: np.ndarray
+
+    @cached_property
+    def max_min_flow(self) -> np.ndarray:
+        """The feasible flow whose smallest edge flow is largest (:func:`_max_min_flow`)."""
+        return _locked(_max_min_flow(self))
+
+    @cached_property
+    def null_basis(self) -> np.ndarray:
+        """An orthonormal basis, as columns, of the null space of ``matrix``."""
+        return _locked(_null_basis(self.matrix))
+
+
+def _locked(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _degrees(net: Network) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ import pytest
 from randnets import layered_dag_network, random_instance
 
 import robusttolls
-from robusttolls import harness
+from robusttolls import harness, network
 from robusttolls.cli import _experiment_csv
 from robusttolls.design import epsilon_max, solve_dro_tolls
 from robusttolls.equilibrium import LatencyModel, kkt_blocks, latency_decomposition
@@ -236,6 +236,28 @@ def test_run_experiment_does_not_depend_on_the_cpu_count(monkeypatch):
         assert (a.eps, a.eps_hat, a.estimate, a.stderr, a.expectation) == \
             (b.eps, b.eps_hat, b.estimate, b.stderr, b.expectation)
         assert np.array_equal(a.tau_star, b.tau_star)
+
+
+def test_run_experiment_computes_the_max_min_flow_once(monkeypatch):
+    # The ceiling check and each column's design share the network's
+    # max-min flow and null basis: one computation each per grid.
+    counts = {"flow": 0, "basis": 0}
+    max_min_flow, null_basis = network._max_min_flow, network._null_basis
+
+    def flow_spy(inc):
+        counts["flow"] += 1
+        return max_min_flow(inc)
+
+    def basis_spy(matrix):
+        counts["basis"] += 1
+        return null_basis(matrix)
+
+    monkeypatch.setattr(network, "_max_min_flow", flow_spy)
+    monkeypatch.setattr(network, "_null_basis", basis_spy)
+    scenario = small_scenario(load_scenario(BUNDLED_SCENARIO),
+                              grid=(0.0, 5.0, 10.0, 15.0, 20.0, 30.0), mc_samples=10)
+    run_experiment(scenario)
+    assert counts == {"flow": 1, "basis": 1}
 
 
 def test_run_experiment_reraises_a_worker_exception(monkeypatch):
