@@ -190,6 +190,8 @@ def _design_payload(result: DesignResult, edge_ids: tuple[str, ...]) -> dict[str
 
 def cmd_design(args: argparse.Namespace) -> int:
     _check_format(args.format, ("json", "text"), "design")
+    if not np.isfinite(args.eps):
+        raise FileFormatError(f"--eps must be a finite number, got {args.eps!r}")
     scenario, blocks = _scenario_blocks(args, "design")
     result = solve_dro_tolls(blocks, scenario.model, args.eps)
     if args.format == "json":

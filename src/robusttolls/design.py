@@ -16,9 +16,10 @@ different radii remain comparable on a common footing and the ceiling
 acts as a validity bound on ``eps`` rather than shrinking the feasible
 set.  The objective only sees tolls through the flow response
 ``y = gamma @ tau``, so the design is solved in that circulation by the
-interior-point method of :mod:`robusttolls.optim`, and optima come in
-affine families of tolls.  The result is the family's minimum-norm
-nonnegative member (:func:`_min_norm_toll`), with exact zero tolls.
+interior-point method of :mod:`robusttolls.optim`, which finishes on a
+certified optimal face, and optima come in affine families of tolls.
+The result is the family's minimum-norm nonnegative member
+(:func:`_min_norm_toll`), with exact zero tolls.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .equilibrium import KktBlocks, latency_decomposition
 from .exceptions import ConvergenceError, InfeasibleError, NumericalDegeneracyError
 from .network import IncidenceData, _endpoints
 from .optim import _barrier_newton, _dual_newton
-from .uncertainty import DisturbanceModel
+from .uncertainty import DisturbanceModel, _check_radius
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,12 @@ class DesignResult:
     toll-independent constants, giving the worst-case expected
     equilibrium latency over the radius-``eps`` ambiguity ball.
     ``iterations`` is the number of interior-point Newton steps of the
-    design solve and ``residual`` their final duality gap (both zero on
-    single-route networks, which leave nothing to optimize).
+    design solve.  ``residual`` is the final duality gap of the solve's
+    answer: 0.0 when the solve finished on a certified optimal face
+    (complementary by construction; the few Newton steps on the face are
+    not counted in ``iterations``), and the interior-point gap when it
+    stopped on its own rule instead.  Both are zero on single-route
+    networks, which leave nothing to optimize.
     """
 
     tau_star: np.ndarray
@@ -90,8 +95,7 @@ def toll_polytope(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> Tol
     budget on every edge.  Monotone in ``eps``: larger radii shrink the
     set.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    _check_radius(eps)
     if model.mean.shape[0] != blocks.gamma.shape[0]:
         raise ValueError("model dimension does not match the network")
     margin = blocks.gamma_norm * (eps + model.support_radius)
@@ -171,8 +175,7 @@ def dro_objective(blocks: KktBlocks, model: DisturbanceModel, eps: float, tau: n
     dropped constants (``c @ mean`` and the demand term) do not depend on
     the toll, so minimizers agree with the full worst-case latency.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    _check_radius(eps)
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (blocks.gamma.shape[0],):
         raise ValueError(f"tau must have length {blocks.gamma.shape[0]}, got {tau.shape}")
@@ -239,15 +242,19 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     subject to ``R y = 0`` and ``y <= rhs(0)``, by the interior-point
     Newton method started at the circulation of the ceiling's certificate,
     whose slack is the max-min flow less ``||gamma|| delta``, at least
-    ``||gamma|| epsilon_max`` on every row.  The toll ``beta * y`` has
-    response ``y``; it is canonicalized to the minimum-norm nonnegative
-    toll with that response by :func:`_min_norm_toll`, which reuses the
-    null-space basis of the Newton solve.  A solve that stops short of
+    ``||gamma|| epsilon_max`` on every row.  The solve finishes on the
+    optimal face once a guessed face passes its KKT certificate
+    (feasibility, nonnegative multipliers, stationarity; see
+    :func:`~robusttolls.optim._barrier_newton`), or else on the
+    interior-point stopping rule.  The toll ``beta * y`` has response
+    ``y``; it is canonicalized to the minimum-norm nonnegative toll with
+    that response by :func:`_min_norm_toll`, in the network's null-space
+    basis, which the Newton solve shares.  A solve that stops short of
     optimal raises :class:`ConvergenceError` naming the stopping test
-    that failed, with its iterations and that test's relative value.
+    that failed, with its iterations and that test's relative value; a
+    radius that is negative, NaN or infinite raises ``ValueError``.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    _check_radius(eps)
     ceiling, top, start = _ceiling(blocks, model)
     if not _admissible(blocks.gamma_norm * (eps + model.support_radius), top):
         raise InfeasibleError(

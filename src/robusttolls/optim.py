@@ -1,7 +1,8 @@
 """Deterministic dense Newton methods in plain numpy, for small instances.
 
 :func:`_barrier_newton`, an interior-point method in a null-space basis
-from one complete QR (:func:`_null_basis`), solves the robust design.
+from one complete QR (:func:`_null_basis`) that crosses over to a
+certified optimal face, solves the robust design.
 :func:`_dual_newton`, a semismooth Newton method on the dual of a
 separable quadratic over ``{v >= 0 : A v = b}``, lands on the optimal
 face exactly: the toll canonicalization, and Wardrop equilibria in node
@@ -24,6 +25,10 @@ from .exceptions import ConvergenceError
 _NEWTON_ITERS = 100
 _GAP_TOL = 1e-12
 _DUAL_TOL = 1e-10
+# Relative gap from which :func:`_barrier_newton` tries to finish on its
+# guessed optimal face, and the Newton steps one such try may take.
+_CROSSOVER_GAP = 1e-4
+_FACE_STEPS = 5
 # Step budget of :func:`_dual_newton`: the toll canonicalization took at
 # most 24 steps on layered DAGs of up to 500 edges, equilibria at most 44
 # on slopes spanning six decades.
@@ -59,12 +64,31 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     norm curvature, barrier).  ``start`` must satisfy the equality and
     every bound strictly; there is no phase one.
 
-    Returns ``(y, iterations, gap)`` once the duality gap and the
-    reduced dual residual are at tolerance relative to the objective's
-    and the gradient's scale.  If the budget (``_NEWTON_ITERS``) runs out
-    or the step search stalls, raises :class:`ConvergenceError` naming the
-    stopping test that failed, with its relative value as the residual; a
-    singular Newton system raises one with an infinite residual.
+    Once the relative duality gap is at most ``_CROSSOVER_GAP``, the
+    method crosses over to the optimal face (Megiddo 1991; Ye 1992).  It
+    guesses the face as the bounds whose multiplier exceeds their slack,
+    and takes up to ``_FACE_STEPS`` Newton steps of the objective on that
+    face, each one KKT solve in ``N``.  It returns the face point as soon
+    as its certificate holds:
+
+    - every bound holds to round-off (``m`` machine epsilons of
+      ``max|upper|``), and the face's bounds are tight to it, so
+      complementarity is exact by construction;
+    - the face multipliers, clipped at zero, leave a reduced gradient
+      ``N'(grad + multipliers)`` of at most ``_DUAL_TOL`` of the kernel's
+      own scale (the gradient's scale plus the norm of its multipliers).
+
+    A face whose certificate fails is tried again only once the guess
+    changes.  Returns ``(y, iterations, gap)``: ``iterations`` counts the
+    interior-point steps (not the face steps), and ``gap`` is 0.0 after a
+    crossover finish.  The fallback exit is the interior-point stopping
+    rule: the duality gap and the reduced dual residual at ``_GAP_TOL``
+    and ``_DUAL_TOL`` of the objective's and the gradient's scale, with
+    the final ``slack @ lam`` as ``gap``.  If the budget
+    (``_NEWTON_ITERS``) runs out or the step search stalls, raises
+    :class:`ConvergenceError` naming the stopping test that failed, with
+    its relative value as the residual; a singular Newton system raises
+    one with an infinite residual.
     """
     if eps < 0.0:
         raise ValueError("norm weight eps must be nonnegative")
@@ -84,6 +108,49 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
         unit = resid / size if eps > 0.0 else np.zeros(m)
         return unit, size, eps * unit + 2.0 * weights * point + lin
 
+    def hessian(unit: np.ndarray, size: float, barrier: np.ndarray | float) -> np.ndarray:
+        # The reduced Hessian of the objective, plus a diagonal barrier term.
+        curvature = eps / size if eps > 0.0 else 0.0
+        reduced_unit = basis.T @ unit
+        return (basis.T * (2.0 * weights + curvature + barrier)) @ basis \
+            - curvature * (reduced_unit[:, None] * reduced_unit)
+
+    def face_point(y: np.ndarray, face: np.ndarray, dual_scale: float) -> np.ndarray | None:
+        # Newton steps of the objective on the face {y[face] = upper[face]}
+        # from y, each the face's KKT system solved in the null basis: the
+        # SVD of the face rows gives the step that makes them tight, the
+        # free directions the Newton step within the face, and the
+        # multipliers the least-norm ones (a degenerate face, with more
+        # rows than rank, has many).  Returns the first point whose
+        # certificate holds, or None.
+        rows = basis[face]
+        left, sv, right = np.linalg.svd(rows)
+        rank = int((sv > rows.shape[1] * _EPS * sv[:1].max(initial=0.0)).sum())
+        left, sv, span, free = left[:, :rank], sv[:rank], right[:rank], right[rank:].T
+        roundoff = m * _EPS * float(np.abs(upper).max(initial=0.0))
+        unit, size, grad = gradient(y)
+        for _ in range(_FACE_STEPS):
+            hess = hessian(unit, size, 0.0)
+            reduced = basis.T @ grad
+            move = span.T @ ((left.T @ (upper[face] - y[face])) / sv)
+            if free.shape[1]:
+                try:
+                    move += free @ np.linalg.solve(free.T @ hess @ free,
+                                                   -(free.T @ (reduced + hess @ move)))
+                except np.linalg.LinAlgError:
+                    return None
+            mult = np.maximum(-left @ ((span @ (reduced + hess @ move)) / sv), 0.0)
+            y = y + basis @ move
+            unit, size, grad = gradient(y)
+            pulled = grad.copy()
+            pulled[face] += mult
+            reduced = basis.T @ pulled
+            if math.sqrt(reduced @ reduced) <= _DUAL_TOL * dual_scale:
+                excess = y - upper
+                tight = float(np.abs(excess[face]).max(initial=0.0)) <= roundoff
+                return y if tight and float(excess.max(initial=0.0)) <= roundoff else None
+        return None
+
     unit, size, grad = gradient(y)
     # Gap scale: the objective's terms at the start, plus the linear
     # term's reach across the slacks (the whole gap when it is an LP).
@@ -98,24 +165,28 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     reduced = basis.T @ (grad + lam)
     dual_norm = math.sqrt(reduced @ reduced)
     it = 0
+    tried = None  # the last guessed face whose certificate failed
     while True:
         gap = float(slack @ lam)
         gap_rel = gap / scale
         dual_rel = dual_norm / (grad_scale + math.sqrt(lam @ lam))
         if gap_rel <= _GAP_TOL and dual_rel <= _DUAL_TOL:
             return y, it, gap
+        if gap_rel <= _CROSSOVER_GAP:
+            face = lam > slack
+            if not np.array_equal(face, tried):
+                point = face_point(y, face, grad_scale + math.sqrt(lam @ lam))
+                if point is not None:
+                    return point, it, 0.0
+                tried = face
         if it == _NEWTON_ITERS:
             break
         it += 1
         # Aim at the central point whose gap is a tenth of the current one.
         target = gap / (10.0 * m)
-        curvature = eps / size if eps > 0.0 else 0.0
-        reduced_unit = basis.T @ unit
         ratio, aim = lam / slack, target / slack
-        hess = (basis.T * (2.0 * weights + curvature + ratio)) @ basis \
-            - curvature * (reduced_unit[:, None] * reduced_unit)
         try:
-            dy = basis @ np.linalg.solve(hess, -(basis.T @ (grad + aim)))
+            dy = basis @ np.linalg.solve(hessian(unit, size, ratio), -(basis.T @ (grad + aim)))
         except np.linalg.LinAlgError:
             raise ConvergenceError(f"design solve did not converge: the Newton system of step "
                                    f"{it} is singular", it, np.inf) from None
@@ -163,7 +234,8 @@ def _dual_newton(matrix: np.ndarray, b: np.ndarray, weights: np.ndarray, cost: n
     solves ``(H(P) + rho D) d = gradient``, with ``H(P) = matrix
     diag(weights on P) matrix'``, ``D`` the diagonal of ``matrix
     diag(weights) matrix'`` and ``rho = 1e-4 min(1, |gradient| / |b|)``
-    (0.01 took up to 283 steps on six-decade slopes); an exact line search
+    (0.01 took up to 283 steps on six-decade slopes), or ``m`` machine
+    epsilons when that leaves the system singular; an exact line search
     sets its length.  Once a full step keeps the face, one exact solve on
     ``P`` (over the rows it touches) finishes: ``v`` is exactly ``0.0``
     off ``P`` and where it is round-off.  Returns ``(v, x, steps taken,
@@ -188,12 +260,20 @@ def _dual_newton(matrix: np.ndarray, b: np.ndarray, weights: np.ndarray, cost: n
         if grad_norm <= m * _EPS * float(np.abs(weighted).max(initial=0.0)):
             return on_face(u, face)[0], x, it, grad_norm
         hess = (matrix[:, face] * weights[face]) @ matrix[:, face].T
-        damped = hess.copy()
-        damped.flat[::damped.shape[0] + 1] += 1e-4 * min(1.0, grad_norm / b_norm) * damping
-        try:
-            step = np.linalg.solve(damped, grad)
-        except np.linalg.LinAlgError:
-            return None, x, it, grad_norm  # the damping is lost to round-off
+        # Where the face leaves a direction free and the gradient is near
+        # round-off, that damping is lost to round-off; then damp by m eps,
+        # so the step can follow the free direction to the next kink.
+        step = None
+        for rho in (1e-4 * min(1.0, grad_norm / b_norm), m * _EPS):
+            damped = hess.copy()
+            damped.flat[::damped.shape[0] + 1] += rho * damping
+            try:
+                step = np.linalg.solve(damped, grad)
+                break
+            except np.linalg.LinAlgError:
+                pass
+        if step is None:
+            return None, x, it, grad_norm
         if np.array_equal(matrix.T @ (x + step) - cost > 0.0, face):
             rows = np.diagonal(hess) > 0.0
             every_row = rows.all()

@@ -149,6 +149,12 @@ def estimate_nominal(samples: SampleSet, lat: LatencyModel, support_radius: floa
     return DisturbanceModel(mean=mean, cov=cov, support_radius=support_radius)
 
 
+def _check_radius(eps: float) -> None:
+    """Refuse an ambiguity radius that is negative, NaN or infinite."""
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
+
+
 def worst_case_mean(blocks: KktBlocks, tau: np.ndarray, model: DisturbanceModel,
                     eps: float) -> np.ndarray:
     """Mean of the worst distribution in the radius-``eps`` ambiguity ball.
@@ -158,8 +164,7 @@ def worst_case_mean(blocks: KktBlocks, tau: np.ndarray, model: DisturbanceModel,
     slope vanishes every mean is equally bad; the nominal mean is
     returned and a ``UserWarning`` flags the degenerate direction.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    _check_radius(eps)
     if model.mean.shape[0] != blocks.gamma.shape[0]:
         raise ValueError("model dimension does not match the network")
     q, _ = latency_decomposition(blocks, tau)

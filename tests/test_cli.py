@@ -207,9 +207,10 @@ def test_design_radius_above_ceiling_exits_one(capsys):
 
 
 def test_design_exits_three_on_a_singular_newton_system(tmp_path, capsys):
-    # Instance 479 of the seed-12 twelve-decade designs: the kernel's
-    # Newton system is singular, a typed solver failure (exit 3).
-    net, blocks, _, eps = _twelve_decade_design(12, 479)
+    # Instance 275 of the seed-11 twelve-decade designs at 0.9 of its
+    # ceiling: the kernel's Newton system is singular, a typed solver
+    # failure (exit 3).
+    net, blocks, _, eps = _twelve_decade_design(11, 275, 0.9)
     m = net.num_edges
     (tmp_path / "net.json").write_text(json.dumps({
         "nodes": list(net.node_ids),
@@ -224,6 +225,15 @@ def test_design_exits_three_on_a_singular_newton_system(tmp_path, capsys):
     code, _, err = run(capsys, "design", "--scenario", str(scenario), "--eps", repr(eps))
     assert code == 3
     assert "singular" in err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_design_non_finite_radius_exits_two(capsys, eps):
+    # A radius that is not a number is unusable input, not a radius past
+    # the robustness ceiling.
+    code, out, err = run(capsys, "design", "--scenario", SCENARIO, "--eps", eps)
+    assert code == 2
+    assert out == "" and "finite" in err and "ceiling" not in err
 
 
 def test_design_rejects_csv_format(capsys):

@@ -285,8 +285,8 @@ def test_blocks_and_designs_hold_on_slopes_across_twelve_decades():
     assert stalled <= {86}
 
 
-def _twelve_decade_design(seed, index):
-    """Instance ``index`` of the twelve-decade generator, designed at half its ceiling.
+def _twelve_decade_design(seed, index, fraction=0.5):
+    """Instance ``index`` of the twelve-decade generator, designed at ``fraction`` of its ceiling.
 
     Returns the network with its blocks, a zero disturbance model and the radius.
     """
@@ -295,18 +295,83 @@ def _twelve_decade_design(seed, index):
             m = net.num_edges
             blocks = kkt_blocks(incidence(net), LatencyModel(beta))
             model = DisturbanceModel(mean=np.zeros(m), cov=np.zeros((m, m)), support_radius=0.0)
-            return net, blocks, model, 0.5 * epsilon_max(blocks, model)[0]
+            return net, blocks, model, fraction * epsilon_max(blocks, model)[0]
 
 
-def test_twelve_decade_instance_479_of_seed_12_raises_a_typed_error():
-    # A random DAG with 11 edges and slopes 1.1e-6 to 7.2e4: the reduced
-    # Newton matrix is singular in floating point, which surfaced as a
-    # bare LinAlgError ("Singular matrix") and made the CLI exit 1.
-    _, blocks, model, eps = _twelve_decade_design(12, 479)
+def test_a_singular_newton_system_raises_a_typed_error():
+    # Instance 275 of the seed-11 twelve-decade designs at 0.9 of its
+    # ceiling: no guessed face certifies, and the reduced Newton matrix of
+    # step 34 is singular in floating point.  That is a typed solver
+    # failure, not a bare LinAlgError.
+    _, blocks, model, eps = _twelve_decade_design(11, 275, 0.9)
     with pytest.raises(ConvergenceError, match="Newton system of step .* is singular") as info:
         solve_dro_tolls(blocks, model, eps)
     assert info.value.iterations >= 1
     assert info.value.residual == np.inf
+
+
+def _m250_design_at_radius_zero():
+    """The 4th m = 250 layered DAG of ``default_rng(5)``, designed at radius 0."""
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        net = layered_dag_network(rng, 100, 250, 2500.0)
+        lat = LatencyModel(rng.uniform(0.5, 2.0, 250))
+        mean = rng.uniform(10.0, 30.0, 250)
+    model = DisturbanceModel(mean=mean, cov=np.zeros((250, 250)), support_radius=0.05)
+    return net, kkt_blocks(incidence(net), lat), model, 0.0
+
+
+def _assert_kkt_optimal(blocks, model, eps, y):
+    """Check the design's KKT conditions at the circulation ``y``, without the kernel.
+
+    The null space of R comes from an SVD (the kernel uses a QR) and the
+    multipliers from scipy's nonnegative least squares on the bounds
+    tight to 1e-9 of the right-hand side's scale, so they are nonnegative
+    and complementary.  ``y`` must balance and hold every bound to that
+    tolerance, and the reduced gradient the multipliers leave must be at
+    most 1e-8 of the size of the gradient and the multipliers.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    matrix, beta = blocks.inc.matrix, blocks.lat.beta
+    null = np.linalg.svd(matrix)[2][matrix.shape[0]:].T
+    rhs = toll_polytope(blocks, model, 0.0).rhs
+    scale = max(1.0, float(np.abs(rhs).max()))
+    slack = rhs - y
+    assert float(np.abs(matrix @ y).max()) <= 1e-12 * scale
+    assert float(slack.min()) >= -1e-9 * scale
+    shifted = y + blocks.c
+    grad = eps * shifted / np.linalg.norm(shifted) + 2.0 * beta * y + model.mean
+    tight = slack <= 1e-9 * scale
+    mult = optimize.nnls(null[tight].T, -(null.T @ grad))[0] if tight.any() else np.zeros(0)
+    residual = np.linalg.norm(null.T @ grad + null[tight].T @ mult)
+    assert residual <= 1e-8 * (np.linalg.norm(grad) + np.linalg.norm(mult))
+
+
+@pytest.mark.parametrize("instance", [
+    pytest.param(_m250_design_at_radius_zero, id="m250-radius0"),
+    pytest.param(lambda: _twelve_decade_design(12, 479), id="seed12-instance479"),
+    pytest.param(lambda: _twelve_decade_design(13, 28), id="seed13-instance28"),
+    pytest.param(lambda: _twelve_decade_design(11, 170), id="seed11-instance170"),
+])
+def test_former_kernel_failures_are_kkt_optimal(instance, monkeypatch):
+    # The interior-point stopping rule stalled on the m = 250 design
+    # (ConvergenceError at step 67) and on instance 28, hit a singular
+    # Newton system on instance 479, and on instance 170 stopped "optimal"
+    # with a worst-case latency 1.9e-4 above the optimum.  The face
+    # crossover certifies each; the checker judges the circulation the
+    # kernel hands to the canonicalization.
+    handed = []
+
+    def spy(null, toll):
+        handed.append(toll)
+        return _min_norm_toll(null, toll)
+
+    monkeypatch.setattr(design, "_min_norm_toll", spy)
+    _, blocks, model, eps = instance()
+    result = solve_dro_tolls(blocks, model, eps)
+    _assert_kkt_optimal(blocks, model, eps, handed[-1] / blocks.lat.beta)
+    poly = toll_polytope(blocks, model, 0.0)
+    assert poly.contains(result.tau_star, tol=1e-9 * max(1.0, float(np.abs(poly.rhs).max())))
 
 
 def test_twelve_decade_instance_86_names_the_dual_residual():
@@ -407,6 +472,14 @@ def test_canonical_tolls_match_the_toll_space_qp(monkeypatch):
         tau = solve_dro_tolls(blocks, model, (0.0, 0.5, 0.9)[index % 3] * ceiling).tau_star
         oracle, lam = _tau_space_min_norm(blocks, handed[-1] / blocks.lat.beta)
         top = float(oracle.max())
+        # With eps = 0 and a zero mean and support radius the optimal toll
+        # is zero, so the circulation handed over is round-off and so are
+        # both canonical tolls (case 27: 1e-18 against tolls of 1.9e2).
+        # Then the toll must be zero to 1e-12 of the network's toll scale.
+        scale = float(np.abs(blocks.lat.beta * blocks.c).max())
+        if top <= 1e-12 * scale:
+            assert float(tau.max()) <= 1e-12 * scale, index
+            continue
         assert float(np.abs(tau - oracle).max()) <= 1e-12 * top, index
         # Where the toll or the multiplier of a zero toll is round-off,
         # which tolls come out as zeros is round-off too.
@@ -522,6 +595,19 @@ def test_solve_dro_tolls_rejects_radius_above_ceiling():
     assert info.value.epsilon_max == pytest.approx(39.8, abs=1e-6)
     with pytest.raises(ValueError):
         solve_dro_tolls(pigou_blocks(), PIGOU_MODEL, -1.0)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_non_finite_radius_is_refused(eps):
+    # NaN passed the old eps < 0 guard and reached the ceiling rule, which
+    # reported it as a radius past the robustness ceiling.
+    blocks = pigou_blocks()
+    for call in (lambda: solve_dro_tolls(blocks, PIGOU_MODEL, eps),
+                 lambda: toll_polytope(blocks, PIGOU_MODEL, eps),
+                 lambda: dro_objective(blocks, PIGOU_MODEL, eps, np.zeros(2)),
+                 lambda: worst_case_mean(blocks, np.zeros(2), PIGOU_MODEL, eps)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            call()
 
 
 def _two_roads_with_extreme_slopes():
