@@ -777,7 +777,8 @@ def test_solve_dro_tolls_matches_slsqp_reference():
 def test_solve_dro_tolls_reports_newton_state(monkeypatch):
     result = solve_dro_tolls(pigou_blocks(), PIGOU_MODEL, 10.0)
     assert result.iterations >= 1
-    assert 0.0 <= result.residual <= 1e-9 * result.worst_case_latency
+    # The solve finishes on its certified face, complementary by construction.
+    assert result.residual == 0.0
     # A budget too small to close the gap surfaces the real count and gap.
     monkeypatch.setattr(optim, "_NEWTON_ITERS", 1)
     with pytest.raises(ConvergenceError) as info:
