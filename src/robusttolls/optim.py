@@ -26,9 +26,11 @@ _NEWTON_ITERS = 100
 _GAP_TOL = 1e-12
 _DUAL_TOL = 1e-10
 # Relative gap from which :func:`_barrier_newton` tries to finish on its
-# guessed optimal face, and the Newton steps one such try may take.
+# guessed optimal face, and the Newton steps one such try may take: every
+# certified face of the design ladder and of 600 twelve-decade designs
+# took one step (a quadratic objective, eps = 0) or two, once three.
 _CROSSOVER_GAP = 1e-4
-_FACE_STEPS = 5
+_FACE_STEPS = 3
 # Step budget of :func:`_dual_newton`: the toll canonicalization took at
 # most 24 steps on layered DAGs of up to 500 edges, equilibria at most 44
 # on slopes spanning six decades.
