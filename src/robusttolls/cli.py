@@ -3,22 +3,27 @@
 Subcommands map one-to-one onto the library layers: ``validate`` and
 ``equilibrium`` exercise the network and equilibrium modules, ``epsmax``
 and ``design`` the design module, ``estimate`` the uncertainty module,
-and ``experiment`` the full Monte Carlo grid.  Exit codes are part of
-the contract: 0 on success, 1 when the input fails a domain rule, 2 when
-a file or argument cannot be parsed, 3 when a solver gives up.
+and ``experiment`` the full Monte Carlo grid.  Each subcommand declares
+only the options it reads, and argparse refuses any other.  A command
+returns its exit code and output, which :func:`main` writes to stdout or
+``--out``.  Exit codes are part of the contract: 0 on success, 1 when
+the input fails a domain rule, 2 when a file or argument cannot be
+parsed, 3 when a solver gives up.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Sequence
 
 import numpy as np
 
-from .design import DesignResult, epsilon_max, solve_dro_tolls
+from .design import epsilon_max, solve_dro_tolls
 from .equilibrium import (LatencyModel, kkt_blocks, nash_flow_closed_form, nash_flow_potential,
                           system_latency)
 from .exceptions import (ConvergenceError, FileFormatError, NumericalDegeneracyError,
@@ -26,8 +31,6 @@ from .exceptions import (ConvergenceError, FileFormatError, NumericalDegeneracyE
 from .harness import ExperimentGrid, load_scenario, run_experiment
 from .network import _number, _read_json, incidence, load_network, validate_network
 from .uncertainty import estimate_nominal, load_samples
-
-FORMATS = ("csv", "json", "text")
 
 
 def _fmt(value: float) -> str:
@@ -41,13 +44,6 @@ def _emit(content: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(content)
-
-
-def _need(args: argparse.Namespace, attr: str, flag: str, command: str) -> str:
-    value = getattr(args, attr)
-    if value is None:
-        raise FileFormatError(f"'{command}' needs {flag}")
-    return value
 
 
 def _parse_vector(raw: str, length: int, what: str) -> np.ndarray:
@@ -68,33 +64,35 @@ def _parse_vector(raw: str, length: int, what: str) -> np.ndarray:
     return vector
 
 
-def _check_format(fmt: str, allowed: tuple[str, ...], command: str) -> None:
-    if fmt not in allowed:
-        raise FileFormatError(f"'{command}' supports --format {'/'.join(allowed)}, not {fmt}")
+def _finite(text: str) -> float:
+    """Argument type: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    net, _ = load_network(_need(args, "network", "--network", "validate"))
-    _check_format(args.format, ("json", "text"), "validate")
+def cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
+    net, _ = load_network(args.network)
     report = validate_network(net)
+    code = 0 if report.ok else 1
     if args.format == "json":
-        _emit(json.dumps({"ok": report.ok, "problems": list(report.problems)}, indent=2) + "\n",
-              args.out)
-    elif report.ok:
-        _emit(f"network ok: {net.num_nodes} nodes, {net.num_edges} edges, "
-              f"demand {net.demand:g}\n", args.out)
-    else:
-        lines = ["network invalid:"] + [f"  - {p}" for p in report.problems]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if report.ok else 1
+        return code, json.dumps({"ok": report.ok, "problems": list(report.problems)}, indent=2) + "\n"
+    if report.ok:
+        return code, (f"network ok: {net.num_nodes} nodes, {net.num_edges} edges, "
+                      f"demand {net.demand:g}\n")
+    lines = ["network invalid:"] + [f"  - {p}" for p in report.problems]
+    return code, "\n".join(lines) + "\n"
 
 
-def cmd_equilibrium(args: argparse.Namespace) -> int:
-    net, betas = load_network(_need(args, "network", "--network", "equilibrium"))
-    _check_format(args.format, ("json", "text"), "equilibrium")
+def cmd_equilibrium(args: argparse.Namespace) -> tuple[int, str]:
+    net, betas = load_network(args.network)
     inc = incidence(net)
     lat = LatencyModel(betas)
-    alpha = _parse_vector(_need(args, "alpha", "--alpha", "equilibrium"), net.num_edges, "--alpha")
+    alpha = _parse_vector(args.alpha, net.num_edges, "--alpha")
     tau = (np.zeros(net.num_edges) if args.tau is None
            else _parse_vector(args.tau, net.num_edges, "--tau"))
 
@@ -127,8 +125,7 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
             np.abs(solutions["closed"].flow - solutions["potential"].flow).max())
 
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
+        return 0, json.dumps(payload, indent=2) + "\n"
     lines = []
     for name, sol in solutions.items():
         block = payload[name]
@@ -141,20 +138,16 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
         lines.append(f"closed form unavailable: {closed_note}")
     if "max_flow_difference" in payload:
         lines.append(f"max flow difference: {payload['max_flow_difference']:.3e}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
-def _scenario_blocks(args: argparse.Namespace, command: str):
-    scenario = load_scenario(_need(args, "scenario", "--scenario", command),
-                             seed_override=args.seed)
-    blocks = kkt_blocks(incidence(scenario.network), scenario.lat)
-    return scenario, blocks
+def _scenario_blocks(path: str):
+    scenario = load_scenario(path)
+    return scenario, kkt_blocks(incidence(scenario.network), scenario.lat)
 
 
-def cmd_epsmax(args: argparse.Namespace) -> int:
-    _check_format(args.format, ("json", "text"), "epsmax")
-    scenario, blocks = _scenario_blocks(args, "epsmax")
+def cmd_epsmax(args: argparse.Namespace) -> tuple[int, str]:
+    scenario, blocks = _scenario_blocks(args.scenario)
     value, certificate = epsilon_max(blocks, scenario.model)
     finite = bool(np.isfinite(value))
     if args.format == "json":
@@ -164,40 +157,30 @@ def cmd_epsmax(args: argparse.Namespace) -> int:
             "certificate": None if certificate is None else [float(v) for v in certificate],
             "edge_ids": list(scenario.network.edge_ids()),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
+        return 0, json.dumps(payload, indent=2) + "\n"
     lines = [f"epsilon_max: {value:.12g}"]
     if certificate is not None:
         pairs = " ".join(f"{eid}={v:.6g}" for eid, v in zip(scenario.network.edge_ids(), certificate))
         lines.append(f"certificate toll: {pairs}")
     else:
         lines.append("every radius is admissible (single-route network)")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
-def _design_payload(result: DesignResult, edge_ids: tuple[str, ...]) -> dict[str, object]:
-    return {
-        "eps": result.eps,
-        "tau_star": [float(v) for v in result.tau_star],
-        "edge_ids": list(edge_ids),
-        "objective": result.objective,
-        "worst_case_latency": result.worst_case_latency,
-        "iterations": result.iterations,
-        "residual": result.residual,
-    }
-
-
-def cmd_design(args: argparse.Namespace) -> int:
-    _check_format(args.format, ("json", "text"), "design")
-    if not np.isfinite(args.eps):
-        raise FileFormatError(f"--eps must be a finite number, got {args.eps!r}")
-    scenario, blocks = _scenario_blocks(args, "design")
+def cmd_design(args: argparse.Namespace) -> tuple[int, str]:
+    scenario, blocks = _scenario_blocks(args.scenario)
     result = solve_dro_tolls(blocks, scenario.model, args.eps)
     if args.format == "json":
-        _emit(json.dumps(_design_payload(result, scenario.network.edge_ids()), indent=2) + "\n",
-              args.out)
-        return 0
+        payload = {
+            "eps": result.eps,
+            "tau_star": [float(v) for v in result.tau_star],
+            "edge_ids": list(scenario.network.edge_ids()),
+            "objective": result.objective,
+            "worst_case_latency": result.worst_case_latency,
+            "iterations": result.iterations,
+            "residual": result.residual,
+        }
+        return 0, json.dumps(payload, indent=2) + "\n"
     pairs = " ".join(f"{eid}={v:.6g}" for eid, v in zip(scenario.network.edge_ids(), result.tau_star))
     lines = [
         f"designed tolls (eps={result.eps:g}): {pairs}",
@@ -205,14 +188,12 @@ def cmd_design(args: argparse.Namespace) -> int:
         f"worst-case expected latency: {result.worst_case_latency:.6f}",
         f"solver: {result.iterations} iterations, gap {result.residual:.3e}",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    _check_format(args.format, ("json", "text"), "estimate")
-    net, betas = load_network(_need(args, "network", "--network", "estimate"))
-    samples = load_samples(_need(args, "samples", "--samples", "estimate"), net.edge_ids())
+def cmd_estimate(args: argparse.Namespace) -> tuple[int, str]:
+    net, betas = load_network(args.network)
+    samples = load_samples(args.samples, net.edge_ids())
     model = estimate_nominal(samples, LatencyModel(betas), args.delta)
     if args.format == "json":
         payload = {
@@ -222,16 +203,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "support_radius": model.support_radius,
             "records": samples.num_records,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
+        return 0, json.dumps(payload, indent=2) + "\n"
     lines = [f"estimated from {samples.num_records} records"]
     lines.append("mean: " + " ".join(f"{eid}={v:.6g}" for eid, v in zip(net.edge_ids(), model.mean)))
     lines.append("cov:")
     for row in model.cov:
         lines.append("  " + " ".join(f"{v:>12.6g}" for v in row))
     lines.append(f"support radius: {model.support_radius:g}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
 def _experiment_csv(grid: ExperimentGrid) -> str:
@@ -288,56 +267,48 @@ def _experiment_text(grid: ExperimentGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    scenario = load_scenario(_need(args, "scenario", "--scenario", "experiment"),
-                             seed_override=args.seed)
-    grid = run_experiment(scenario)
-    if args.format == "csv":
-        _emit(_experiment_csv(grid), args.out)
-    elif args.format == "json":
-        _emit(_experiment_json(grid), args.out)
-    else:
-        _emit(_experiment_text(grid), args.out)
-    return 0
+def cmd_experiment(args: argparse.Namespace) -> tuple[int, str]:
+    scenario = load_scenario(args.scenario)
+    if args.seed is not None:
+        scenario = dataclasses.replace(scenario, seed=args.seed)
+    render = {"csv": _experiment_csv, "json": _experiment_json, "text": _experiment_text}
+    return 0, render[args.format](run_experiment(scenario))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--network", help="network JSON file")
-    common.add_argument("--scenario", help="scenario JSON file")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the scenario's Monte Carlo seed")
-    common.add_argument("--out", default=None, help="write output here instead of stdout")
-    common.add_argument("--format", choices=FORMATS, default="text", help="output format")
-
     parser = argparse.ArgumentParser(
         prog="robusttolls",
         description="Design congestion tolls that stay good under disturbance uncertainty.")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("validate", parents=[common], help="check a network file's structure")
-    p.set_defaults(func=cmd_validate)
+    def command(name, func, help, source, formats=("json", "text")):
+        p = sub.add_parser(name, help=help)
+        p.add_argument(f"--{source}", required=True, help=f"{source} JSON file")
+        p.add_argument("--out", help="write output here instead of stdout")
+        p.add_argument("--format", choices=formats, default="text", help="output format")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("equilibrium", parents=[common], help="compute an equilibrium flow")
-    p.add_argument("--alpha", help="disturbance vector (comma list or JSON file)")
+    command("validate", cmd_validate, "check a network file's structure", "network")
+
+    p = command("equilibrium", cmd_equilibrium, "compute an equilibrium flow", "network")
+    p.add_argument("--alpha", required=True, help="disturbance vector (comma list or JSON file)")
     p.add_argument("--tau", help="toll vector (comma list or JSON file), default zero")
     p.add_argument("--method", choices=("closed", "potential", "both"), default="both")
-    p.set_defaults(func=cmd_equilibrium)
 
-    p = sub.add_parser("epsmax", parents=[common], help="largest admissible ambiguity radius")
-    p.set_defaults(func=cmd_epsmax)
+    command("epsmax", cmd_epsmax, "largest admissible ambiguity radius", "scenario")
 
-    p = sub.add_parser("design", parents=[common], help="design robust tolls at a radius")
-    p.add_argument("--eps", type=float, required=True, help="anticipated ambiguity radius")
-    p.set_defaults(func=cmd_design)
+    p = command("design", cmd_design, "design robust tolls at a radius", "scenario")
+    p.add_argument("--eps", type=_finite, required=True, help="anticipated ambiguity radius")
 
-    p = sub.add_parser("estimate", parents=[common], help="estimate disturbance moments from samples")
-    p.add_argument("--samples", help="sample CSV file")
-    p.add_argument("--delta", type=float, required=True, help="support radius of the disturbance")
-    p.set_defaults(func=cmd_estimate)
+    p = command("estimate", cmd_estimate, "estimate disturbance moments from samples", "network")
+    p.add_argument("--samples", required=True, help="sample CSV file")
+    p.add_argument("--delta", type=_finite, required=True,
+                   help="support radius of the disturbance")
 
-    p = sub.add_parser("experiment", parents=[common], help="run the worst-case latency grid")
-    p.set_defaults(func=cmd_experiment)
+    p = command("experiment", cmd_experiment, "run the worst-case latency grid", "scenario",
+                formats=("csv", "json", "text"))
+    p.add_argument("--seed", type=int, help="override the scenario's Monte Carlo seed")
     return parser
 
 
@@ -348,7 +319,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code, content = args.func(args)
     except FileFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -358,6 +329,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TollDesignError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    _emit(content, args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -74,7 +74,7 @@ def _is_whole(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
+def load_scenario(path: str) -> Scenario:
     """Load a scenario JSON file, resolving its network and disturbance.
 
     Expected shape::
@@ -90,12 +90,8 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     moments are estimated from the residuals.  Relative paths resolve
     against the scenario file's directory.  Schema problems raise
     :class:`FileFormatError` naming the file at fault: the scenario, or
-    the network or sample file it points to.  ``seed_override`` replaces
-    the file's seed; one that is not a nonnegative integer raises
-    ``ValueError`` naming it.
+    the network or sample file it points to.
     """
-    if seed_override is not None and (not _is_whole(seed_override) or seed_override < 0):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed_override!r}")
     raw = _read_json(path, "scenario")
     where = f"scenario file {path}"
     _require(isinstance(raw, dict), where, "must hold a JSON object")
@@ -138,9 +134,8 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
              "'mc_samples' must be a positive integer")
     _require(type(raw["seed"]) is int and raw["seed"] >= 0, where,
              "'seed' must be a nonnegative integer")
-    seed = int(raw["seed"]) if seed_override is None else int(seed_override)
     return Scenario(network=net, lat=lat, model=model, grid=grid,
-                    mc_samples=int(raw["mc_samples"]), seed=seed)
+                    mc_samples=int(raw["mc_samples"]), seed=int(raw["seed"]))
 
 
 def _usable_cpus() -> int:

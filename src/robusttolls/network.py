@@ -195,9 +195,10 @@ def validate_network(net: Network) -> ValidationReport:
     """Check the structural rules and report every violation.
 
     The rules: at least two nodes, finite positive demand, node 0 the unique
-    source (no incoming edges anywhere else lack them), the last node the
-    unique sink, no directed cycle (a witness cycle is spelled out by
-    edge ids), and every edge on some source-to-destination path.
+    source (it has no incoming edge and every other node has one), the last
+    node the unique sink (it has no outgoing edge and every other node has
+    one), no directed cycle (a witness cycle is spelled out by edge ids),
+    and every edge on some source-to-destination path.
     """
     problems: list[str] = []
     n = net.num_nodes

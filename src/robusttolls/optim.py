@@ -278,20 +278,16 @@ def _dual_newton(matrix: np.ndarray, b: np.ndarray, weights: np.ndarray, cost: n
             return None, x, it, grad_norm
         if np.array_equal(matrix.T @ (x + step) - cost > 0.0, face):
             rows = np.diagonal(hess) > 0.0
-            every_row = rows.all()
             rhs = b + matrix @ np.where(face, weights * cost, 0.0)
+            exact = x.copy()
             try:
-                if every_row:
-                    exact = np.linalg.solve(hess, rhs)
-                else:
-                    exact = x.copy()
-                    exact[rows] = np.linalg.solve(hess[np.ix_(rows, rows)], rhs[rows])
+                exact[rows] = np.linalg.solve(hess[np.ix_(rows, rows)], rhs[rows])
             except np.linalg.LinAlgError:
                 pass  # the face leaves a direction free; keep stepping
             else:
                 exact_u = matrix.T @ exact - cost
                 v, roundoff = on_face(exact_u, face)
-                if ((every_row or not b[~rows].any())
+                if (not b[~rows].any()
                         and exact_u[face].min(initial=0.0) >= -roundoff
                         and exact_u[~face].max(initial=0.0) <= roundoff):
                     return v, exact, it + 1, grad_norm

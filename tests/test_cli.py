@@ -88,9 +88,10 @@ def test_validate_missing_file_exits_two(capsys):
 
 
 def test_validate_missing_flag_exits_two(capsys):
-    code, _, err = run(capsys, "validate")
-    assert code == 2
-    assert "--network" in err
+    with pytest.raises(SystemExit) as info:
+        main(["validate"])
+    assert info.value.code == 2
+    assert "--network" in capsys.readouterr().err
 
 
 def test_equilibrium_both_methods_json(capsys):
@@ -231,16 +232,18 @@ def test_design_exits_three_on_a_singular_newton_system(tmp_path, capsys):
 def test_design_non_finite_radius_exits_two(capsys, eps):
     # A radius that is not a number is unusable input, not a radius past
     # the robustness ceiling.
-    code, out, err = run(capsys, "design", "--scenario", SCENARIO, "--eps", eps)
-    assert code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["design", "--scenario", SCENARIO, "--eps", eps])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
     assert out == "" and "finite" in err and "ceiling" not in err
 
 
 def test_design_rejects_csv_format(capsys):
-    code, _, err = run(capsys, "design", "--scenario", SCENARIO,
-                       "--eps", "10", "--format", "csv")
-    assert code == 2
-    assert "csv" in err
+    with pytest.raises(SystemExit) as info:
+        main(["design", "--scenario", SCENARIO, "--eps", "10", "--format", "csv"])
+    assert info.value.code == 2
+    assert "csv" in capsys.readouterr().err
 
 
 def test_design_requires_eps(capsys):
@@ -265,9 +268,43 @@ def test_estimate_json(tmp_path, capsys):
 
 
 def test_estimate_missing_samples_flag(capsys):
-    code, _, err = run(capsys, "estimate", "--network", NETWORK, "--delta", "0.2")
-    assert code == 2
-    assert "--samples" in err
+    with pytest.raises(SystemExit) as info:
+        main(["estimate", "--network", NETWORK, "--delta", "0.2"])
+    assert info.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_estimate_non_finite_delta_exits_two(capsys, delta):
+    with pytest.raises(SystemExit) as info:
+        main(["estimate", "--network", NETWORK, "--samples", "records.csv", "--delta", delta])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--delta: must be a finite number" in err
+
+
+# Each command with the options it needs, and every option it does not read.
+UNREAD_OPTIONS = [
+    (["validate", "--network", NETWORK], ["--scenario", "--seed"]),
+    (["equilibrium", "--network", NETWORK, "--alpha", "20,30"], ["--scenario", "--seed"]),
+    (["epsmax", "--scenario", SCENARIO], ["--network", "--seed"]),
+    (["design", "--scenario", SCENARIO, "--eps", "10"], ["--network", "--seed"]),
+    (["estimate", "--network", NETWORK, "--samples", "records.csv", "--delta", "0.2"],
+     ["--scenario", "--seed"]),
+    (["experiment", "--scenario", SCENARIO], ["--network"]),
+]
+VALUES = {"--network": NETWORK, "--scenario": SCENARIO, "--seed": "3"}
+
+
+@pytest.mark.parametrize("argv, option", [(argv, option) for argv, unread in UNREAD_OPTIONS
+                                          for option in unread],
+                         ids=lambda value: value[0] if isinstance(value, list) else value)
+def test_options_a_command_does_not_read_exit_two(capsys, argv, option):
+    with pytest.raises(SystemExit) as info:
+        main(argv + [option, VALUES[option]])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {option}" in err
 
 
 def test_experiment_csv_deterministic(tmp_path, capsys):

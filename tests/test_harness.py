@@ -38,11 +38,6 @@ def test_load_bundled_scenario():
     assert scenario.model.support_radius == 0.2
 
 
-def test_load_scenario_seed_override():
-    scenario = load_scenario(BUNDLED_SCENARIO, seed_override=7)
-    assert scenario.seed == 7
-
-
 def write_scenario(tmp_path, payload, name="scenario.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -335,9 +330,6 @@ def test_load_scenario_rejects_negative_seeds(tmp_path):
     with pytest.raises(FileFormatError) as info:
         load_scenario(path)
     assert path in str(info.value) and "'seed' must be a nonnegative integer" in str(info.value)
-    for override in (-1, 2.5):
-        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {override}"):
-            load_scenario(BUNDLED_SCENARIO, seed_override=override)
 
 
 @pytest.mark.parametrize("field, token", [("mean", "NaN"), ("cov", "Infinity"),

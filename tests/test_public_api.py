@@ -28,7 +28,7 @@ REMOVED = (
     "enumerate_paths", "PathSet", "DEFAULT_MAX_PATHS", "TooManyPathsError",
     "GelbrichPoint", "gelbrich_distance", "in_gelbrich_ball", "support_check",
     "psd_sqrt", "_psd_eigh", "nominal_tolls", "SolveReport", "active_set_qp",
-    "STATUS_OPTIMAL", "STATUS_ITERATION_CAP",
+    "STATUS_OPTIMAL", "STATUS_ITERATION_CAP", "FORMATS", "_need", "_check_format",
 )
 
 MODULES = ("cli", "design", "equilibrium", "exceptions", "harness", "network", "optim",
