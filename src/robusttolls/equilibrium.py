@@ -23,8 +23,9 @@ from .exceptions import ConvergenceError, OutOfRegimeError
 from .network import IncidenceData
 from .optim import _dual_newton
 
-# How far below zero (relative to the demand) a closed-form flow may dip
-# from round-off and still count as in regime.
+# How far below zero (relative to the demand, on top of the round-off of
+# the flow's own evaluation) a closed-form flow may dip and still count as
+# in regime.
 _REGIME_TOL = 1e-9
 # Bound on the potential solver's KKT residual, per demand.
 _KKT_TOL = 1e-8
@@ -138,16 +139,28 @@ def _check_cost_vectors(m: int, alpha: np.ndarray, tau: np.ndarray) -> tuple[np.
     return alpha, tau
 
 
+def _regime_floor(blocks: KktBlocks, cost: np.ndarray) -> float:
+    """How far below zero a closed-form flow ``c - gamma cost`` may dip and stay in regime.
+
+    ``_REGIME_TOL`` of the demand, however small, plus the round-off of
+    evaluating the flow: ``m`` machine epsilons of ``||gamma|| ||cost||
+    + max |c|``.  The first term bounds ``gamma cost`` and the error that
+    ``gamma``'s own round-off puts into it, which cancellation can make
+    far larger than the product itself.
+    """
+    size = blocks.gamma_norm * float(np.linalg.norm(cost)) + float(np.abs(blocks.c).max())
+    return _REGIME_TOL * float(blocks.inc.injections[0]) + cost.shape[0] * np.finfo(float).eps * size
+
+
 def _regime_flow(blocks: KktBlocks, cost: np.ndarray) -> np.ndarray:
     """The closed-form flow ``-gamma cost + c``, checked to be in regime.
 
     Raises :class:`OutOfRegimeError` if any component falls below
-    ``-_REGIME_TOL`` (scaled by demand).
+    ``-_regime_floor``.
     """
     flow = -blocks.gamma @ cost + blocks.c
-    scale = max(1.0, float(np.abs(blocks.inc.injections).max(initial=0.0)))
     lowest = float(flow.min())
-    if lowest < -_REGIME_TOL * scale:
+    if lowest < -_regime_floor(blocks, cost):
         raise OutOfRegimeError(f"closed-form equilibrium leaves the nonnegative regime (min flow "
                                f"{lowest:.6g}); use the potential-based solver instead", lowest)
     return flow

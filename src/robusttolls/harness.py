@@ -11,10 +11,9 @@ latency average against the closed-form expectation.  Each cell streams
 its draws in blocks of unit-ball pieces (directions, their norms and
 radius factors), projects each block straight onto the cell's latency
 slope without forming the ball points, and merges the projections into
-running moments.  The cells run concurrently,
-one thread per usable CPU at most; every cell is computed whole by one
-thread from its own seed, so the results do not depend on the number of
-threads.
+running moments.  The cells always run on one thread pool, one worker
+per usable CPU at most; every cell is computed whole by one thread from
+its own seed, so the results do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import _admissible, _ceiling, solve_dro_tolls
-from .equilibrium import _REGIME_TOL, LatencyModel, kkt_blocks, latency_decomposition
+from .equilibrium import LatencyModel, _regime_floor, kkt_blocks, latency_decomposition
 from .exceptions import FileFormatError, InfeasibleError, OutOfRegimeError
 from .network import Network, _number, _read_json, _require, incidence, load_network
 from .uncertainty import DisturbanceModel, _ball_blocks, estimate_nominal, load_samples, worst_case_mean
@@ -196,17 +195,18 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     holds only while every edge carries flow, so before any sampling each
     cell's lowest closed-form flow over its whole support ball,
     ``(c - gamma (center + tau))_e - delta ||gamma_e||``, is checked; if
-    any falls below round-off (``_REGIME_TOL`` of the demand),
-    :class:`OutOfRegimeError` carries the lowest over the grid and names
-    its cell.
+    any falls below round-off (``equilibrium._regime_floor``, which scales
+    with the demand), :class:`OutOfRegimeError` carries the lowest such
+    flow over the grid and names its cell.
 
     The stream for each cell is seeded by ``(seed, i, j)``, so cells are
     reproducible in isolation and the full table is byte-stable across
     runs.  Each cell's draws are projected onto its latency slope block
     by block, without forming ball points, and merged into running
-    moments, never held whole.  The cells run concurrently on up to one
-    thread per usable CPU; each cell is computed by one thread in a fixed
-    order, so the results do not depend on the number of threads.
+    moments, never held whole.  The cells always run on one thread pool
+    with one worker per usable CPU at most, even when that is one; each
+    cell is computed by one thread in a fixed order, so the results do
+    not depend on the number of threads.
     """
     if not all(0.0 <= e < np.inf for e in scenario.grid):
         raise ValueError("grid radii must be finite and nonnegative")
@@ -228,31 +228,28 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     designs = [solve_dro_tolls(blocks, model, eps_hat) for eps_hat in scenario.grid]
 
     reach = delta * np.linalg.norm(blocks.gamma, axis=1)
-    jobs, heads, lowest, lowest_cell = [], [], np.inf, (0.0, 0.0)
+    jobs, heads, outside = [], [], []
     for i, eps in enumerate(scenario.grid):
         for j, design in enumerate(designs):
             tau = design.tau_star
             q, q0 = latency_decomposition(blocks, tau)
             center = worst_case_mean(blocks, tau, model, eps)
             flow = float((blocks.c - blocks.gamma @ (center + tau) - reach).min())
-            if flow < lowest:
-                lowest, lowest_cell = flow, (eps, scenario.grid[j])
+            if flow < -_regime_floor(blocks, center + tau):
+                outside.append((flow, eps, scenario.grid[j]))
             jobs.append((center, delta, q, q0, scenario.mc_samples, (scenario.seed, i, j)))
             expectation = float(eps * np.linalg.norm(q) + q @ model.mean + q0)
             heads.append((eps, scenario.grid[j], expectation, tau))
-    if lowest < -_REGIME_TOL * max(1.0, scenario.network.demand):
+    if outside:
+        lowest, eps, eps_hat = min(outside)
         raise OutOfRegimeError(
-            f"experiment cell eps={lowest_cell[0]:g}, eps_hat={lowest_cell[1]:g} leaves the "
-            f"closed-form regime: its lowest flow over the support ball is {lowest:.6g}", lowest)
+            f"experiment cell eps={eps:g}, eps_hat={eps_hat:g} leaves the closed-form "
+            f"regime: its lowest flow over the support ball is {lowest:.6g}", lowest)
 
-    workers = min(len(jobs), _usable_cpus())
-    if workers == 1:
-        moments = [_cell_moments(*job) for job in jobs]
-    else:
-        # Imported here: it would add several milliseconds to every import of the package.
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            moments = list(pool.map(_cell_moments, *zip(*jobs)))
+    # Imported here: it would add several milliseconds to every import of the package.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(min(len(jobs), _usable_cpus())) as pool:
+        moments = list(pool.map(_cell_moments, *zip(*jobs)))
     cells = tuple(CellResult(eps=eps, eps_hat=eps_hat, estimate=estimate, stderr=stderr,
                              expectation=expectation, tau_star=tau)
                   for (eps, eps_hat, expectation, tau), (estimate, stderr) in zip(heads, moments))

@@ -9,7 +9,9 @@ diagnosis.  :func:`incidence` turns a valid network into the reduced
 node-edge incidence matrix (destination row dropped) and the nodal
 injection vector that the equilibrium layer consumes, and
 :func:`_max_min_flow` the feasible flow whose smallest edge flow is
-largest, the design's robustness ceiling.  Nothing here lists paths:
+largest, the design's robustness ceiling.  Validation and the max-min
+flow share one edge-list form and one breadth-first search; a cycle
+witness comes from Kahn's topological sort.  Nothing here lists paths:
 everything downstream works on the incidence matrix, so the number of
 source-destination paths, exponential in general, never enters.
 """
@@ -123,72 +125,65 @@ def _locked(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _degrees(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    indeg = np.zeros(net.num_nodes, dtype=int)
-    outdeg = np.zeros(net.num_nodes, dtype=int)
-    for e in net.edges:
-        outdeg[e.tail] += 1
-        indeg[e.head] += 1
-    return indeg, outdeg
+def _adjacency(count: int, tails: list[int], heads: list[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """The edges leaving and the edges entering each of ``count`` nodes, in edge order."""
+    leaving: list[list[int]] = [[] for _ in range(count)]
+    entering: list[list[int]] = [[] for _ in range(count)]
+    for e, (tail, head) in enumerate(zip(tails, heads)):
+        leaving[tail].append(e)
+        entering[head].append(e)
+    return leaving, entering
 
 
-def _reachable(net: Network, start: int, forward: bool) -> np.ndarray:
-    adj: list[list[int]] = [[] for _ in range(net.num_nodes)]
-    for e in net.edges:
-        if forward:
-            adj[e.tail].append(e.head)
-        else:
-            adj[e.head].append(e.tail)
-    seen = np.zeros(net.num_nodes, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return seen
+def _breadth_first(tails: list[int], heads: list[int], leaving: list[list[int]],
+                   entering: list[list[int]]):
+    """The breadth-first search over one edge list, with the lists bound once."""
+
+    def search(root: int, along: bool, against) -> dict[int, int]:
+        # Breadth-first tree: each reached node maps to the edge that
+        # reached it, moving tail to head along every edge if ``along``
+        # and head to tail against the edges where ``against(e)``.
+        via = {root: -1}
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            steps = [(e, heads[e]) for e in leaving[x]] if along else []
+            steps += [(e, tails[e]) for e in entering[x] if against(e)]
+            for e, y in steps:
+                if y not in via:
+                    via[y] = e
+                    queue.append(y)
+        return via
+
+    return search
 
 
-def _find_cycle(net: Network) -> list[int] | None:
-    """Return edge indices of one directed cycle, or None if acyclic."""
-    out_edges: list[list[int]] = [[] for _ in range(net.num_nodes)]
-    for j, e in enumerate(net.edges):
-        out_edges[e.tail].append(j)
-    color = [0] * net.num_nodes  # 0 unseen, 1 on stack, 2 done
-    via: dict[int, int] = {}  # node -> edge index used to enter it
+def _find_cycle(tails: list[int], heads: list[int], leaving: list[list[int]],
+                entering: list[list[int]]) -> list[int] | None:
+    """Edge indices of one directed cycle, in the order it runs, or None if acyclic.
 
-    for root in range(net.num_nodes):
-        if color[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = 1
-        while stack:
-            node, cursor = stack[-1]
-            if cursor < len(out_edges[node]):
-                stack[-1] = (node, cursor + 1)
-                j = out_edges[node][cursor]
-                nxt = net.edges[j].head
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    via[nxt] = j
-                    stack.append((nxt, 0))
-                elif color[nxt] == 1:
-                    # Walk the recorded entry edges back from the current
-                    # node to the repeated one to spell out the cycle.
-                    cycle = [j]
-                    walk = node
-                    while walk != nxt:
-                        back = via[walk]
-                        cycle.append(back)
-                        walk = net.edges[back].tail
-                    cycle.reverse()
-                    return cycle
-            else:
-                color[node] = 2
-                stack.pop()
-    return None
+    Kahn's algorithm (*CACM* 5(11), 1962) removes, one at a time, the
+    nodes with no entering edge from a node not yet removed.  Every node
+    it leaves over still has an entering edge from a leftover node, so
+    walking such edges backwards must repeat a node, and the walk since
+    that node's first visit, reversed, is a cycle.
+    """
+    waiting = [len(edges) for edges in entering]
+    removed = [v for v, count in enumerate(waiting) if count == 0]
+    for v in removed:  # grows while it is read: the topological order
+        for e in leaving[v]:
+            waiting[heads[e]] -= 1
+            if waiting[heads[e]] == 0:
+                removed.append(heads[e])
+    if len(removed) == len(waiting):
+        return None
+    x = next(v for v, count in enumerate(waiting) if count)
+    walk, first = [], {}  # edges walked; the walk's length when each node was first reached
+    while x not in first:
+        first[x] = len(walk)
+        walk.append(next(e for e in entering[x] if waiting[tails[e]]))
+        x = tails[walk[-1]]
+    return walk[first[x]:][::-1]
 
 
 def validate_network(net: Network) -> ValidationReport:
@@ -212,31 +207,33 @@ def validate_network(net: Network) -> ValidationReport:
         problems.append(f"demand must be positive, got {net.demand:g}")
 
     if n >= 2:
-        indeg, outdeg = _degrees(net)
+        tails, heads = [e.tail for e in net.edges], [e.head for e in net.edges]
+        leaving, entering = _adjacency(n, tails, heads)
         dest = n - 1
         for i in range(n):
-            if indeg[i] == 0 and i != 0:
+            if not entering[i] and i != 0:
                 problems.append(f"node {labels[i]} is a second source (no incoming edge)"
                                 if i != dest else f"destination node {labels[i]} has no incoming edge")
-            if outdeg[i] == 0 and i != dest:
+            if not leaving[i] and i != dest:
                 problems.append(f"node {labels[i]} is a second sink (no outgoing edge)"
                                 if i != 0 else f"source node {labels[i]} has no outgoing edge")
-        if indeg[0] > 0:
+        if entering[0]:
             problems.append(f"source node {labels[0]} has an incoming edge")
-        if outdeg[dest] > 0:
+        if leaving[dest]:
             problems.append(f"destination node {labels[dest]} has an outgoing edge")
 
-        cycle = _find_cycle(net)
+        cycle = _find_cycle(tails, heads, leaving, entering)
         if cycle is not None:
             names = " -> ".join(net.edges[j].id for j in cycle)
             problems.append(f"directed cycle found: {names}")
 
-        reach_fwd = _reachable(net, 0, forward=True)
-        reach_bwd = _reachable(net, dest, forward=False)
-        if not reach_fwd[dest]:
+        search = _breadth_first(tails, heads, leaving, entering)
+        reach_fwd = search(0, True, lambda e: False)
+        reach_bwd = search(dest, False, lambda e: True)
+        if dest not in reach_fwd:
             problems.append("destination is unreachable from the source")
         for e in net.edges:
-            if not (reach_fwd[e.tail] and reach_bwd[e.head]):
+            if not (e.tail in reach_fwd and e.head in reach_bwd):
                 problems.append(f"edge {e.id} lies on no source-destination path")
 
     return ValidationReport(ok=not problems, problems=tuple(problems))
@@ -273,13 +270,13 @@ def incidence(net: Network) -> IncidenceData:
 def is_feasible_flow(inc: IncidenceData, flow: np.ndarray, tol: float = 1e-9) -> bool:
     """Whether ``flow`` is nonnegative and balances the nodal injections.
 
-    The balance test is relative to the injection scale; nonnegativity
-    allows the same absolute slack below zero.
+    Both tests are relative to the demand, however small: the balance
+    residual and the most negative flow may each reach ``tol`` times it.
     """
     flow = np.asarray(flow, dtype=float)
     if flow.shape != (inc.matrix.shape[1],):
         raise ValueError(f"flow must have length {inc.matrix.shape[1]}, got {flow.shape}")
-    scale = max(1.0, float(np.abs(inc.injections).max(initial=0.0)))
+    scale = float(np.abs(inc.injections).max(initial=0.0))
     balanced = float(np.abs(inc.matrix @ flow - inc.injections).max(initial=0.0)) <= tol * scale
     return bool(balanced and float(flow.min(initial=0.0)) >= -tol * scale)
 
@@ -306,27 +303,8 @@ def _max_min_flow(inc: IncidenceData) -> np.ndarray:
     """
     tails, heads = (ends.tolist() for ends in _endpoints(inc))
     k, m = inc.matrix.shape
-    leaving: list[list[int]] = [[] for _ in range(k + 1)]
-    entering: list[list[int]] = [[] for _ in range(k + 1)]
-    for e in range(m):
-        leaving[tails[e]].append(e)
-        entering[heads[e]].append(e)
-
-    def search(root: int, along: bool, against) -> dict[int, int]:
-        # Breadth-first tree: each reached node maps to the edge that
-        # reached it, moving tail to head along every edge if ``along``
-        # and head to tail against the edges where ``against(e)``.
-        via = {root: -1}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            steps = [(e, heads[e]) for e in leaving[x]] if along else []
-            steps += [(e, tails[e]) for e in entering[x] if against(e)]
-            for e, y in steps:
-                if y not in via:
-                    via[y] = e
-                    queue.append(y)
-        return via
+    leaving, entering = _adjacency(k + 1, tails, heads)
+    search = _breadth_first(tails, heads, leaving, entering)
 
     source, dest = 0, k
     into = search(source, True, lambda e: False)

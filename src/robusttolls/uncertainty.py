@@ -38,7 +38,6 @@ from .equilibrium import KktBlocks, LatencyModel, latency_decomposition
 from .exceptions import FileFormatError, InsufficientDataError
 
 _BALL_BLOCK = 4096
-_DEGENERATE_DIRECTION = 1e-12
 # Relative asymmetry and negative eigenvalue a covariance may carry from round-off.
 _PSD_TOL = 1e-10
 # numpy's loadtxt names the failing record "at row N", counting records
@@ -160,16 +159,19 @@ def worst_case_mean(blocks: KktBlocks, tau: np.ndarray, model: DisturbanceModel,
     """Mean of the worst distribution in the radius-``eps`` ambiguity ball.
 
     The adversary spends the whole budget shifting the mean along the
-    latency slope ``q(tau)`` and leaves the covariance alone.  When the
-    slope vanishes every mean is equally bad; the nominal mean is
-    returned and a ``UserWarning`` flags the degenerate direction.
+    latency slope ``q(tau)`` and leaves the covariance alone.  The slope
+    scales with the demand, so any nonzero slope, however small, gives
+    the direction.  Only when it is exactly zero (``R q`` equals the
+    injections, so this needs zero demand) is every mean equally bad;
+    then the nominal mean is returned and a ``UserWarning`` flags the
+    degenerate direction.
     """
     _check_radius(eps)
     if model.mean.shape[0] != blocks.gamma.shape[0]:
         raise ValueError("model dimension does not match the network")
     q, _ = latency_decomposition(blocks, tau)
     norm = float(np.linalg.norm(q))
-    if norm < _DEGENERATE_DIRECTION:
+    if norm == 0.0:
         warnings.warn("worst-case disturbance direction is undefined (latency slope is zero); "
                       "returning the nominal mean", stacklevel=2)
         return model.mean.copy()

@@ -135,6 +135,24 @@ def test_closed_form_out_of_regime():
     assert "potential-based solver" in str(info.value)
 
 
+def test_regime_and_feasibility_scale_with_a_tiny_demand():
+    # At demand 1e-12 the closed form puts -6.2e-11 on e1, 62 times the
+    # demand: out of regime and infeasible, however small in absolute terms.
+    data = incidence(Network(num_nodes=2, edges=pigou().edges, demand=1e-12))
+    blocks = kkt_blocks(data, LatencyModel(PIGOU_BETA))
+    alpha, tau = np.array([20.0, 30.0]), np.array([0.0, -10.0 - 1e-10])
+    with pytest.raises(OutOfRegimeError) as info:
+        nash_flow_closed_form(blocks, alpha, tau)
+    assert info.value.min_flow == pytest.approx(-6.244e-11, rel=1e-3)
+    assert not is_feasible_flow(data, blocks.c - blocks.gamma @ (alpha + tau))
+    assert nash_flow_potential(data, LatencyModel(PIGOU_BETA), alpha, tau).flow[0] == 0.0
+    # A flow within round-off of zero stays in regime: e1's exact flow is
+    # +3.3e-16 here, and the round-off of gamma @ cost, with costs near 20,
+    # is a few 1e-15 either way.
+    sol = nash_flow_closed_form(blocks, np.array([20.0, 20.0 - 1e-13]), np.zeros(2))
+    assert abs(sol.flow[0]) < 1e-14
+
+
 def test_closed_form_dimension_checks():
     blocks = pigou_blocks()
     with pytest.raises(ValueError):

@@ -219,9 +219,10 @@ def test_run_experiment_does_not_depend_on_the_cpu_count(monkeypatch):
     for cpus in (1, 4):
         monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
         grids.append(run_experiment(scenario))
-    # One CPU: every cell on the calling thread; four: none of them there.
-    assert all(thread is threading.main_thread() for thread in threads[:9])
+    # One CPU: all nine cells on one pool thread, never the calling one;
+    # four: none of them there either.
     assert len(threads) == 18
+    assert len(set(threads[:9])) == 1 and threads[0] is not threading.main_thread()
     assert not any(thread is threading.main_thread() for thread in threads[9:])
     one, four = grids
     assert _experiment_csv(one) == _experiment_csv(four)

@@ -122,6 +122,41 @@ def test_validate_collects_multiple_problems():
     assert len(report.problems) >= 3  # demand, cycle, disconnection at least
 
 
+def test_validation_findings_match_a_transitive_closure():
+    # Small random digraphs with self-loops, parallel edges, extra sources
+    # and sinks and bad demand, judged by the boolean transitive closure
+    # from powers of the adjacency matrix: reach[u, v] when a walk of
+    # length 0..n leads from u to v.
+    rng = np.random.default_rng(16)
+    cyclic = 0
+    for _ in range(2000):
+        n, m = int(rng.integers(2, 9)), int(rng.integers(0, 16))
+        tails, heads = rng.integers(0, n, m), rng.integers(0, n, m)
+        net = Network(num_nodes=n, edges=tuple(Edge(f"e{j}", int(tails[j]), int(heads[j]))
+                                               for j in range(m)),
+                      demand=float(rng.choice([1.0, 0.0, -1.0, np.nan])))
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[tails, heads] = True
+        reach = np.eye(n, dtype=bool)
+        for _ in range(n):
+            reach |= (reach.astype(int) @ adjacency) > 0
+        on_cycle = ((adjacency.astype(int) @ reach) > 0).diagonal()
+        problems = validate_network(net).problems
+        witnesses = [p.removeprefix("directed cycle found: ") for p in problems if "cycle" in p]
+        assert len(witnesses) == int(on_cycle.any())
+        for witness in witnesses:
+            cycle = [int(name[1:]) for name in witness.split(" -> ")]
+            assert len(set(cycle)) == len(cycle)
+            assert all(heads[a] == tails[b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+            cyclic += 1
+        dest = n - 1
+        assert ("destination is unreachable from the source" in problems) == (not reach[0, dest])
+        for j in range(m):
+            dead = not (reach[0, tails[j]] and reach[heads[j], dest])
+            assert (f"edge e{j} lies on no source-destination path" in problems) == dead
+    assert cyclic > 1000
+
+
 def test_incidence_pigou():
     data = incidence(pigou())
     assert data.matrix == pytest.approx(np.array([[1.0, 1.0]]))

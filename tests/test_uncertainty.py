@@ -8,7 +8,7 @@ import pytest
 
 from robusttolls.equilibrium import LatencyModel, kkt_blocks
 from robusttolls.exceptions import FileFormatError, InsufficientDataError
-from robusttolls.network import IncidenceData, incidence
+from robusttolls.network import Edge, IncidenceData, Network, incidence
 from robusttolls.uncertainty import (
     DisturbanceModel,
     SampleSet,
@@ -120,6 +120,19 @@ def test_worst_case_mean_zero_radius():
                              support_radius=0.2)
     shifted = worst_case_mean(blocks, np.zeros(2), model, eps=0.0)
     assert shifted == pytest.approx([20.0, 30.0], abs=1e-12)
+
+
+def test_worst_case_mean_keeps_the_direction_at_tiny_demand():
+    # The latency slope scales with the demand: at demand 1e-13 it is
+    # tiny but points where it does at demand 1, and no warning is due.
+    model = DisturbanceModel(mean=np.array([20.0, 30.0]), cov=np.eye(2), support_radius=0.0)
+    shifts = []
+    for demand in (1.0, 1e-13):
+        net = Network(num_nodes=2, edges=(Edge("e1", 0, 1), Edge("e2", 0, 1)), demand=demand)
+        blocks = kkt_blocks(incidence(net), LatencyModel(PIGOU_BETA))
+        shifts.append(worst_case_mean(blocks, np.zeros(2), model, eps=1.0) - model.mean)
+    assert shifts[1] == pytest.approx(shifts[0], rel=1e-12)
+    assert shifts[0] == pytest.approx([0.0665, 0.9978], abs=1e-4)
 
 
 def test_worst_case_mean_degenerate_direction_warns():
