@@ -17,9 +17,11 @@ acts as a validity bound on ``eps`` rather than shrinking the feasible
 set.  The objective only sees tolls through the flow response
 ``y = gamma @ tau``, so the design is solved in that circulation by the
 interior-point method of :mod:`robusttolls.optim`, which finishes on a
-certified optimal face, and optima come in affine families of tolls.
-The result is the family's minimum-norm nonnegative member
-(:func:`_min_norm_toll`), with exact zero tolls.
+certified optimal face.  The tolls with one response differ by node
+potentials, and one map (:func:`_toll_for_circulation`) picks the toll
+for both the design and the ceiling's certificate: the least-potential
+nonnegative member, which leaves every node a toll-free route to the
+destination, with exact zero tolls.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import KktBlocks, latency_decomposition
-from .exceptions import ConvergenceError, InfeasibleError, NumericalDegeneracyError
+from .exceptions import InfeasibleError, NumericalDegeneracyError
 from .network import IncidenceData, _endpoints
-from .optim import _barrier_newton, _dual_newton
+from .optim import _EPS, _barrier_newton
 from .uncertainty import DisturbanceModel, _check_radius
 
 
@@ -63,11 +65,12 @@ class TollPolytope:
 class DesignResult:
     """Outcome of a robust toll design solve.
 
-    ``tau_star`` is the minimum-norm optimal toll, with exact ``0.0`` on
-    every edge whose nonnegativity binds (all of them on single-route
-    networks); ``objective`` is the design objective value (latency terms
-    that depend on the toll); ``worst_case_latency`` adds the
-    toll-independent constants, giving the worst-case expected
+    ``tau_star`` is the least-potential optimal toll: every node but the
+    destination has an out-edge whose toll is exactly ``0.0`` (every
+    edge, on single-route networks), and every route pays the least toll
+    any optimal toll charges it.  ``objective`` is the design objective
+    value (latency terms that depend on the toll); ``worst_case_latency``
+    adds the toll-independent constants, giving the worst-case expected
     equilibrium latency over the radius-``eps`` ambiguity ball.
     ``iterations`` is the number of interior-point Newton steps of the
     design solve.  ``residual`` is the final duality gap of the solve's
@@ -154,7 +157,8 @@ def epsilon_max(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, np.n
     for the minimum flow value ``v*`` with every edge carrying at least 1
     (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 6).  The mean
     and covariance do not enter.  Returns the radius and a certificate
-    toll attaining it, the nonnegative toll whose plug-in flow is ``f*``.
+    toll attaining it, the least-potential nonnegative toll whose plug-in
+    flow is ``f*`` (:func:`_toll_for_circulation`).
     When the flow response is zero (single-route networks) every radius
     is admissible and the result is ``(inf, None)``.  When radius 0 fails
     the admissibility rule, no toll keeps the network fully utilized even
@@ -185,50 +189,40 @@ def dro_objective(blocks: KktBlocks, model: DisturbanceModel, eps: float, tau: n
     return float(eps * np.linalg.norm(q) + tau @ blocks.gamma @ tau + model.mean @ blocks.gamma @ tau)
 
 
-def _min_norm_toll(null: np.ndarray, toll: np.ndarray) -> np.ndarray:
-    """Smallest-norm nonnegative toll with the same flow response as ``toll``.
-
-    With ``N = null`` an orthonormal basis of the incidence matrix's null
-    space, the family is ``{tau : N' tau = b}``, ``b = N' toll``.
-    :func:`~robusttolls.optim._dual_newton` minimizes ``||tau||^2 / 2``
-    over its nonnegative members through the dual ``max b' mu -
-    ||(N mu)_+||^2 / 2`` from ``mu = b``: ``tau* = (N mu)_+``, exact zeros
-    off the optimal face.  Raises :class:`ConvergenceError` if the dual
-    Newton budget (``optim._DUAL_STEPS``) does not finish it.
-    """
-    m = null.shape[0]
-    b = null.T @ toll
-    tau, _, steps, residual = _dual_newton(null.T, b, np.ones(m), np.zeros(m), b)
-    if tau is None:
-        raise ConvergenceError("toll canonicalization did not converge", steps, residual)
-    return tau
-
-
 def _toll_for_circulation(blocks: KktBlocks, y: np.ndarray) -> np.ndarray:
-    """A nonnegative toll whose flow response is the circulation ``y``.
+    """The least-potential nonnegative toll whose flow response is the circulation ``y``.
 
     ``gamma @ (B y) = y`` whenever ``R y = 0``, and adding node potentials
-    ``R' pi`` leaves the response unchanged.  The potentials are longest
-    paths to the destination with edge weights ``-beta*y``, so
-    ``pi_tail - pi_head >= -beta_e y_e`` on every edge and the toll
-    ``B y + R' pi`` is nonnegative.  Validated networks are acyclic, so
-    at most one relaxation sweep per node settles them.  This gives the
-    certificate toll of :func:`epsilon_max`.
+    ``R' pi`` leaves the response unchanged, so the toll on edge ``e`` is
+    ``pi_tail - (pi_head - beta_e y_e)``.  The least potentials that keep
+    it nonnegative are the longest paths to the destination with edge
+    weights ``-beta*y``.  Validated networks are acyclic, so at most one
+    relaxation sweep per node settles them from ``-inf`` (the destination
+    at 0).  Each node then keeps an out-edge whose toll is exactly
+    ``0.0``, the edge that set its potential, so every node has a
+    toll-free route to the destination; every other nonnegative toll with
+    the same response has potentials at least as high, charges every
+    route at least as much, and so raises at least as much revenue at any
+    flow (Dial, *Transportation Research B* 33, 1999).  A toll within
+    round-off of the potentials (``m`` machine epsilons of ``max|pi| +
+    max|beta*y|``) is ``0.0`` too.  This gives the tolls of
+    :func:`solve_dro_tolls` and the certificate toll of :func:`epsilon_max`.
     """
-    matrix = blocks.inc.matrix
-    k = matrix.shape[0]
-    beta = blocks.lat.beta
+    k, m = blocks.inc.matrix.shape
     # The destination is the dropped row, index k, with potential zero.
     tails, heads = _endpoints(blocks.inc)
-    need = -beta * y
-    pi = np.zeros(k + 1)
+    need = -blocks.lat.beta * y
+    pi = np.full(k + 1, -np.inf)
+    pi[k] = 0.0
     for _ in range(k + 1):
         relaxed = pi.copy()
         np.maximum.at(relaxed, tails, pi[heads] + need)
         if np.array_equal(relaxed, pi):
             break
         pi = relaxed
-    return np.clip(beta * y + matrix.T @ pi[:k], 0.0, None)
+    tau = pi[tails] - (pi[heads] + need)
+    roundoff = m * _EPS * (float(np.abs(pi).max()) + float(np.abs(need).max(initial=0.0)))
+    return np.where(tau > roundoff, tau, 0.0)
 
 
 def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> DesignResult:
@@ -246,13 +240,12 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     optimal face once a guessed face passes its KKT certificate
     (feasibility, nonnegative multipliers, stationarity; see
     :func:`~robusttolls.optim._barrier_newton`), or else on the
-    interior-point stopping rule.  The toll ``beta * y`` has response
-    ``y``; it is canonicalized to the minimum-norm nonnegative toll with
-    that response by :func:`_min_norm_toll`, in the network's null-space
-    basis, which the Newton solve shares.  A solve that stops short of
-    optimal raises :class:`ConvergenceError` naming the stopping test
-    that failed, with its iterations and that test's relative value; a
-    radius that is negative, NaN or infinite raises ``ValueError``.
+    interior-point stopping rule.  The toll is the least-potential
+    nonnegative one with response ``y`` (:func:`_toll_for_circulation`).
+    A solve that stops short of optimal raises :class:`ConvergenceError`
+    naming the stopping test that failed, with its iterations and that
+    test's relative value; a radius that is negative, NaN or infinite
+    raises ``ValueError``.
     """
     _check_radius(eps)
     ceiling, top, start = _ceiling(blocks, model)
@@ -273,11 +266,9 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
             raise NumericalDegeneracyError(
                 f"the robustness ceiling's certificate has slack {slack:.3e} (ceiling "
                 f"{ceiling:g}), so the design has no interior start point")
-        null = blocks.inc.null_basis
-        y, iterations, gap = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean, null,
-                                             rhs, start)
-        # gamma @ (beta * y) = y for a circulation y, so beta * y is one toll of the family.
-        tau_star = _min_norm_toll(null, blocks.lat.beta * y)
+        y, iterations, gap = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean,
+                                             blocks.inc.null_basis, rhs, start)
+        tau_star = _toll_for_circulation(blocks, y)
 
     objective = dro_objective(blocks, model, eps, tau_star)
     q, q0 = latency_decomposition(blocks, tau_star)

@@ -181,12 +181,12 @@ def _cell_moments(center: np.ndarray, delta: float, q: np.ndarray, q0: float,
 def run_experiment(scenario: Scenario) -> ExperimentGrid:
     """Design tolls per anticipated radius and Monte Carlo the whole grid.
 
-    Before any design or simulation work starts, ``ValueError`` refuses a
-    grid radius that is negative or not finite, an ``mc_samples`` that is
-    not a positive integer and a ``seed`` that is not a nonnegative
-    integer, and every grid value is checked against the robustness
-    ceiling by the rule ``solve_dro_tolls`` and ``polytope_nonempty``
-    apply.  Cell (i, j) draws
+    Before any design or simulation work starts, ``ValueError`` refuses an
+    empty grid, a grid radius that is negative or not finite, an
+    ``mc_samples`` that is not a positive integer and a ``seed`` that is
+    not a nonnegative integer, and every grid value is checked against the
+    robustness ceiling by the rule ``solve_dro_tolls`` and
+    ``polytope_nonempty`` apply.  Cell (i, j) draws
     ``mc_samples`` disturbances uniformly from the support ball centered
     at the worst-case mean for actual radius ``grid[i]`` under the tolls
     designed for anticipated radius ``grid[j]``, streams them through the
@@ -208,6 +208,8 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     cell is computed by one thread in a fixed order, so the results do
     not depend on the number of threads.
     """
+    if not scenario.grid:
+        raise ValueError("the grid needs at least one radius")
     if not all(0.0 <= e < np.inf for e in scenario.grid):
         raise ValueError("grid radii must be finite and nonnegative")
     if not _is_whole(scenario.mc_samples) or scenario.mc_samples < 1:

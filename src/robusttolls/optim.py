@@ -5,9 +5,9 @@ from one complete QR (:func:`_null_basis`) that crosses over to a
 certified optimal face, solves the robust design.
 :func:`_dual_newton`, a semismooth Newton method on the dual of a
 separable quadratic over ``{v >= 0 : A v = b}``, lands on the optimal
-face exactly: the toll canonicalization, and Wardrop equilibria in node
-potentials.  Determinism matters here, not sparse scalability.  Whether
-a radius is admissible is decided before any solve, by the one rule of
+face exactly: it solves Wardrop equilibria in node potentials.
+Determinism matters here, not sparse scalability.  Whether a radius is
+admissible is decided before any solve, by the one rule of
 :mod:`robusttolls.design`; :func:`_barrier_newton` raises its own
 :class:`~robusttolls.exceptions.ConvergenceError`.
 """
@@ -31,8 +31,7 @@ _DUAL_TOL = 1e-10
 # took one step (a quadratic objective, eps = 0) or two, once three.
 _CROSSOVER_GAP = 1e-4
 _FACE_STEPS = 3
-# Step budget of :func:`_dual_newton`: the toll canonicalization took at
-# most 24 steps on layered DAGs of up to 500 edges, equilibria at most 44
+# Step budget of :func:`_dual_newton`: equilibria took at most 44 steps
 # on slopes spanning six decades.
 _DUAL_STEPS = 100
 _EPS = float(np.finfo(float).eps)
@@ -236,12 +235,12 @@ def _dual_newton(matrix: np.ndarray, b: np.ndarray, weights: np.ndarray, cost: n
     solves ``(H(P) + rho D) d = gradient``, with ``H(P) = matrix
     diag(weights on P) matrix'``, ``D`` the diagonal of ``matrix
     diag(weights) matrix'`` and ``rho = 1e-4 min(1, |gradient| / |b|)``
-    (0.01 took up to 283 steps on six-decade slopes), or ``m`` machine
-    epsilons when that leaves the system singular; an exact line search
+    (0.01 took up to 283 steps on six-decade slopes); an exact line search
     sets its length.  Once a full step keeps the face, one exact solve on
     ``P`` (over the rows it touches) finishes: ``v`` is exactly ``0.0``
     off ``P`` and where it is round-off.  Returns ``(v, x, steps taken,
-    gradient norm)``, with ``v`` None if ``_DUAL_STEPS`` steps do not finish.
+    gradient norm)``, with ``v`` None if ``_DUAL_STEPS`` steps do not
+    finish or a damped system is singular.
     """
     m = cost.shape[0]
     damping = (matrix * matrix) @ weights
@@ -262,19 +261,11 @@ def _dual_newton(matrix: np.ndarray, b: np.ndarray, weights: np.ndarray, cost: n
         if grad_norm <= m * _EPS * float(np.abs(weighted).max(initial=0.0)):
             return on_face(u, face)[0], x, it, grad_norm
         hess = (matrix[:, face] * weights[face]) @ matrix[:, face].T
-        # Where the face leaves a direction free and the gradient is near
-        # round-off, that damping is lost to round-off; then damp by m eps,
-        # so the step can follow the free direction to the next kink.
-        step = None
-        for rho in (1e-4 * min(1.0, grad_norm / b_norm), m * _EPS):
-            damped = hess.copy()
-            damped.flat[::damped.shape[0] + 1] += rho * damping
-            try:
-                step = np.linalg.solve(damped, grad)
-                break
-            except np.linalg.LinAlgError:
-                pass
-        if step is None:
+        damped = hess.copy()
+        damped.flat[::damped.shape[0] + 1] += 1e-4 * min(1.0, grad_norm / b_norm) * damping
+        try:
+            step = np.linalg.solve(damped, grad)
+        except np.linalg.LinAlgError:
             return None, x, it, grad_norm
         if np.array_equal(matrix.T @ (x + step) - cost > 0.0, face):
             rows = np.diagonal(hess) > 0.0

@@ -226,10 +226,9 @@ def sample_uniform_ball(center: np.ndarray, radius: float, count: int,
     stream, so a given seed always produces the same records no matter
     how many are requested (prefixes agree) and cells of a larger
     experiment can be generated independently.  The blocks come from
-    :func:`_ball_blocks`, and each point ``center + direction / norm *
-    radius`` is assembled on a transposed copy with one contiguous row
-    per coordinate.  The experiment harness projects the same blocks
-    onto a latency slope without forming these points.  Raises
+    :func:`_ball_blocks`, and each point is ``center + direction / norm *
+    radius``.  The experiment harness projects the same blocks onto a
+    latency slope without forming these points.  Raises
     ``ValueError`` unless ``center`` is a finite nonempty vector,
     ``radius`` finite and nonnegative and ``count`` nonnegative.
     """
@@ -243,11 +242,8 @@ def sample_uniform_ball(center: np.ndarray, radius: float, count: int,
     out = np.empty((count, center.shape[0]))
     blocks = _ball_blocks(center.shape[0], count, seed)
     for start, (direction, norms, scale) in zip(range(0, count, _BALL_BLOCK), blocks):
-        columns = direction.T.copy()
-        columns /= norms
-        columns *= radius * scale
-        columns += center[:, None]
-        out[start:start + norms.shape[0]] = columns.T
+        out[start:start + norms.shape[0]] = \
+            center + direction / norms[:, None] * (radius * scale)[:, None]
     return out
 
 

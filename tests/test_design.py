@@ -1,14 +1,15 @@
 """Tests for toll polytopes, robustness ceilings, and the toll design solver."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from randnets import (STATUS_OPTIMAL, active_set_qp, golden_section, layered_dag_network,
-                      random_dag_network, random_instance, sample_strict_toll)
+from randnets import (golden_section, layered_dag_network, random_dag_network, random_instance,
+                      sample_strict_toll)
 from robusttolls import design, optim
 from robusttolls.design import (
     DesignResult,
-    _min_norm_toll,
     _toll_for_circulation,
     dro_objective,
     epsilon_max,
@@ -20,7 +21,6 @@ from robusttolls.equilibrium import LatencyModel, equilibrium_latency_g, kkt_blo
 from robusttolls.exceptions import ConvergenceError, InfeasibleError, NumericalDegeneracyError
 from robusttolls.harness import Scenario, run_experiment
 from robusttolls.network import Edge, Network, incidence
-from robusttolls.optim import _null_basis
 from robusttolls.uncertainty import DisturbanceModel, worst_case_mean
 from test_equilibrium import PIGOU_BETA, pigou_blocks
 from test_network import pigou
@@ -359,17 +359,17 @@ def test_former_kernel_failures_are_kkt_optimal(instance, monkeypatch):
     # Newton system on instance 479, and on instance 170 stopped "optimal"
     # with a worst-case latency 1.9e-4 above the optimum.  The face
     # crossover certifies each; the checker judges the circulation the
-    # kernel hands to the canonicalization.
+    # kernel hands to the toll map.
     handed = []
 
-    def spy(null, toll):
-        handed.append(toll)
-        return _min_norm_toll(null, toll)
+    def spy(blocks, y):
+        handed.append(y)
+        return _toll_for_circulation(blocks, y)
 
-    monkeypatch.setattr(design, "_min_norm_toll", spy)
+    monkeypatch.setattr(design, "_toll_for_circulation", spy)
     _, blocks, model, eps = instance()
     result = solve_dro_tolls(blocks, model, eps)
-    _assert_kkt_optimal(blocks, model, eps, handed[-1] / blocks.lat.beta)
+    _assert_kkt_optimal(blocks, model, eps, handed[-1])
     poly = toll_polytope(blocks, model, 0.0)
     assert poly.contains(result.tau_star, tol=1e-9 * max(1.0, float(np.abs(poly.rhs).max())))
 
@@ -386,11 +386,12 @@ def test_twelve_decade_instance_86_names_the_dual_residual():
 
 
 def test_round_off_tolls_on_a_degenerate_face_are_exact_zeros():
-    # On instances 25 and 506 of the twelve-decade sweep one edge's toll
-    # is zero up to round-off, and the face solve leaves 5.2e-14 and
-    # -4.4e-14 there (of tolls up to 252 and 191).
+    # Instances 25 and 506 of the twelve-decade sweep sit on degenerate
+    # faces, and on instance 233 the longest paths leave 3.1e-16 on an
+    # edge (of tolls up to 1.3).  A toll that is zero up to round-off of
+    # the potentials must be exactly 0.0.
     for index, (net, beta) in enumerate(_twelve_decade_networks(507)):
-        if index not in (25, 506):
+        if index not in (25, 233, 506):
             continue
         m = net.num_edges
         blocks = kkt_blocks(incidence(net), LatencyModel(beta))
@@ -402,8 +403,8 @@ def test_round_off_tolls_on_a_degenerate_face_are_exact_zeros():
 
 
 def test_canonical_zero_tolls_are_exact_zeros():
-    # Edges on the canonicalization's optimal face get a toll of exactly
-    # 0.0, not the round-off of tau + R' v; the CSV prints repr.
+    # The edge that sets its tail's potential gets a toll of exactly 0.0,
+    # not the round-off of the potentials; the CSV prints repr.
     rng = np.random.default_rng(7)
     for n, m in ((6, 12), (40, 100)):
         for _ in range(10):
@@ -414,24 +415,6 @@ def test_canonical_zero_tolls_are_exact_zeros():
             ceiling, _ = epsilon_max(blocks, model)
             tau = solve_dro_tolls(blocks, model, 0.5 * ceiling).tau_star
             assert not np.any((tau > 0.0) & (tau <= 1e-12 * float(tau.max())))
-
-
-def _tau_space_min_norm(blocks, y):
-    """The least-norm nonnegative toll with response ``y``, from the toll-space QP.
-
-    Minimizes ``||tau0 + R' v||^2`` over ``v`` subject to ``tau0 + R' v >= 0``
-    with the active-set oracle, from the longest-path toll ``tau0`` (so
-    ``v = 0`` is feasible).  Returns the toll, exactly 0.0 wherever its
-    bound carries a positive multiplier, and the multipliers.
-    """
-    matrix = blocks.inc.matrix
-    tau0 = _toll_for_circulation(blocks, y)
-    v, lam, _, _, status = active_set_qp(matrix @ matrix.T, matrix @ tau0, -matrix.T, tau0,
-                                         np.zeros(matrix.shape[0]))
-    assert status == STATUS_OPTIMAL
-    tau = tau0 + matrix.T @ v
-    tau[(tau < 0.0) | (lam > 0.0)] = 0.0
-    return tau, lam
 
 
 def _canonicalization_cases():
@@ -455,64 +438,78 @@ def _canonicalization_cases():
     return cases
 
 
-def test_canonical_tolls_match_the_toll_space_qp(monkeypatch):
-    # The oracle canonicalizes the very circulation the design hands to
-    # _min_norm_toll (as the toll beta * y); a circulation rebuilt as
-    # gamma @ tau_star would carry round-off of ||gamma|| max(beta) |tau|.
-    handed = []
+def _exact_least_potential_toll(blocks, y):
+    """The least-potential toll of the circulation ``y``, in rational arithmetic.
 
-    def spy(null, toll):
-        handed.append(toll)
-        return _min_norm_toll(null, toll)
+    The potentials are the longest paths to the destination with edge
+    weights ``-beta*y`` (the floating-point products, taken exactly),
+    memoized over the acyclic network in :class:`fractions.Fraction`.
+    Returns the exact tolls ``pi_tail - pi_head + beta_e y_e``.
+    """
+    matrix = blocks.inc.matrix
+    k, m = matrix.shape
+    weight = [Fraction(float(w)) for w in blocks.lat.beta * y]
+    tails = [int(np.flatnonzero(matrix[:, e] > 0.5)[0]) for e in range(m)]
+    heads = [int(np.flatnonzero(matrix[:, e] < -0.5)[0]) if (matrix[:, e] < -0.5).any() else k
+             for e in range(m)]
+    out = {}
+    for e in range(m):
+        out.setdefault(tails[e], []).append(e)
+    potential = {k: Fraction(0)}
 
-    monkeypatch.setattr(design, "_min_norm_toll", spy)
-    compared = 0
-    for index, (blocks, model) in enumerate(_canonicalization_cases()):
-        ceiling, _ = epsilon_max(blocks, model)
-        tau = solve_dro_tolls(blocks, model, (0.0, 0.5, 0.9)[index % 3] * ceiling).tau_star
-        oracle, lam = _tau_space_min_norm(blocks, handed[-1] / blocks.lat.beta)
-        top = float(oracle.max())
-        # With eps = 0 and a zero mean and support radius the optimal toll
-        # is zero, so the circulation handed over is round-off and so are
-        # both canonical tolls (case 27: 1e-18 against tolls of 1.9e2).
-        # Then the toll must be zero to 1e-12 of the network's toll scale.
-        scale = float(np.abs(blocks.lat.beta * blocks.c).max())
-        if top <= 1e-12 * scale:
-            assert float(tau.max()) <= 1e-12 * scale, index
+    def longest(node):
+        if node not in potential:
+            potential[node] = max(longest(heads[e]) - weight[e] for e in out[node])
+        return potential[node]
+
+    return [longest(tails[e]) - longest(heads[e]) + weight[e] for e in range(m)]
+
+
+def test_tolls_are_the_exact_least_potential_tolls(monkeypatch):
+    # Every design toll and every finite ceiling certificate is the
+    # least-potential toll of its circulation: it keeps the response y,
+    # is nonnegative with no negative zero, leaves every node but the
+    # destination a toll-free out-edge, and matches the exact toll to
+    # round-off.  The design's circulation is the one the kernel returns.
+    kernel = []
+    barrier_newton = design._barrier_newton
+
+    def spy(*args):
+        kernel.append(barrier_newton(*args))
+        return kernel[-1]
+
+    monkeypatch.setattr(design, "_barrier_newton", spy)
+    cases = _canonicalization_cases()
+    for net, beta in _twelve_decade_networks(40, seed=12):
+        m = net.num_edges
+        cases.append((kkt_blocks(incidence(net), LatencyModel(beta)),
+                      DisturbanceModel(mean=np.zeros(m), cov=np.zeros((m, m)), support_radius=0.0)))
+    pairs = []
+    for index, (blocks, model) in enumerate(cases):
+        ceiling, certificate = epsilon_max(blocks, model)
+        if certificate is None:
             continue
-        assert float(np.abs(tau - oracle).max()) <= 1e-12 * top, index
-        # Where the toll or the multiplier of a zero toll is round-off,
-        # which tolls come out as zeros is round-off too.
-        if np.any((oracle > 0.0) & (oracle <= 1e-12 * top)) \
-                or np.any((oracle == 0.0) & (lam <= 1e-12 * top)):
+        pairs.append((blocks, design._ceiling(blocks, model)[2], certificate))
+        try:
+            tau = solve_dro_tolls(blocks, model, (0.0, 0.5, 0.9)[index % 3] * ceiling).tau_star
+        except ConvergenceError:
             continue
-        compared += 1
-        assert np.array_equal(tau == 0.0, oracle == 0.0), index
-    assert compared >= 30
-
-
-def test_min_norm_toll_carries_its_certificate():
-    # For a circulation y, beta * y is a toll with response y.  The
-    # canonical toll must keep that response, be nonnegative, and come
-    # with multipliers lam >= 0 on its zero tolls such that
-    # R (tau - lam) = 0: then tau - lam = N mu, and tau is optimal.
-    rng = np.random.default_rng(99)
-    for blocks, _ in _canonicalization_cases():
-        matrix, beta = blocks.inc.matrix, blocks.lat.beta
-        null = _null_basis(matrix)
-        for _ in range(3):
-            y = null @ rng.normal(size=null.shape[1]) * float(rng.uniform(0.1, 10.0))
-            tau = _min_norm_toll(null, beta * y)
-            top = float(tau.max())
-            assert float(tau.min()) >= 0.0 and not np.signbit(tau).any()
-            response = blocks.gamma @ tau
-            assert float(np.abs(response - y).max()) <= 1e-12 * float(np.abs(y).max()) \
-                + 1e-12 * blocks.gamma_norm * float(np.abs(beta * y).max())
-            zero = tau == 0.0
-            lam = np.zeros_like(tau)
-            lam[zero] = np.linalg.lstsq(matrix[:, zero], matrix @ tau, rcond=None)[0]
-            assert float(lam.min()) >= -1e-12 * top
-            assert float(np.abs(matrix @ (tau - lam)).max()) <= 1e-12 * top
+        pairs.append((blocks, kernel[-1][0], tau))
+    assert len(pairs) >= 150, len(pairs)
+    for blocks, y, tau in pairs:
+        matrix = blocks.inc.matrix
+        m = matrix.shape[1]
+        assert float(tau.min()) >= 0.0 and not np.signbit(tau).any()
+        # The response is y when tau - beta*y is a potential difference
+        # R' pi, which gamma annihilates (gamma @ tau would add the
+        # round-off of gamma's own entries).
+        scale = float(np.abs(blocks.lat.beta * y).max())
+        shift = tau - blocks.lat.beta * y
+        pi = np.linalg.lstsq(matrix.T, shift, rcond=None)[0]
+        assert float(np.abs(matrix.T @ pi - shift).max()) <= 1e-12 * m * scale
+        assert (matrix[:, tau == 0.0] > 0.5).any(axis=1).all()
+        exact = np.array([float(t) for t in _exact_least_potential_toll(blocks, y)])
+        assert float(np.abs(tau - exact).max()) <= 1e-12 * m * scale
 
 
 def test_single_route_tolls_are_exact_zeros():
@@ -523,18 +520,6 @@ def test_single_route_tolls_are_exact_zeros():
                              support_radius=0.1)
     tau = solve_dro_tolls(blocks, model, 2.0).tau_star
     assert np.array_equal(tau, np.zeros(3)) and not np.signbit(tau).any()
-    tau = _min_norm_toll(np.zeros((3, 0)), np.array([1.0, -2.0, 3.0]))
-    assert np.array_equal(tau, np.zeros(3)) and not np.signbit(tau).any()
-
-
-def test_min_norm_toll_reports_a_stall(monkeypatch):
-    blocks, model = _canonicalization_cases()[12]
-    ceiling, _ = epsilon_max(blocks, model)
-    monkeypatch.setattr(optim, "_DUAL_STEPS", 1)
-    with pytest.raises(ConvergenceError, match="canonicalization") as info:
-        solve_dro_tolls(blocks, model, 0.5 * ceiling)
-    assert info.value.iterations == 1
-    assert 0.0 < info.value.residual < np.inf
 
 
 def test_dro_objective_values():
@@ -572,21 +557,28 @@ def test_solve_dro_tolls_worst_case_is_attained():
 
 def test_solve_dro_tolls_canonical_representative():
     # Among tolls inducing the same response, the solver returns the one
-    # of least norm; shifting along the incidence row space cannot do
-    # better without leaving the nonnegative orthant.
+    # of least potentials: the cheapest route from every node charges
+    # nothing, so shifting along the incidence row space without leaving
+    # the nonnegative orthant cannot lower the revenue at a feasible flow.
     rng = np.random.default_rng(17)
     for _ in range(10):
         net, lat, blocks, model, ceiling = random_instance(rng)
         eps = 0.3 * min(ceiling, 10.0 * net.demand) if np.isfinite(ceiling) else 1.0
-        result = solve_dro_tolls(blocks, model, eps)
-        base = float(result.tau_star @ result.tau_star)
+        tau = solve_dro_tolls(blocks, model, eps).tau_star
+        cheapest = np.full(net.num_nodes, np.inf)
+        cheapest[-1] = 0.0
+        for _ in range(net.num_nodes):
+            for j, e in enumerate(net.edges):
+                cheapest[e.tail] = min(cheapest[e.tail], tau[j] + cheapest[e.head])
+        assert np.array_equal(cheapest, np.zeros(net.num_nodes))
+        flow = blocks.inc.max_min_flow
+        base = float(tau @ flow)
         rows = blocks.inc.matrix
         for _ in range(20):
-            move = rows.T @ rng.normal(size=rows.shape[0])
-            alt = result.tau_star + move
+            alt = tau + rows.T @ rng.normal(size=rows.shape[0])
             if float(alt.min()) < 0.0:
                 continue
-            assert float(alt @ alt) >= base - 1e-7 * (1.0 + base)
+            assert float(alt @ flow) >= base - 1e-9 * (1.0 + base)
 
 
 def test_solve_dro_tolls_rejects_radius_above_ceiling():

@@ -310,6 +310,13 @@ def test_run_experiment_rejects_bad_grids():
     assert "45" in str(info.value)
 
 
+def test_run_experiment_refuses_an_empty_grid():
+    # An empty grid reached the thread pool, which refused zero workers
+    # with its own message; it is refused with the other input checks.
+    with pytest.raises(ValueError, match="the grid needs at least one radius"):
+        run_experiment(small_scenario(load_scenario(BUNDLED_SCENARIO), grid=()))
+
+
 @pytest.mark.parametrize("field, value", [("mc_samples", 0), ("mc_samples", -5),
                                           ("mc_samples", 2.5), ("seed", -3)])
 def test_run_experiment_checks_the_sample_count_and_seed_first(monkeypatch, field, value):
