@@ -8,7 +8,7 @@ only the options it reads, and argparse refuses any other.  A command
 returns its exit code and output, which :func:`main` writes to stdout or
 ``--out``.  Exit codes are part of the contract: 0 on success, 1 when
 the input fails a domain rule, 2 when a file or argument cannot be
-parsed, 3 when a solver gives up.
+parsed or the output file cannot be written, 3 when a solver gives up.
 """
 
 from __future__ import annotations
@@ -36,14 +36,6 @@ from .uncertainty import estimate_nominal, load_samples
 def _fmt(value: float) -> str:
     """Shortest round-trip decimal text; identical bytes for identical floats."""
     return repr(float(value))
-
-
-def _emit(content: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(content)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(content)
 
 
 def _parse_vector(raw: str, length: int, what: str) -> np.ndarray:
@@ -329,7 +321,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TollDesignError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    _emit(content, args.out)
+    if args.out is None:
+        sys.stdout.write(content)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(content)
+    except OSError as err:
+        # The OS error's own text repeats the path; its strerror does not.
+        print(f"error: cannot write output file {args.out}: {err.strerror}", file=sys.stderr)
+        return 2
     return code
 
 

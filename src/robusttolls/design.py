@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import KktBlocks, latency_decomposition
+from .equilibrium import KktBlocks
 from .exceptions import InfeasibleError, NumericalDegeneracyError
-from .network import IncidenceData, _endpoints
+from .network import IncidenceData
 from .optim import _EPS, _barrier_newton
 from .uncertainty import DisturbanceModel, _check_radius
 
@@ -71,14 +71,14 @@ class DesignResult:
     any optimal toll charges it.  ``objective`` is the design objective
     value (latency terms that depend on the toll); ``worst_case_latency``
     adds the toll-independent constants, giving the worst-case expected
-    equilibrium latency over the radius-``eps`` ambiguity ball.
-    ``iterations`` is the number of interior-point Newton steps of the
-    design solve.  ``residual`` is the final duality gap of the solve's
-    answer: 0.0 when the solve finished on a certified optimal face
-    (complementary by construction; the few Newton steps on the face are
-    not counted in ``iterations``), and the interior-point gap when it
-    stopped on its own rule instead.  Both are zero on single-route
-    networks, which leave nothing to optimize.
+    equilibrium latency over the radius-``eps`` ambiguity ball; both are
+    read off the circulation ``gamma @ tau_star``, exact to round-off.
+    ``iterations`` counts the solve's interior-point Newton steps, and
+    ``residual`` is the final duality gap of its answer: 0.0 when it
+    finished on a certified optimal face (complementary by construction;
+    the few Newton steps on the face are not counted in ``iterations``),
+    and the interior-point gap when it stopped on its own rule instead.
+    Both are zero on single-route networks, which leave nothing to optimize.
     """
 
     tau_star: np.ndarray
@@ -205,12 +205,12 @@ def _toll_for_circulation(blocks: KktBlocks, y: np.ndarray) -> np.ndarray:
     route at least as much, and so raises at least as much revenue at any
     flow (Dial, *Transportation Research B* 33, 1999).  A toll within
     round-off of the potentials (``m`` machine epsilons of ``max|pi| +
-    max|beta*y|``) is ``0.0`` too.  This gives the tolls of
-    :func:`solve_dro_tolls` and the certificate toll of :func:`epsilon_max`.
+    max|beta*y|``) is ``0.0`` too, so ``y = 0`` gives zeros.  This gives
+    the tolls of :func:`solve_dro_tolls` and :func:`epsilon_max`'s certificate.
     """
     k, m = blocks.inc.matrix.shape
     # The destination is the dropped row, index k, with potential zero.
-    tails, heads = _endpoints(blocks.inc)
+    tails, heads = blocks.inc.tails, blocks.inc.heads
     need = -blocks.lat.beta * y
     pi = np.full(k + 1, -np.inf)
     pi[k] = 0.0
@@ -240,8 +240,9 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     optimal face once a guessed face passes its KKT certificate
     (feasibility, nonnegative multipliers, stationarity; see
     :func:`~robusttolls.optim._barrier_newton`), or else on the
-    interior-point stopping rule.  The toll is the least-potential
-    nonnegative one with response ``y`` (:func:`_toll_for_circulation`).
+    interior-point stopping rule.  Every number is read off ``y``: the
+    least-potential toll (:func:`_toll_for_circulation`), the latency
+    slope ``q = y + c`` and ``tau gamma tau = sum beta y^2``.
     A solve that stops short of optimal raises :class:`ConvergenceError`
     naming the stopping test that failed, with its iterations and that
     test's relative value; a radius that is negative, NaN or infinite
@@ -254,10 +255,8 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
             f"anticipated radius {eps:g} exceeds the robustness ceiling {ceiling:g}",
             epsilon_max=ceiling)
 
-    if start is None:
-        # Single-route networks: the only circulation is zero, and so is the toll.
-        tau_star, iterations, gap = np.zeros(blocks.gamma.shape[0]), 0, 0.0
-    else:
+    y, iterations, gap = np.zeros(blocks.gamma.shape[0]), 0, 0.0  # kept on single-route networks
+    if start is not None:
         rhs = toll_polytope(blocks, model, 0.0).rhs
         slack = float((rhs - start).min())
         if not slack > 0.0:
@@ -268,10 +267,10 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
                 f"{ceiling:g}), so the design has no interior start point")
         y, iterations, gap = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean,
                                              blocks.inc.null_basis, rhs, start)
-        tau_star = _toll_for_circulation(blocks, y)
 
-    objective = dro_objective(blocks, model, eps, tau_star)
-    q, q0 = latency_decomposition(blocks, tau_star)
-    worst_case = float(eps * np.linalg.norm(q) + q @ model.mean + q0)
-    return DesignResult(tau_star=tau_star, objective=objective, worst_case_latency=worst_case,
-                        eps=eps, iterations=iterations, residual=gap)
+    q = y + blocks.c
+    spread_and_quadratic = eps * float(np.linalg.norm(q)) + float(y @ (blocks.lat.beta * y))
+    worst_case = spread_and_quadratic + float(model.mean @ q) + blocks.demand_latency_term
+    return DesignResult(tau_star=_toll_for_circulation(blocks, y),
+                        objective=spread_and_quadratic + float(model.mean @ y),
+                        worst_case_latency=worst_case, eps=eps, iterations=iterations, residual=gap)

@@ -27,7 +27,8 @@ from .design import _admissible, _ceiling, solve_dro_tolls
 from .equilibrium import LatencyModel, _regime_floor, kkt_blocks, latency_decomposition
 from .exceptions import FileFormatError, InfeasibleError, OutOfRegimeError
 from .network import Network, _number, _read_json, _require, incidence, load_network
-from .uncertainty import DisturbanceModel, _ball_blocks, estimate_nominal, load_samples, worst_case_mean
+from .uncertainty import (DisturbanceModel, _ball_blocks, _is_whole, estimate_nominal, load_samples,
+                          worst_case_mean)
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,6 @@ class ExperimentGrid:
 
     def cell(self, i: int, j: int) -> CellResult:
         return self.cells[i * len(self.grid) + j]
-
-
-def _is_whole(value: object) -> bool:
-    """Whether ``value`` is a Python or numpy integer (and not a bool)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def load_scenario(path: str) -> Scenario:

@@ -93,13 +93,14 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class IncidenceData:
-    """Reduced incidence matrix and nodal injections of a valid network.
+    """Reduced incidence matrix, nodal injections and edge ends of a valid network.
 
     ``matrix`` has one row per node except the destination (row index
     equals node index) and one column per edge: +1 where the edge leaves
     the node, -1 where it enters.  ``injections`` puts the demand on the
-    source row and zero elsewhere.  Arrays are write-locked; treat them
-    as shared immutable state.
+    source row and zero elsewhere.  ``tails`` and ``heads`` are each
+    edge's end nodes as integer indices, the destination being node ``k``.
+    Arrays are write-locked; treat them as shared immutable state.
 
     The max-min flow and the orthonormal null basis of ``matrix`` are the
     per-network work every design on the network shares; each is computed
@@ -108,6 +109,8 @@ class IncidenceData:
 
     matrix: np.ndarray
     injections: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
 
     @cached_property
     def max_min_flow(self) -> np.ndarray:
@@ -247,24 +250,24 @@ def incidence(net: Network) -> IncidenceData:
     matrix has full row rank: every node but the destination has an
     out-edge and the graph is acyclic, so following out-edges from any
     node ends at the destination, and one out-edge per node forms a
-    spanning tree into it.
+    spanning tree into it.  The edge ends the matrix is filled from are kept.
     """
     report = validate_network(net)
     if not report.ok:
         raise InvalidNetworkError(report.problems)
 
-    n, m = net.num_nodes, net.num_edges
-    matrix = np.zeros((n - 1, m))
-    for j, e in enumerate(net.edges):
-        if e.tail < n - 1:
-            matrix[e.tail, j] += 1.0
-        if e.head < n - 1:
-            matrix[e.head, j] -= 1.0
-    injections = np.zeros(n - 1)
+    k, m = net.num_nodes - 1, net.num_edges
+    tails = np.array([e.tail for e in net.edges], dtype=np.intp)
+    heads = np.array([e.head for e in net.edges], dtype=np.intp)
+    # The destination, node k, has no row; validation leaves it no out-edge.
+    cols, inner = np.arange(m), heads < k
+    matrix = np.zeros((k, m))
+    matrix[tails, cols] = 1.0
+    matrix[heads[inner], cols[inner]] = -1.0
+    injections = np.zeros(k)
     injections[0] = net.demand
-    matrix.setflags(write=False)
-    injections.setflags(write=False)
-    return IncidenceData(matrix=matrix, injections=injections)
+    return IncidenceData(matrix=_locked(matrix), injections=_locked(injections),
+                         tails=_locked(tails), heads=_locked(heads))
 
 
 def is_feasible_flow(inc: IncidenceData, flow: np.ndarray, tol: float = 1e-9) -> bool:
@@ -281,13 +284,6 @@ def is_feasible_flow(inc: IncidenceData, flow: np.ndarray, tol: float = 1e-9) ->
     return bool(balanced and float(flow.min(initial=0.0)) >= -tol * scale)
 
 
-def _endpoints(inc: IncidenceData) -> tuple[np.ndarray, np.ndarray]:
-    """Tail and head node of every edge; the destination is node ``k``, the dropped row."""
-    matrix = inc.matrix
-    heads = np.where((matrix < -0.5).any(axis=0), np.argmax(matrix < -0.5, axis=0), matrix.shape[0])
-    return np.argmax(matrix > 0.5, axis=0), heads
-
-
 def _max_min_flow(inc: IncidenceData) -> np.ndarray:
     """The feasible flow whose smallest edge flow is largest.
 
@@ -299,9 +295,10 @@ def _max_min_flow(inc: IncidenceData) -> np.ndarray:
     source-edge-destination path for every edge and is cancelled back by
     breadth-first augmenting paths from the destination to the source, on
     which edge ``e`` can give back ``g_e - 1`` units and take any number
-    more.  Every step is integral, so ``g`` is exact.
+    more, on the edge ends ``inc`` stores.  Every step is integral, so
+    ``g`` is exact.
     """
-    tails, heads = (ends.tolist() for ends in _endpoints(inc))
+    tails, heads = inc.tails.tolist(), inc.heads.tolist()
     k, m = inc.matrix.shape
     leaving, entering = _adjacency(k + 1, tails, heads)
     search = _breadth_first(tails, heads, leaving, entering)

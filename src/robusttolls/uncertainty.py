@@ -216,6 +216,11 @@ def _ball_blocks(n: int, count: int, seed: int | tuple[int, ...]
         yield direction[:take], norms, scale
 
 
+def _is_whole(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy integer (and not a bool)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def sample_uniform_ball(center: np.ndarray, radius: float, count: int,
                         seed: int | tuple[int, ...]) -> np.ndarray:
     """Draw ``count`` points uniformly from a closed Euclidean ball.
@@ -230,15 +235,15 @@ def sample_uniform_ball(center: np.ndarray, radius: float, count: int,
     radius``.  The experiment harness projects the same blocks onto a
     latency slope without forming these points.  Raises
     ``ValueError`` unless ``center`` is a finite nonempty vector,
-    ``radius`` finite and nonnegative and ``count`` nonnegative.
+    ``radius`` finite and nonnegative and ``count`` a nonnegative integer.
     """
     center = np.asarray(center, dtype=float)
     if center.ndim != 1 or center.size == 0 or not np.isfinite(center).all():
         raise ValueError("center must be a finite nonempty vector")
     if not 0.0 <= radius < np.inf:
         raise ValueError("radius must be finite and nonnegative")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    if not _is_whole(count) or count < 0:
+        raise ValueError(f"count must be a nonnegative integer, got {count!r}")
     out = np.empty((count, center.shape[0]))
     blocks = _ball_blocks(center.shape[0], count, seed)
     for start, (direction, norms, scale) in zip(range(0, count, _BALL_BLOCK), blocks):

@@ -167,6 +167,13 @@ def test_epsmax_text_and_json(capsys, tmp_path):
     assert float(certificate.min()) >= -1e-9
 
 
+def test_unwritable_out_file_exits_two_with_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "validate", "--network", NETWORK, "--out", str(missing))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write output file {missing}: No such file or directory\n"
+
+
 def test_epsmax_single_route_unbounded(tmp_path, capsys):
     (tmp_path / "net.json").write_text(json.dumps({
         "nodes": ["s", "d"],

@@ -16,7 +16,7 @@ from robusttolls.equilibrium import (
     system_latency,
 )
 from robusttolls.exceptions import ConvergenceError, OutOfRegimeError
-from robusttolls.network import Edge, Network, _endpoints, _max_min_flow, incidence, is_feasible_flow
+from robusttolls.network import Edge, Network, _max_min_flow, incidence, is_feasible_flow
 from test_network import braess, pigou
 
 PIGOU_BETA = np.array([1.5, 0.1])
@@ -360,7 +360,7 @@ def test_potential_solver_matches_active_set_reference():
             scale = float(np.abs(cost).max())
             assert float(np.abs(multipliers[~pinned]).max()) <= 1e-12 * scale
             assert float(multipliers.min()) >= -1e-12 * scale
-            tails, heads = _endpoints(data)
+            tails, heads = data.tails, data.heads
             touched = np.zeros(data.matrix.shape[0] + 1, dtype=bool)
             touched[tails[~pinned]] = touched[heads[~pinned]] = True
             untouched += int((~touched).sum())

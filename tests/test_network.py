@@ -172,6 +172,11 @@ def test_incidence_braess():
     ])
     assert data.matrix == pytest.approx(expected)
     assert data.injections == pytest.approx(np.array([1.0, 0.0, 0.0]))
+    # Edge ends as node indices; the destination is node 3, the dropped row.
+    assert data.tails.tolist() == [0, 0, 1, 2, 1]
+    assert data.heads.tolist() == [1, 2, 3, 3, 2]
+    assert np.issubdtype(data.tails.dtype, np.integer)
+    assert np.issubdtype(data.heads.dtype, np.integer)
 
 
 def test_incidence_rejects_invalid_network():
@@ -187,6 +192,10 @@ def test_incidence_arrays_are_read_only():
         data.matrix[0, 0] = 7.0
     with pytest.raises(ValueError):
         data.injections[0] = 7.0
+    with pytest.raises(ValueError):
+        data.tails[0] = 1
+    with pytest.raises(ValueError):
+        data.heads[0] = 0
 
 
 # The path oracle in randnets, checked here because two tests lean on it.

@@ -138,7 +138,8 @@ def test_worst_case_mean_keeps_the_direction_at_tiny_demand():
 def test_worst_case_mean_degenerate_direction_warns():
     # Zero injections make the flow response vanish identically, so there
     # is no worst direction; the nominal mean comes back with a warning.
-    inc = IncidenceData(matrix=np.array([[1.0, 1.0]]), injections=np.array([0.0]))
+    inc = IncidenceData(matrix=np.array([[1.0, 1.0]]), injections=np.array([0.0]),
+                        tails=np.array([0, 0]), heads=np.array([1, 1]))
     blocks = kkt_blocks(inc, LatencyModel(np.array([1.0, 1.0])))
     model = DisturbanceModel(mean=np.array([3.0, 4.0]), cov=np.eye(2), support_radius=0.1)
     with pytest.warns(UserWarning):
@@ -223,6 +224,13 @@ def test_sample_uniform_ball_edge_cases():
     assert empty.shape == (0, 2)
     with pytest.raises(ValueError):
         sample_uniform_ball(center, -1.0, 5, seed=0)
+    # A count must be a whole number, not a float or a bool; numpy
+    # integers draw the same points as Python ones.
+    for count in (2.0, 2.5, True, False, np.float64(3.0)):
+        with pytest.raises(ValueError, match="count must be a nonnegative integer"):
+            sample_uniform_ball(center, 1.0, count, seed=0)
+    assert np.array_equal(sample_uniform_ball(center, 1.0, np.int64(3), seed=5),
+                          sample_uniform_ball(center, 1.0, 3, seed=5))
 
 
 @pytest.mark.parametrize("center, radius", [
