@@ -91,14 +91,12 @@ def cmd_equilibrium(args: argparse.Namespace) -> tuple[int, str]:
     solutions = {}
     closed_note = None
     if args.method in ("closed", "both"):
-        blocks = kkt_blocks(inc, lat)
-        if args.method == "closed":
-            solutions["closed"] = nash_flow_closed_form(blocks, alpha, tau)
-        else:
-            try:
-                solutions["closed"] = nash_flow_closed_form(blocks, alpha, tau)
-            except TollDesignError as err:
-                closed_note = str(err)
+        try:
+            solutions["closed"] = nash_flow_closed_form(kkt_blocks(inc, lat), alpha, tau)
+        except TollDesignError as err:
+            if args.method == "closed":
+                raise
+            closed_note = str(err)
     if args.method in ("potential", "both"):
         solutions["potential"] = nash_flow_potential(inc, lat, alpha, tau)
 

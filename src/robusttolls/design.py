@@ -127,22 +127,34 @@ def polytope_nonempty(poly: TollPolytope) -> bool:
     return _admissible(poly.margin, float(poly.inc.max_min_flow.min()))
 
 
-def _ceiling(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, float, np.ndarray | None]:
-    """The robustness ceiling, ``t*`` and the circulation of its certificate toll."""
+def _ceiling(blocks: KktBlocks, model: DisturbanceModel, radii=()) -> tuple[float, np.ndarray | None]:
+    """The robustness ceiling and its certificate's circulation; the one gate for radii.
+
+    Raises :class:`InfeasibleError` if ``||gamma|| delta`` fails :func:`_admissible` against
+    ``t*`` (the least max-min flow entry) or, carrying the ceiling, naming every
+    ``eps`` in ``radii`` whose ``||gamma|| (eps + delta)`` fails it.
+    """
     if model.mean.shape[0] != blocks.gamma.shape[0]:
         raise ValueError("model dimension does not match the network")
     k, m = blocks.inc.matrix.shape
     if k == m:
         # As many independent balance rows as edges leave R no null space,
         # so the flow response and ||gamma|| are exactly zero.
-        return float("inf"), float("inf"), None
+        return float("inf"), None
     flow = blocks.inc.max_min_flow
     top = float(flow.min())
     if not _admissible(blocks.gamma_norm * model.support_radius, top):
         raise InfeasibleError("no nonnegative toll keeps every edge utilized at the nominal "
                               "moments; the support radius is too large for this network")
     ceiling = max(top / blocks.gamma_norm - model.support_radius, 0.0)
-    return ceiling, top, blocks.c - blocks.gamma @ model.mean - flow
+    too_big = [f"{eps:g}" for eps in radii
+               if not _admissible(blocks.gamma_norm * (eps + model.support_radius), top)]
+    if too_big:
+        named = (f"radius {too_big[0]} exceeds" if len(too_big) == 1
+                 else f"radii {', '.join(too_big)} exceed")
+        raise InfeasibleError(f"anticipated {named} the robustness ceiling {ceiling:g}",
+                              epsilon_max=ceiling)
+    return ceiling, blocks.c - blocks.gamma @ model.mean - flow
 
 
 def epsilon_max(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, np.ndarray | None]:
@@ -166,7 +178,7 @@ def epsilon_max(blocks: KktBlocks, model: DisturbanceModel) -> tuple[float, np.n
     :class:`InfeasibleError`.  A ceiling that rounds below 0 but passes
     the rule is 0.
     """
-    ceiling, _, circulation = _ceiling(blocks, model)
+    ceiling, circulation = _ceiling(blocks, model)
     if circulation is None:
         return ceiling, None
     return ceiling, _toll_for_circulation(blocks, circulation)
@@ -228,9 +240,9 @@ def _toll_for_circulation(blocks: KktBlocks, y: np.ndarray) -> np.ndarray:
 def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> DesignResult:
     """Design the toll minimizing worst-case expected latency at radius ``eps``.
 
-    Validates ``eps`` against the robustness ceiling first, by the rule
-    :func:`polytope_nonempty` applies; a radius beyond it raises
-    :class:`InfeasibleError` carrying the ceiling.  The search
+    Validates ``eps`` first through :func:`_ceiling`, the radius gate
+    ``run_experiment`` shares; a radius beyond the robustness ceiling
+    raises :class:`InfeasibleError` carrying the ceiling.  The search
     runs over the nominal admissible polytope, in the circulation
     ``y = gamma @ tau``: minimize ``eps ||y + c|| + sum beta y^2 + mean @ y``
     subject to ``R y = 0`` and ``y <= rhs(0)``, by the interior-point
@@ -249,11 +261,7 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     raises ``ValueError``.
     """
     _check_radius(eps)
-    ceiling, top, start = _ceiling(blocks, model)
-    if not _admissible(blocks.gamma_norm * (eps + model.support_radius), top):
-        raise InfeasibleError(
-            f"anticipated radius {eps:g} exceeds the robustness ceiling {ceiling:g}",
-            epsilon_max=ceiling)
+    ceiling, start = _ceiling(blocks, model, (eps,))
 
     y, iterations, gap = np.zeros(blocks.gamma.shape[0]), 0, 0.0  # kept on single-route networks
     if start is not None:

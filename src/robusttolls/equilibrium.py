@@ -27,7 +27,7 @@ from .optim import _dual_newton
 # the flow's own evaluation) a closed-form flow may dip and still count as
 # in regime.
 _REGIME_TOL = 1e-9
-# Bound on the potential solver's KKT residual, per demand.
+# Bound on the potential solver's KKT terms, per demand (see nash_flow_potential).
 _KKT_TOL = 1e-8
 
 
@@ -195,9 +195,9 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
     Hessians, from the potentials that use every edge.  ``f = (R' p -
     cost)_+ / beta`` is exactly ``0.0`` on unused edges.  Raises
     :class:`ConvergenceError` if the dual Newton budget
-    (``optim._DUAL_STEPS``) does not finish or the result's KKT residual
-    (stationarity, balance, negative flows or multipliers,
-    complementarity) exceeds ``_KKT_TOL`` (scaled by demand).
+    (``optim._DUAL_STEPS``) does not finish or a KKT term exceeds ``_KKT_TOL``
+    times the demand (balance, negative flows; as ``is_feasible_flow``)
+    or ``max(1, demand)`` (stationarity, negative multipliers, complementarity).
     """
     matrix, eta = inc.matrix, inc.injections
     m = matrix.shape[1]
@@ -211,14 +211,16 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
     pinned = flow == 0.0
     drop = matrix.T @ potentials
     multipliers = np.where(pinned, cost - drop, 0.0)
-    residual = max(float(np.abs(lat.beta * flow + cost - drop - multipliers).max(initial=0.0)),
-                   float(np.abs(matrix @ flow - eta).max(initial=0.0)),
-                   max(0.0, -float(flow.min(initial=0.0))),
-                   max(0.0, -float(multipliers.min(initial=0.0))),
-                   float(np.abs(multipliers * flow).max(initial=0.0)))
-    if residual > _KKT_TOL * max(1.0, float(np.abs(eta).max(initial=0.0))):
+    demand = float(np.abs(eta).max(initial=0.0))
+    terms = ((max(float(np.abs(matrix @ flow - eta).max(initial=0.0)),
+                  -float(flow.min(initial=0.0))), demand),
+             (max(float(np.abs(lat.beta * flow + cost - drop - multipliers).max(initial=0.0)),
+                  -float(multipliers.min(initial=0.0)),
+                  float(np.abs(multipliers * flow).max(initial=0.0))), max(1.0, demand)))
+    failing = [value for value, scale in terms if value > _KKT_TOL * scale]
+    if failing:
         raise ConvergenceError(f"the optimal face with {int(pinned.sum())} pinned edges fails "
-                               "the KKT check", steps, residual)
+                               "the KKT check", steps, max(failing))
     return NashSolution(flow=flow, node_potentials=potentials, method="potential")
 
 

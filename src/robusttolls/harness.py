@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import _admissible, _ceiling, solve_dro_tolls
+from .design import _ceiling, solve_dro_tolls
 from .equilibrium import LatencyModel, _regime_floor, kkt_blocks, latency_decomposition
-from .exceptions import FileFormatError, InfeasibleError, OutOfRegimeError
+from .exceptions import FileFormatError, OutOfRegimeError
 from .network import Network, _number, _read_json, _require, incidence, load_network
 from .uncertainty import (DisturbanceModel, _ball_blocks, _is_whole, estimate_nominal, load_samples,
                           worst_case_mean)
@@ -85,7 +85,8 @@ def load_scenario(path: str) -> Scenario:
     moments are estimated from the residuals.  Relative paths resolve
     against the scenario file's directory.  Schema problems raise
     :class:`FileFormatError` naming the file at fault: the scenario, or
-    the network or sample file it points to.
+    the network or sample file it points to; moments that
+    ``DisturbanceModel`` refuses raise ``ValueError`` naming the scenario.
     """
     raw = _read_json(path, "scenario")
     where = f"scenario file {path}"
@@ -105,7 +106,6 @@ def load_scenario(path: str) -> Scenario:
     if "samples" in dist:
         _require(isinstance(dist["samples"], str), where, "'samples' must be a path string")
         samples = load_samples(os.path.join(base, dist["samples"]), net.edge_ids())
-        model = estimate_nominal(samples, lat, delta)
     else:
         for key in ("mean", "cov"):
             _require(key in dist, where, f"inline disturbance needs '{key}' (or use 'samples')")
@@ -119,7 +119,11 @@ def load_scenario(path: str) -> Scenario:
             raise FileFormatError(f"{where}: 'cov' is not a numeric matrix: {err}") from None
         _require(cov.shape == (m, m) and np.isfinite(cov).all(), where,
                  f"'cov' must be a {m}x{m} matrix (list of rows) of finite numbers")
-        model = DisturbanceModel(mean=np.array(mean, dtype=float), cov=cov, support_radius=delta)
+    try:
+        model = (estimate_nominal(samples, lat, delta) if "samples" in dist else
+                 DisturbanceModel(mean=np.array(mean, dtype=float), cov=cov, support_radius=delta))
+    except ValueError as err:
+        raise ValueError(f"{where}: bad 'disturbance': {err}") from err
 
     grid = raw["grid"]
     _require(isinstance(grid, list) and grid != [] and all(map(_number, grid)), where,
@@ -180,9 +184,9 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     Before any design or simulation work starts, ``ValueError`` refuses an
     empty grid, a grid radius that is negative or not finite, an
     ``mc_samples`` that is not a positive integer and a ``seed`` that is
-    not a nonnegative integer, and every grid value is checked against the
-    robustness ceiling by the rule ``solve_dro_tolls`` and
-    ``polytope_nonempty`` apply.  Cell (i, j) draws
+    not a nonnegative integer, and ``design._ceiling``, the gate of
+    ``solve_dro_tolls``, refuses the grid radii past the robustness
+    ceiling.  Cell (i, j) draws
     ``mc_samples`` disturbances uniformly from the support ball centered
     at the worst-case mean for actual radius ``grid[i]`` under the tolls
     designed for anticipated radius ``grid[j]``, streams them through the
@@ -212,25 +216,17 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
         raise ValueError(f"mc_samples must be a positive integer, got {scenario.mc_samples!r}")
     if not _is_whole(scenario.seed) or scenario.seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {scenario.seed!r}")
-    inc = incidence(scenario.network)
-    blocks = kkt_blocks(inc, scenario.lat)
-    model = scenario.model
-    delta = model.support_radius
-    ceiling, top, _ = _ceiling(blocks, model)
-    too_big = [e for e in scenario.grid if not _admissible(blocks.gamma_norm * (e + delta), top)]
-    if too_big:
-        raise InfeasibleError(
-            f"grid radii {too_big} exceed the robustness ceiling {ceiling:g}",
-            epsilon_max=ceiling)
+    blocks = kkt_blocks(incidence(scenario.network), scenario.lat)
+    model, delta = scenario.model, scenario.model.support_radius
+    _ceiling(blocks, model, scenario.grid)
 
-    designs = [solve_dro_tolls(blocks, model, eps_hat) for eps_hat in scenario.grid]
+    tolls = [solve_dro_tolls(blocks, model, eps_hat).tau_star for eps_hat in scenario.grid]
+    slopes = [latency_decomposition(blocks, tau) for tau in tolls]
 
     reach = delta * np.linalg.norm(blocks.gamma, axis=1)
     jobs, heads, outside = [], [], []
     for i, eps in enumerate(scenario.grid):
-        for j, design in enumerate(designs):
-            tau = design.tau_star
-            q, q0 = latency_decomposition(blocks, tau)
+        for j, (tau, (q, q0)) in enumerate(zip(tolls, slopes)):
             center = worst_case_mean(blocks, tau, model, eps)
             flow = float((blocks.c - blocks.gamma @ (center + tau) - reach).min())
             if flow < -_regime_floor(blocks, center + tau):
@@ -251,6 +247,5 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     cells = tuple(CellResult(eps=eps, eps_hat=eps_hat, estimate=estimate, stderr=stderr,
                              expectation=expectation, tau_star=tau)
                   for (eps, eps_hat, expectation, tau), (estimate, stderr) in zip(heads, moments))
-    return ExperimentGrid(grid=scenario.grid, cells=cells,
-                          edge_ids=scenario.network.edge_ids(),
+    return ExperimentGrid(grid=scenario.grid, cells=cells, edge_ids=scenario.network.edge_ids(),
                           mc_samples=scenario.mc_samples, seed=scenario.seed)

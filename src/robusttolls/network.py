@@ -11,13 +11,15 @@ injection vector that the equilibrium layer consumes, and
 :func:`_max_min_flow` the feasible flow whose smallest edge flow is
 largest, the design's robustness ceiling.  Validation and the max-min
 flow share one edge-list form and one breadth-first search; a cycle
-witness comes from Kahn's topological sort.  Nothing here lists paths:
-everything downstream works on the incidence matrix, so the number of
-source-destination paths, exponential in general, never enters.
+witness comes from the standard library's topological sort
+(``graphlib``).  Nothing here lists paths: everything downstream works
+on the incidence matrix, so the number of source-destination paths,
+exponential in general, never enters.
 """
 
 from __future__ import annotations
 
+import graphlib
 import json
 import math
 import sys
@@ -161,32 +163,22 @@ def _breadth_first(tails: list[int], heads: list[int], leaving: list[list[int]],
     return search
 
 
-def _find_cycle(tails: list[int], heads: list[int], leaving: list[list[int]],
-                entering: list[list[int]]) -> list[int] | None:
+def _find_cycle(tails: list[int], heads: list[int]) -> list[int] | None:
     """Edge indices of one directed cycle, in the order it runs, or None if acyclic.
 
-    Kahn's algorithm (*CACM* 5(11), 1962) removes, one at a time, the
-    nodes with no entering edge from a node not yet removed.  Every node
-    it leaves over still has an entering edge from a leftover node, so
-    walking such edges backwards must repeat a node, and the walk since
-    that node's first visit, reversed, is a cycle.
+    ``graphlib`` reports a cycle as nodes, each the tail of an edge to the
+    next, the first repeated last (a self-loop is ``[n, n]``).
     """
-    waiting = [len(edges) for edges in entering]
-    removed = [v for v, count in enumerate(waiting) if count == 0]
-    for v in removed:  # grows while it is read: the topological order
-        for e in leaving[v]:
-            waiting[heads[e]] -= 1
-            if waiting[heads[e]] == 0:
-                removed.append(heads[e])
-    if len(removed) == len(waiting):
-        return None
-    x = next(v for v, count in enumerate(waiting) if count)
-    walk, first = [], {}  # edges walked; the walk's length when each node was first reached
-    while x not in first:
-        first[x] = len(walk)
-        walk.append(next(e for e in entering[x] if waiting[tails[e]]))
-        x = tails[walk[-1]]
-    return walk[first[x]:][::-1]
+    sorter = graphlib.TopologicalSorter()
+    for tail, head in zip(tails, heads):
+        sorter.add(head, tail)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as err:
+        edge = {pair: e for e, pair in enumerate(zip(tails, heads))}
+        nodes = err.args[1]
+        return [edge[pair] for pair in zip(nodes, nodes[1:])]
+    return None
 
 
 def validate_network(net: Network) -> ValidationReport:
@@ -225,7 +217,7 @@ def validate_network(net: Network) -> ValidationReport:
         if leaving[dest]:
             problems.append(f"destination node {labels[dest]} has an outgoing edge")
 
-        cycle = _find_cycle(tails, heads, leaving, entering)
+        cycle = _find_cycle(tails, heads)
         if cycle is not None:
             names = " -> ".join(net.edges[j].id for j in cycle)
             problems.append(f"directed cycle found: {names}")

@@ -490,7 +490,7 @@ def test_tolls_are_the_exact_least_potential_tolls(monkeypatch):
         ceiling, certificate = epsilon_max(blocks, model)
         if certificate is None:
             continue
-        pairs.append((blocks, design._ceiling(blocks, model)[2], certificate))
+        pairs.append((blocks, design._ceiling(blocks, model)[1], certificate))
         try:
             tau = solve_dro_tolls(blocks, model, (0.0, 0.5, 0.9)[index % 3] * ceiling).tau_star
         except ConvergenceError:
@@ -721,6 +721,13 @@ def test_experiment_grid_refuses_what_the_design_refuses():
     with pytest.raises(InfeasibleError) as info:
         run_experiment(scenario)
     assert info.value.epsilon_max == ceiling
+    # One gate refuses the radius for both, in the same words, naming the
+    # radius and the ceiling.
+    with pytest.raises(InfeasibleError) as single:
+        solve_dro_tolls(blocks, model, refused)
+    assert str(info.value) == str(single.value)
+    assert str(single.value) == (f"anticipated radius {refused:g} exceeds the robustness "
+                                 f"ceiling {ceiling:g}")
 
 
 def test_support_radius_a_rounding_past_the_ceiling_leaves_a_zero_ceiling():

@@ -145,7 +145,16 @@ def test_regime_and_feasibility_scale_with_a_tiny_demand():
         nash_flow_closed_form(blocks, alpha, tau)
     assert info.value.min_flow == pytest.approx(-6.244e-11, rel=1e-3)
     assert not is_feasible_flow(data, blocks.c - blocks.gamma @ (alpha + tau))
-    assert nash_flow_potential(data, LatencyModel(PIGOU_BETA), alpha, tau).flow[0] == 0.0
+    # The potential solver's balance is judged against the demand too: it
+    # misses it by 0.52% here, and by 2.3% with equal costs, so both raise.
+    lat = LatencyModel(PIGOU_BETA)
+    for costs in ((alpha, tau), (np.array([20.0, 20.0]), np.zeros(2))):
+        with pytest.raises(ConvergenceError, match="fails the KKT check"):
+            nash_flow_potential(data, lat, *costs)
+    # With costs on the demand's own scale it certifies an exact flow.
+    sol = nash_flow_potential(data, lat, np.array([1e-12, 0.0]), np.zeros(2))
+    assert sol.flow.tolist() == [0.0, 1e-12]
+    assert is_feasible_flow(data, sol.flow)
     # A flow within round-off of zero stays in regime: e1's exact flow is
     # +3.3e-16 here, and the round-off of gamma @ cost, with costs near 20,
     # is a few 1e-15 either way.

@@ -375,3 +375,25 @@ def test_load_scenario_requires_an_m_by_m_cov(tmp_path, cov):
     with pytest.raises(FileFormatError) as info:
         load_scenario(str(path))
     assert "'cov'" in str(info.value)
+
+
+@pytest.mark.parametrize("disturbance, reason", [
+    ({"mean": [20.0, 30.0], "cov": [[1.0, 2.0], [0.0, 1.0]], "delta": 0.2}, "symmetric"),
+    ({"mean": [20.0, 30.0], "cov": [[1.0, 0.0], [0.0, -1.0]], "delta": 0.2},
+     "not positive semidefinite"),
+    ({"mean": [20.0, 30.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "delta": -0.2},
+     "support_radius must be finite and nonnegative"),
+    ({"samples": "records.csv", "delta": -0.2}, "support_radius must be finite and nonnegative"),
+], ids=["asymmetric", "indefinite", "negative-delta", "samples-negative-delta"])
+def test_load_scenario_names_the_file_of_a_bad_disturbance(tmp_path, disturbance, reason):
+    # The disturbance model's own checks name no file, so load_scenario
+    # adds the scenario file and its field; they stay ValueErrors (exit 1).
+    write_two_road_network(tmp_path)
+    (tmp_path / "records.csv").write_text("f_e1,f_e2,l_e1,l_e2\n10,90,35,39\n10,90,35,39.2\n")
+    payload = two_road_payload()
+    payload["disturbance"] = disturbance
+    path = write_scenario(tmp_path, payload)
+    with pytest.raises(ValueError) as info:
+        load_scenario(path)
+    message = str(info.value)
+    assert f"scenario file {path}" in message and "'disturbance'" in message and reason in message
