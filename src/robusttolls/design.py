@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import KktBlocks
-from .exceptions import InfeasibleError, NumericalDegeneracyError
-from .network import IncidenceData
+from .exceptions import InfeasibleError
+from .network import IncidenceData, _vector
 from .optim import _EPS, _barrier_newton
 from .uncertainty import DisturbanceModel, _check_radius
 
@@ -52,9 +52,7 @@ class TollPolytope:
     inc: IncidenceData
 
     def contains(self, tau: np.ndarray, tol: float = 1e-9) -> bool:
-        tau = np.asarray(tau, dtype=float)
-        if tau.shape != (self.gamma.shape[1],):
-            raise ValueError(f"tau must have length {self.gamma.shape[1]}, got {tau.shape}")
+        tau = _vector(tau, self.gamma.shape[1], "tau")
         if float(tau.min(initial=0.0)) < -tol:
             return False
         slack = self.rhs - self.gamma @ tau
@@ -99,8 +97,7 @@ def toll_polytope(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> Tol
     set.
     """
     _check_radius(eps)
-    if model.mean.shape[0] != blocks.gamma.shape[0]:
-        raise ValueError("model dimension does not match the network")
+    _vector(model.mean, blocks.gamma.shape[0], "the model's mean")
     margin = blocks.gamma_norm * (eps + model.support_radius)
     rhs = -margin * np.ones(blocks.gamma.shape[0]) - blocks.gamma @ model.mean + blocks.c
     return TollPolytope(gamma=blocks.gamma, rhs=rhs, margin=margin, inc=blocks.inc)
@@ -134,9 +131,8 @@ def _ceiling(blocks: KktBlocks, model: DisturbanceModel, radii=()) -> tuple[floa
     ``t*`` (the least max-min flow entry) or, carrying the ceiling, naming every
     ``eps`` in ``radii`` whose ``||gamma|| (eps + delta)`` fails it.
     """
-    if model.mean.shape[0] != blocks.gamma.shape[0]:
-        raise ValueError("model dimension does not match the network")
     k, m = blocks.inc.matrix.shape
+    _vector(model.mean, m, "the model's mean")
     if k == m:
         # As many independent balance rows as edges leave R no null space,
         # so the flow response and ||gamma|| are exactly zero.
@@ -147,12 +143,12 @@ def _ceiling(blocks: KktBlocks, model: DisturbanceModel, radii=()) -> tuple[floa
         raise InfeasibleError("no nonnegative toll keeps every edge utilized at the nominal "
                               "moments; the support radius is too large for this network")
     ceiling = max(top / blocks.gamma_norm - model.support_radius, 0.0)
-    too_big = [f"{eps:g}" for eps in radii
+    too_big = [repr(float(eps)) for eps in radii
                if not _admissible(blocks.gamma_norm * (eps + model.support_radius), top)]
     if too_big:
         named = (f"radius {too_big[0]} exceeds" if len(too_big) == 1
                  else f"radii {', '.join(too_big)} exceed")
-        raise InfeasibleError(f"anticipated {named} the robustness ceiling {ceiling:g}",
+        raise InfeasibleError(f"anticipated {named} the robustness ceiling {ceiling!r}",
                               epsilon_max=ceiling)
     return ceiling, blocks.c - blocks.gamma @ model.mean - flow
 
@@ -192,13 +188,10 @@ def dro_objective(blocks: KktBlocks, model: DisturbanceModel, eps: float, tau: n
     the toll, so minimizers agree with the full worst-case latency.
     """
     _check_radius(eps)
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (blocks.gamma.shape[0],):
-        raise ValueError(f"tau must have length {blocks.gamma.shape[0]}, got {tau.shape}")
-    if model.mean.shape[0] != blocks.gamma.shape[0]:
-        raise ValueError("model dimension does not match the network")
+    m = blocks.gamma.shape[0]
+    tau, mean = _vector(tau, m, "tau"), _vector(model.mean, m, "the model's mean")
     q = blocks.gamma @ tau + blocks.c
-    return float(eps * np.linalg.norm(q) + tau @ blocks.gamma @ tau + model.mean @ blocks.gamma @ tau)
+    return float(eps * np.linalg.norm(q) + tau @ blocks.gamma @ tau + mean @ blocks.gamma @ tau)
 
 
 def _toll_for_circulation(blocks: KktBlocks, y: np.ndarray) -> np.ndarray:
@@ -247,10 +240,13 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     ``y = gamma @ tau``: minimize ``eps ||y + c|| + sum beta y^2 + mean @ y``
     subject to ``R y = 0`` and ``y <= rhs(0)``, by the interior-point
     Newton method started at the circulation of the ceiling's certificate,
-    whose slack is the max-min flow less ``||gamma|| delta``, at least
-    ``||gamma|| epsilon_max`` on every row.  The solve finishes on the
-    optimal face once a guessed face passes its KKT certificate
-    (feasibility, nonnegative multipliers, stationarity; see
+    whose slack, the max-min flow less ``||gamma|| delta``, is at least
+    ``||gamma|| epsilon_max`` on every row up to rounding.  The kernel
+    alone judges that start, once projected onto ``R y = 0``: with no
+    positive slack left (a ceiling of zero up to rounding, or bounds whose
+    slack cancels) it raises :class:`NumericalDegeneracyError`.  The
+    solve finishes on the optimal face once a guessed face passes its KKT
+    certificate (feasibility, nonnegative multipliers, stationarity; see
     :func:`~robusttolls.optim._barrier_newton`), or else on the
     interior-point stopping rule.  Every number is read off ``y``: the
     least-potential toll (:func:`_toll_for_circulation`), the latency
@@ -261,18 +257,11 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     raises ``ValueError``.
     """
     _check_radius(eps)
-    ceiling, start = _ceiling(blocks, model, (eps,))
+    start = _ceiling(blocks, model, (eps,))[1]
 
     y, iterations, gap = np.zeros(blocks.gamma.shape[0]), 0, 0.0  # kept on single-route networks
     if start is not None:
         rhs = toll_polytope(blocks, model, 0.0).rhs
-        slack = float((rhs - start).min())
-        if not slack > 0.0:
-            # The slack is at least ||gamma|| * ceiling up to rounding, so
-            # this is a ceiling of zero.
-            raise NumericalDegeneracyError(
-                f"the robustness ceiling's certificate has slack {slack:.3e} (ceiling "
-                f"{ceiling:g}), so the design has no interior start point")
         y, iterations, gap = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean,
                                              blocks.inc.null_basis, rhs, start)
 

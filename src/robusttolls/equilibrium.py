@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, OutOfRegimeError
-from .network import IncidenceData
+from .network import IncidenceData, _vector
 from .optim import _dual_newton
 
 # How far below zero (relative to the demand, on top of the round-off of
@@ -113,8 +113,7 @@ def kkt_blocks(inc: IncidenceData, lat: LatencyModel) -> KktBlocks:
     """
     matrix, eta = inc.matrix, inc.injections
     k, m = matrix.shape
-    if lat.beta.shape != (m,):
-        raise ValueError(f"beta must have length {m}, got {lat.beta.shape}")
+    _vector(lat.beta, m, "beta")
     root = np.sqrt(lat.beta)[:, None]
     q, t = np.linalg.qr(matrix.T / root, mode="complete")
     t_inv = np.linalg.inv(t[:k])
@@ -127,16 +126,6 @@ def kkt_blocks(inc: IncidenceData, lat: LatencyModel) -> KktBlocks:
     for arr in (gamma, lam, s, c):
         arr.setflags(write=False)
     return KktBlocks(gamma=gamma, lam=lam, s=s, gamma_norm=gamma_norm, c=c, inc=inc, lat=lat)
-
-
-def _check_cost_vectors(m: int, alpha: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    alpha = np.asarray(alpha, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if alpha.shape != (m,):
-        raise ValueError(f"alpha must have length {m}, got {alpha.shape}")
-    if tau.shape != (m,):
-        raise ValueError(f"tau must have length {m}, got {tau.shape}")
-    return alpha, tau
 
 
 def _regime_floor(blocks: KktBlocks, cost: np.ndarray) -> float:
@@ -174,8 +163,8 @@ def nash_flow_closed_form(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray)
     :class:`OutOfRegimeError` is raised; callers should switch to
     :func:`nash_flow_potential`, which handles flows pinned at zero.
     """
-    alpha, tau = _check_cost_vectors(blocks.gamma.shape[0], alpha, tau)
-    cost = alpha + tau
+    m = blocks.gamma.shape[0]
+    cost = _vector(alpha, m, "alpha") + _vector(tau, m, "tau")
     flow = _regime_flow(blocks, cost)
     # The raw multiplier of the balance constraint is the negated trip
     # cost; flip it so potentials decrease along used edges and the
@@ -201,8 +190,7 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
     """
     matrix, eta = inc.matrix, inc.injections
     m = matrix.shape[1]
-    alpha, tau = _check_cost_vectors(m, alpha, tau)
-    cost = alpha + tau
+    cost = _vector(alpha, m, "alpha") + _vector(tau, m, "tau")
     weights = 1.0 / lat.beta
     start = np.linalg.solve((matrix * weights) @ matrix.T, eta + matrix @ (weights * cost))
     flow, potentials, steps, grad_norm = _dual_newton(matrix, eta, weights, cost, start)
@@ -230,10 +218,8 @@ def system_latency(flow: np.ndarray, lat: LatencyModel, alpha: np.ndarray) -> fl
     Tolls are deliberately absent: they move money, not time, so the
     system performance measure ignores them.
     """
-    flow = np.asarray(flow, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if flow.shape != lat.beta.shape or alpha.shape != lat.beta.shape:
-        raise ValueError("flow and alpha must match the latency model length")
+    m = lat.beta.shape[0]
+    flow, alpha = _vector(flow, m, "flow"), _vector(alpha, m, "alpha")
     return float(flow @ (lat.beta * flow + alpha))
 
 
@@ -245,10 +231,7 @@ def latency_decomposition(blocks: KktBlocks, tau: np.ndarray) -> tuple[np.ndarra
     and ``q0 = tau gamma tau + injections s injections``.  Returns
     ``(q, q0)``.
     """
-    m = blocks.gamma.shape[0]
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (m,):
-        raise ValueError(f"tau must have length {m}, got {tau.shape}")
+    tau = _vector(tau, blocks.gamma.shape[0], "tau")
     q = blocks.gamma @ tau + blocks.c
     q0 = float(tau @ blocks.gamma @ tau) + blocks.demand_latency_term
     return q, q0
@@ -262,7 +245,8 @@ def equilibrium_latency_g(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray)
     :func:`nash_flow_closed_form`).  Tolls shift which equilibrium
     arises but are not themselves counted as travel time.
     """
-    alpha, tau = _check_cost_vectors(blocks.gamma.shape[0], alpha, tau)
+    m = blocks.gamma.shape[0]
+    alpha, tau = _vector(alpha, m, "alpha"), _vector(tau, m, "tau")
     _regime_flow(blocks, alpha + tau)
     q, q0 = latency_decomposition(blocks, tau)
     return float(q @ alpha + q0)

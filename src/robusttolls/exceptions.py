@@ -28,9 +28,9 @@ class InvalidNetworkError(TollDesignError):
 class NumericalDegeneracyError(TollDesignError):
     """A solve has no interior to start from.
 
-    Raised by the design solve when the robustness ceiling's certificate
-    keeps no positive slack on some edge, which means a ceiling of zero
-    up to rounding: no toll leaves any room for the solver to move in.
+    Raised by the design kernel when its start, projected onto the
+    balance rows, keeps no positive slack on some bound: a ceiling of
+    zero up to rounding, or bounds whose slack cancels in rounding.
     """
 
 

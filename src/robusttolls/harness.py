@@ -27,8 +27,8 @@ from .design import _ceiling, solve_dro_tolls
 from .equilibrium import LatencyModel, _regime_floor, kkt_blocks, latency_decomposition
 from .exceptions import FileFormatError, OutOfRegimeError
 from .network import Network, _number, _read_json, _require, incidence, load_network
-from .uncertainty import (DisturbanceModel, _ball_blocks, _is_whole, estimate_nominal, load_samples,
-                          worst_case_mean)
+from .uncertainty import (DisturbanceModel, _ball_blocks, _check_radius, _is_whole, _shifted_mean,
+                          estimate_nominal, load_samples)
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,8 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     """
     if not scenario.grid:
         raise ValueError("the grid needs at least one radius")
-    if not all(0.0 <= e < np.inf for e in scenario.grid):
-        raise ValueError("grid radii must be finite and nonnegative")
+    for eps in scenario.grid:
+        _check_radius(eps, "grid radius")
     if not _is_whole(scenario.mc_samples) or scenario.mc_samples < 1:
         raise ValueError(f"mc_samples must be a positive integer, got {scenario.mc_samples!r}")
     if not _is_whole(scenario.seed) or scenario.seed < 0:
@@ -227,7 +227,7 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     jobs, heads, outside = [], [], []
     for i, eps in enumerate(scenario.grid):
         for j, (tau, (q, q0)) in enumerate(zip(tolls, slopes)):
-            center = worst_case_mean(blocks, tau, model, eps)
+            center = _shifted_mean(model, q, eps)
             flow = float((blocks.c - blocks.gamma @ (center + tau) - reach).min())
             if flow < -_regime_floor(blocks, center + tau):
                 outside.append((flow, eps, scenario.grid[j]))

@@ -130,6 +130,14 @@ def _locked(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _vector(value, length: int, name: str) -> np.ndarray:
+    """``value`` as a float array, which must be a vector of ``length`` entries."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != (length,):
+        raise ValueError(f"{name} must have length {length}, got {value.shape}")
+    return value
+
+
 def _adjacency(count: int, tails: list[int], heads: list[int]) -> tuple[list[list[int]], list[list[int]]]:
     """The edges leaving and the edges entering each of ``count`` nodes, in edge order."""
     leaving: list[list[int]] = [[] for _ in range(count)]
@@ -268,9 +276,7 @@ def is_feasible_flow(inc: IncidenceData, flow: np.ndarray, tol: float = 1e-9) ->
     Both tests are relative to the demand, however small: the balance
     residual and the most negative flow may each reach ``tol`` times it.
     """
-    flow = np.asarray(flow, dtype=float)
-    if flow.shape != (inc.matrix.shape[1],):
-        raise ValueError(f"flow must have length {inc.matrix.shape[1]}, got {flow.shape}")
+    flow = _vector(flow, inc.matrix.shape[1], "flow")
     scale = float(np.abs(inc.injections).max(initial=0.0))
     balanced = float(np.abs(inc.matrix @ flow - inc.injections).max(initial=0.0)) <= tol * scale
     return bool(balanced and float(flow.min(initial=0.0)) >= -tol * scale)

@@ -8,8 +8,9 @@ separable quadratic over ``{v >= 0 : A v = b}``, lands on the optimal
 face exactly: it solves Wardrop equilibria in node potentials.
 Determinism matters here, not sparse scalability.  Whether a radius is
 admissible is decided before any solve, by the one rule of
-:mod:`robusttolls.design`; :func:`_barrier_newton` raises its own
-:class:`~robusttolls.exceptions.ConvergenceError`.
+:mod:`robusttolls.design`; whether a start has an interior, by
+:func:`_barrier_newton` alone on the start it projects.  It raises its
+own typed errors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, NumericalDegeneracyError
 
 # Interior-point budget and stopping tolerances (relative, see
 # :func:`_barrier_newton`).
@@ -62,8 +63,9 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     basis ``N`` of the null space of ``balance`` (full row rank), so they
     keep the equality exactly and each Newton system is the reduced
     ``N' (D - (eps/||u||) u_hat u_hat') N`` with ``D`` diagonal (weights,
-    norm curvature, barrier).  ``start`` must satisfy the equality and
-    every bound strictly; there is no phase one.
+    norm curvature, barrier).  There is no phase one: a ``start`` whose
+    projection onto that null space does not hold every bound strictly
+    raises :class:`NumericalDegeneracyError` naming the least slack.
 
     Once the relative duality gap is at most ``_CROSSOVER_GAP``, the
     method crosses over to the optimal face (Megiddo 1991; Ye 1992).  It
@@ -100,8 +102,9 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
         raise ValueError("offset, weights, lin, start and the balance rows must have the length of upper")
     y = basis @ (basis.T @ start)
     slack = upper - y
-    if not float(slack.min(initial=np.inf)) > 0.0:
-        raise ValueError("start point must hold every bound strictly")
+    least = float(slack.min(initial=np.inf))
+    if not least > 0.0:
+        raise NumericalDegeneracyError(f"projected start has no interior: least slack {least:.3e}")
 
     def gradient(point: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         resid = point + offset

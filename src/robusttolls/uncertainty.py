@@ -36,6 +36,7 @@ import numpy as np
 
 from .equilibrium import KktBlocks, LatencyModel, latency_decomposition
 from .exceptions import FileFormatError, InsufficientDataError
+from .network import _vector
 
 _BALL_BLOCK = 4096
 # Relative asymmetry and negative eigenvalue a covariance may carry from round-off.
@@ -95,8 +96,7 @@ class DisturbanceModel:
         cov = _clean_covariance(self.cov)
         if cov.shape[0] != mean.shape[0]:
             raise ValueError("mean and covariance dimensions disagree")
-        if not 0.0 <= self.support_radius < np.inf:
-            raise ValueError("support_radius must be finite and nonnegative")
+        _check_radius(self.support_radius, "support_radius")
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -148,10 +148,10 @@ def estimate_nominal(samples: SampleSet, lat: LatencyModel, support_radius: floa
     return DisturbanceModel(mean=mean, cov=cov, support_radius=support_radius)
 
 
-def _check_radius(eps: float) -> None:
-    """Refuse an ambiguity radius that is negative, NaN or infinite."""
-    if not 0.0 <= eps < np.inf:
-        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
+def _check_radius(value: float, name: str = "eps") -> None:
+    """Refuse a radius that is negative, NaN or infinite, naming it ``name``."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def worst_case_mean(blocks: KktBlocks, tau: np.ndarray, model: DisturbanceModel,
@@ -167,13 +167,16 @@ def worst_case_mean(blocks: KktBlocks, tau: np.ndarray, model: DisturbanceModel,
     degenerate direction.
     """
     _check_radius(eps)
-    if model.mean.shape[0] != blocks.gamma.shape[0]:
-        raise ValueError("model dimension does not match the network")
-    q, _ = latency_decomposition(blocks, tau)
+    _vector(model.mean, blocks.gamma.shape[0], "the model's mean")
+    return _shifted_mean(model, latency_decomposition(blocks, tau)[0], eps)
+
+
+def _shifted_mean(model: DisturbanceModel, q: np.ndarray, eps: float) -> np.ndarray:
+    """:func:`worst_case_mean` along the latency slope ``q``, with nothing checked."""
     norm = float(np.linalg.norm(q))
     if norm == 0.0:
         warnings.warn("worst-case disturbance direction is undefined (latency slope is zero); "
-                      "returning the nominal mean", stacklevel=2)
+                      "returning the nominal mean", stacklevel=3)
         return model.mean.copy()
     return model.mean + eps * q / norm
 
@@ -240,8 +243,7 @@ def sample_uniform_ball(center: np.ndarray, radius: float, count: int,
     center = np.asarray(center, dtype=float)
     if center.ndim != 1 or center.size == 0 or not np.isfinite(center).all():
         raise ValueError("center must be a finite nonempty vector")
-    if not 0.0 <= radius < np.inf:
-        raise ValueError("radius must be finite and nonnegative")
+    _check_radius(radius, "radius")
     if not _is_whole(count) or count < 0:
         raise ValueError(f"count must be a nonnegative integer, got {count!r}")
     out = np.empty((count, center.shape[0]))

@@ -78,6 +78,9 @@ def test_validate_reports_problems(tmp_path, capsys):
     payload = json.loads(out)
     assert not payload["ok"]
     assert payload["problems"]
+    code, out, _ = run(capsys, "validate", "--network", str(path), "--format", "text")
+    assert code == 1
+    assert out.splitlines() == ["network invalid:"] + [f"  - {p}" for p in payload["problems"]]
 
 
 def test_validate_missing_file_exits_two(capsys):
@@ -107,6 +110,26 @@ def test_equilibrium_both_methods_json(capsys):
     assert payload["closed"]["node_potentials"] == pytest.approx([cost], abs=1e-8)
     assert payload["closed"]["system_latency"] == pytest.approx(
         9.375 * (1.5 * 9.375 + 20.0) + 90.625 * (0.1 * 90.625 + 30.0), abs=1e-8)
+
+
+def test_equilibrium_both_methods_text(capsys):
+    code, out, _ = run(capsys, "equilibrium", "--network", NETWORK,
+                       "--alpha", "20,30", "--tau", "5,0", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert "closed equilibrium" in lines and "potential equilibrium" in lines
+    assert lines[-1].startswith("max flow difference: ")
+    assert float(lines[-1].split(": ")[1]) <= 1e-6
+
+
+def test_equilibrium_both_text_notes_the_missing_closed_form(capsys):
+    code, out, _ = run(capsys, "equilibrium", "--network", NETWORK,
+                       "--alpha", "0,200", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "potential equilibrium" and "closed equilibrium" not in lines
+    assert lines[-1].startswith("closed form unavailable: closed-form equilibrium leaves")
+    assert "max flow difference" not in out
 
 
 def test_equilibrium_alpha_from_file(tmp_path, capsys):
@@ -196,6 +219,9 @@ def test_epsmax_single_route_unbounded(tmp_path, capsys):
     assert payload["epsilon_max"] is None
     assert not payload["finite"]
     assert payload["certificate"] is None
+    code, out, _ = run(capsys, "epsmax", "--scenario", str(scenario), "--format", "text")
+    assert code == 0
+    assert out == "epsilon_max: inf\nevery radius is admissible (single-route network)\n"
 
 
 def test_design_json(capsys):
@@ -206,6 +232,16 @@ def test_design_json(capsys):
     assert payload["tau_star"] == pytest.approx([9.2752266, 0.0], abs=2e-5)
     assert payload["worst_case_latency"] == pytest.approx(4758.5404376, abs=2e-4)
     assert payload["edge_ids"] == ["e1", "e2"]
+
+
+def test_design_text(capsys):
+    code, out, _ = run(capsys, "design", "--scenario", SCENARIO, "--eps", "10", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "designed tolls (eps=10): e1=9.27523 e2=0"
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "objective", "worst-case expected latency", "solver"]
+    assert lines[2] == "worst-case expected latency: 4758.540438"
 
 
 def test_design_radius_above_ceiling_exits_one(capsys):
@@ -233,6 +269,25 @@ def test_design_exits_three_on_a_singular_newton_system(tmp_path, capsys):
     code, _, err = run(capsys, "design", "--scenario", str(scenario), "--eps", repr(eps))
     assert code == 3
     assert "singular" in err
+
+
+def test_design_exits_three_when_the_start_has_no_interior(tmp_path, capsys):
+    # Two equal roads at a support radius of t*/||gamma|| = 25: the
+    # ceiling is zero up to rounding and the projected start keeps no
+    # slack, a typed solver failure (exit 3).
+    (tmp_path / "net.json").write_text(json.dumps({
+        "nodes": ["s", "d"],
+        "edges": [{"id": "e1", "from": "s", "to": "d", "beta": 0.5},
+                  {"id": "e2", "from": "s", "to": "d", "beta": 0.5}],
+        "source": "s", "destination": "d", "demand": 100.0}))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "network": "net.json",
+        "disturbance": {"mean": [20.0, 30.0], "cov": [[0.0, 0.0], [0.0, 0.0]], "delta": 25.0},
+        "grid": [0.0], "mc_samples": 10, "seed": 1}))
+    code, out, err = run(capsys, "design", "--scenario", str(scenario), "--eps", "0")
+    assert code == 3 and out == ""
+    assert err.startswith("solver failure: ") and "least slack" in err
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf"])
@@ -272,6 +327,19 @@ def test_estimate_json(tmp_path, capsys):
     assert payload["cov"][0] == pytest.approx([0.01, -0.01], abs=1e-9)
     assert payload["records"] == 2
     assert payload["support_radius"] == 0.2
+
+
+def test_estimate_text(tmp_path, capsys):
+    samples = tmp_path / "records.csv"
+    samples.write_text("f_e1,f_e2,l_e1,l_e2\n40,60,80,36\n50,50,95,35\n45,55,88,35.5\n")
+    code, out, _ = run(capsys, "estimate", "--network", NETWORK,
+                       "--samples", str(samples), "--delta", "0.2", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "estimated from 3 records"
+    assert lines[1].startswith("mean: e1=") and " e2=" in lines[1]
+    assert lines[2] == "cov:" and len(lines[3].split()) == len(lines[4].split()) == 2
+    assert lines[5] == "support radius: 0.2"
 
 
 def test_estimate_missing_samples_flag(capsys):

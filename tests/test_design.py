@@ -726,8 +726,10 @@ def test_experiment_grid_refuses_what_the_design_refuses():
     with pytest.raises(InfeasibleError) as single:
         solve_dro_tolls(blocks, model, refused)
     assert str(info.value) == str(single.value)
-    assert str(single.value) == (f"anticipated radius {refused:g} exceeds the robustness "
-                                 f"ceiling {ceiling:g}")
+    # Both print as shortest round-trip text, so the radius 5e-10 past the
+    # ceiling does not read as equal to it.
+    assert str(single.value) == (f"anticipated radius {refused!r} exceeds the robustness "
+                                 f"ceiling {ceiling!r}")
 
 
 def test_support_radius_a_rounding_past_the_ceiling_leaves_a_zero_ceiling():
@@ -740,6 +742,61 @@ def test_support_radius_a_rounding_past_the_ceiling_leaves_a_zero_ceiling():
     assert epsilon_max(blocks, model)[0] == 0.0
     with pytest.raises(NumericalDegeneracyError):
         solve_dro_tolls(blocks, model, 0.0)
+
+
+def _two_roads_at_their_ceiling():
+    # Two equal roads: t* = 50 and ||gamma|| = 2, so a support radius of 25
+    # leaves a ceiling of zero up to rounding (epsmax prints 3.55e-15).
+    net = Network(num_nodes=2, edges=(Edge("e1", 0, 1), Edge("e2", 0, 1)), demand=100.0)
+    blocks = kkt_blocks(incidence(net), LatencyModel(np.array([0.5, 0.5])))
+    return net, blocks, DisturbanceModel(mean=np.array([20.0, 30.0]), cov=np.zeros((2, 2)),
+                                         support_radius=25.0)
+
+
+def test_a_start_with_no_interior_is_a_numerical_degeneracy():
+    # The certificate's slack is positive before the kernel projects it
+    # onto R y = 0 and zero after; the kernel alone judges the start, so
+    # the design and the experiment raise the typed error, not ValueError.
+    net, blocks, model = _two_roads_at_their_ceiling()
+    with pytest.raises(NumericalDegeneracyError, match="least slack"):
+        solve_dro_tolls(blocks, model, 0.0)
+    scenario = Scenario(network=net, lat=blocks.lat, model=model, grid=(0.0,), mc_samples=10,
+                        seed=1)
+    with pytest.raises(NumericalDegeneracyError, match="least slack"):
+        run_experiment(scenario)
+
+
+def test_designs_a_few_ulps_below_the_ceiling_solve_or_raise_the_typed_error():
+    # Support radii 1 to 4 ulps below t*/||gamma|| leave a ceiling of zero
+    # up to rounding.  Whether the projected start keeps any slack is up to
+    # that rounding; either way the outcome is a design inside the nominal
+    # toll set or NumericalDegeneracyError.
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for index in range(40):
+        if index % 2:
+            net = layered_dag_network(rng, 6, 12, 100.0)
+            beta = rng.uniform(0.5, 2.0, net.num_edges)
+        else:
+            net = Network(num_nodes=2, edges=(Edge("e1", 0, 1), Edge("e2", 0, 1)),
+                          demand=float(rng.uniform(1.0, 200.0)))
+            beta = rng.uniform(0.05, 3.0, 2)
+        m = net.num_edges
+        mean = rng.uniform(10.0, 30.0, m)
+        blocks = kkt_blocks(incidence(net), LatencyModel(beta))
+        delta = float(blocks.inc.max_min_flow.min()) / blocks.gamma_norm
+        for _ in range(4):
+            delta = float(np.nextafter(delta, 0.0))
+            model = DisturbanceModel(mean=mean, cov=np.zeros((m, m)), support_radius=delta)
+            try:
+                tau = solve_dro_tolls(blocks, model, 0.0).tau_star
+            except NumericalDegeneracyError:
+                outcomes.add("degenerate")
+                continue
+            outcomes.add("solved")
+            poly = toll_polytope(blocks, model, 0.0)
+            assert poly.contains(tau, tol=1e-9 * float(np.abs(poly.rhs).max()))
+    assert outcomes == {"solved", "degenerate"}
 
 
 def test_solve_dro_tolls_single_edge():

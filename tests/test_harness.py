@@ -9,7 +9,7 @@ import pytest
 from randnets import layered_dag_network, random_instance
 
 import robusttolls
-from robusttolls import harness, network
+from robusttolls import harness, network, uncertainty
 from robusttolls.cli import _experiment_csv
 from robusttolls.design import epsilon_max, solve_dro_tolls
 from robusttolls.equilibrium import LatencyModel, kkt_blocks, latency_decomposition
@@ -256,6 +256,23 @@ def test_run_experiment_computes_the_max_min_flow_once(monkeypatch):
     assert counts == {"flow": 1, "basis": 1}
 
 
+def test_run_experiment_computes_one_latency_slope_per_design(monkeypatch):
+    # Each cell's worst-case mean shifts along the slope its design
+    # already has, so a four-radius grid takes four slopes, not 4 + 16.
+    calls = []
+
+    def slope_spy(blocks, tau):
+        calls.append(tau)
+        return latency_decomposition(blocks, tau)
+
+    monkeypatch.setattr(harness, "latency_decomposition", slope_spy)
+    monkeypatch.setattr(uncertainty, "latency_decomposition", slope_spy)
+    scenario = load_scenario(BUNDLED_SCENARIO)
+    assert len(scenario.grid) == 4
+    run_experiment(small_scenario(scenario, grid=scenario.grid, mc_samples=10))
+    assert len(calls) == 4
+
+
 def test_run_experiment_reraises_a_worker_exception(monkeypatch):
     scenario = small_scenario(load_scenario(BUNDLED_SCENARIO), mc_samples=10)
     ball_blocks = harness._ball_blocks
@@ -303,7 +320,7 @@ def test_run_experiment_refuses_cells_that_leave_the_regime(monkeypatch):
 def test_run_experiment_rejects_bad_grids():
     base = load_scenario(BUNDLED_SCENARIO)
     for bad in (-1.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid radius must be finite and nonnegative"):
             run_experiment(small_scenario(base, grid=(0.0, bad)))
     with pytest.raises(InfeasibleError) as info:
         run_experiment(small_scenario(base, grid=(0.0, 45.0)))

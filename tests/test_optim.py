@@ -7,7 +7,7 @@ import pytest
 
 from randnets import STATUS_OPTIMAL, active_set_qp, brute_force_qp
 from robusttolls import optim
-from robusttolls.exceptions import ConvergenceError
+from robusttolls.exceptions import ConvergenceError, NumericalDegeneracyError
 from robusttolls.optim import _barrier_newton, _null_basis
 
 
@@ -52,7 +52,7 @@ def test_lp_unbounded():
 
 def test_lp_infeasible():
     # x >= 0 together with x <= -1 is empty, so no start is strict.
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalDegeneracyError, match="least slack -1.000e\\+00"):
         _kernel_lp(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]), np.zeros(1))
 
 
@@ -251,7 +251,7 @@ def test_composite_rejects_negative_eps():
 
 def test_composite_infeasible_polytope():
     # y1 + y2 = 0 with both below -1 is empty, so no start can be strict.
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalDegeneracyError):
         _barrier_newton(1.0, np.ones(2), np.zeros(2), np.zeros(2),
                         _null_basis(np.array([[1.0, 1.0]])), -np.ones(2), np.zeros(2))
 
@@ -260,7 +260,7 @@ def test_projection_infeasible_raises():
     # Projecting the origin onto {x >= 0, x <= -1}: with y = (x, -x) the
     # set is y1 + y2 = 0, y <= (-1, 0), which is empty, and the kernel
     # refuses it.
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalDegeneracyError):
         _barrier_newton(1.0, np.zeros(2), np.zeros(2), np.zeros(2),
                         _null_basis(np.array([[1.0, 1.0]])), np.array([-1.0, 0.0]), np.zeros(2))
 
