@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, OutOfRegimeError
-from .network import IncidenceData, _vector
+from .network import IncidenceData, _frozen, _locked, _vector
 from .optim import _dual_newton
 
 # How far below zero (relative to the demand, on top of the round-off of
@@ -36,18 +36,18 @@ class LatencyModel:
     """Per-edge latency slopes for ``latency = beta * flow + offset``.
 
     Slopes must be finite and strictly positive; that is what makes the
-    equilibrium unique and the elimination blocks well defined.
+    equilibrium unique and the elimination blocks well defined.  ``beta``
+    is a write-locked copy, so later edits to the caller's array miss it.
     """
 
     beta: np.ndarray
 
     def __post_init__(self) -> None:
-        beta = np.ascontiguousarray(np.asarray(self.beta, dtype=float))
+        beta = _frozen(self.beta)
         if beta.ndim != 1 or beta.size == 0:
             raise ValueError("beta must be a nonempty vector")
         if not np.all((beta > 0.0) & (beta < np.inf)):
             raise ValueError("every latency slope must be finite and strictly positive")
-        beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
 
 
@@ -109,7 +109,7 @@ def kkt_blocks(inc: IncidenceData, lat: LatencyModel) -> KktBlocks:
     semidefinite and annihilates the rows of R by construction, and when
     R has as many rows as edges it is exactly zero.  ``inc`` must come
     from :func:`~robusttolls.network.incidence`, whose validation
-    guarantees R full row rank.
+    guarantees R full row rank.  The four array blocks are write-locked.
     """
     matrix, eta = inc.matrix, inc.injections
     k, m = matrix.shape
@@ -118,13 +118,11 @@ def kkt_blocks(inc: IncidenceData, lat: LatencyModel) -> KktBlocks:
     q, t = np.linalg.qr(matrix.T / root, mode="complete")
     t_inv = np.linalg.inv(t[:k])
     w = q[:, k:] / root
-    gamma = w @ w.T
+    gamma = _locked(w @ w.T)
     gamma_norm = float(np.linalg.eigvalsh(w.T @ w).max(initial=0.0))
-    s = t_inv @ t_inv.T
-    lam = (q[:, :k] / root) @ t_inv.T
-    c = lam @ eta
-    for arr in (gamma, lam, s, c):
-        arr.setflags(write=False)
+    s = _locked(t_inv @ t_inv.T)
+    lam = _locked((q[:, :k] / root) @ t_inv.T)
+    c = _locked(lam @ eta)
     return KktBlocks(gamma=gamma, lam=lam, s=s, gamma_norm=gamma_norm, c=c, inc=inc, lat=lat)
 
 

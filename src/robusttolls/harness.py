@@ -10,8 +10,8 @@ worst-case mean shift at that radius and compares the Monte Carlo
 latency average against the closed-form expectation.  Each cell streams
 its draws in blocks of unit-ball pieces (directions, their norms and
 radius factors), projects each block straight onto the cell's latency
-slope without forming the ball points, and merges the projections into
-running moments.  The cells always run on one thread pool, one worker
+slope without forming the ball points, and adds the projections into
+running sums.  The cells always run on one thread pool, one worker
 per usable CPU at most; every cell is computed whole by one thread from
 its own seed, so the results do not depend on the number of threads.
 """
@@ -153,28 +153,21 @@ def _cell_moments(center: np.ndarray, delta: float, q: np.ndarray, q0: float,
     a point of the unit ball, so its value is ``(q @ center + q0) + delta
     * (q @ z)``: each block of unit-ball pieces from :func:`_ball_blocks`
     is projected onto ``q`` as ``scale * (direction @ q) / norm``, and no
-    draw is ever formed.  The moments of ``q @ z`` are kept, then shifted
-    and scaled once at the end.  Each block's count, mean and sum of
-    squared deviations are merged into the running ones with the
-    pairwise update of Chan, Golub & LeVeque (1983), so no array of
-    ``count`` values is ever held.
+    draw is ever formed.  Only running sums of ``v = q @ z`` and ``v**2``
+    are kept, so no array of ``count`` values is held.  The values are
+    symmetric about zero (Gaussian directions), so their mean is small
+    next to their spread, and ``sum v**2 - mean sum v`` loses no digits.
     """
     base = float(center @ q) + q0
-    seen, mean, squares = 0, 0.0, 0.0
+    total, squares = 0.0, 0.0
     for direction, norms, scale in _ball_blocks(center.shape[0], count, seed):
         values = direction @ q
         values /= norms
         values *= scale
-        take = values.shape[0]
-        block_mean = float(values.sum()) / take
-        values -= block_mean
-        block_squares = float(values @ values)
-        total = seen + take
-        shift = block_mean - mean
-        mean += shift * take / total
-        squares += block_squares + shift * shift * seen * take / total
-        seen = total
-    spread = float(np.sqrt(squares / (count - 1))) if count > 1 else 0.0
+        total += float(values.sum())
+        squares += float(values @ values)
+    mean = total / count
+    spread = float(np.sqrt((squares - mean * total) / (count - 1))) if count > 1 else 0.0
     return base + delta * mean, delta * spread / float(np.sqrt(count))
 
 
@@ -202,8 +195,8 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
     The stream for each cell is seeded by ``(seed, i, j)``, so cells are
     reproducible in isolation and the full table is byte-stable across
     runs.  Each cell's draws are projected onto its latency slope block
-    by block, without forming ball points, and merged into running
-    moments, never held whole.  The cells always run on one thread pool
+    by block, without forming ball points, and added into running
+    sums, never held whole.  The cells always run on one thread pool
     with one worker per usable CPU at most, even when that is one; each
     cell is computed by one thread in a fixed order, so the results do
     not depend on the number of threads.

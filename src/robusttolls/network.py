@@ -130,6 +130,11 @@ def _locked(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _frozen(value) -> np.ndarray:
+    """A write-locked, C-contiguous float copy of ``value``; the caller's array stays writable."""
+    return _locked(np.array(value, dtype=float, order="C"))
+
+
 def _vector(value, length: int, name: str) -> np.ndarray:
     """``value`` as a float array, which must be a vector of ``length`` entries."""
     value = np.asarray(value, dtype=float)

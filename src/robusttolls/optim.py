@@ -53,7 +53,9 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     """Minimize ``eps*||y + offset|| + sum(weights*y**2) + lin @ y`` on a polyhedron.
 
     The feasible set is ``{y : balance @ y = 0, y <= upper}``, where
-    ``basis`` is :func:`_null_basis` of ``balance``.  This is a
+    ``basis`` is :func:`_null_basis` of ``balance``.  Nothing is checked:
+    the caller (:func:`~robusttolls.design.solve_dro_tolls`) guarantees
+    ``eps >= 0`` and float vectors of ``upper``'s length.  This is a
     primal-dual interior-point method (Boyd & Vandenberghe, *Convex
     Optimization*, sec. 11.7) with one multiplier per bound and a
     backtracking search on the residual norm.  There is no epigraph
@@ -93,13 +95,7 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     its relative value as the residual; a singular Newton system raises
     one with an infinite residual.
     """
-    if eps < 0.0:
-        raise ValueError("norm weight eps must be nonnegative")
-    upper = np.asarray(upper, dtype=float)
     m = upper.shape[0]
-    offset, weights, lin, start = (np.asarray(v, dtype=float) for v in (offset, weights, lin, start))
-    if basis.shape[0] != m or any(v.shape != (m,) for v in (offset, weights, lin, start)):
-        raise ValueError("offset, weights, lin, start and the balance rows must have the length of upper")
     y = basis @ (basis.T @ start)
     slack = upper - y
     least = float(slack.min(initial=np.inf))

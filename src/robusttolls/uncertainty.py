@@ -36,7 +36,7 @@ import numpy as np
 
 from .equilibrium import KktBlocks, LatencyModel, latency_decomposition
 from .exceptions import FileFormatError, InsufficientDataError
-from .network import _vector
+from .network import _frozen, _locked, _vector
 
 _BALL_BLOCK = 4096
 # Relative asymmetry and negative eigenvalue a covariance may carry from round-off.
@@ -67,9 +67,7 @@ def _clean_covariance(cov: np.ndarray) -> np.ndarray:
         raise ValueError(f"covariance is not positive semidefinite "
                          f"(min eigenvalue {eigvals[0]:.3e})")
     cleaned = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
-    cleaned = 0.5 * (cleaned + cleaned.T)
-    cleaned.setflags(write=False)
-    return cleaned
+    return _locked(0.5 * (cleaned + cleaned.T))
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,8 @@ class DisturbanceModel:
     something estimated from data.  Construction raises ``ValueError``
     unless the mean is a finite vector, the covariance a matching finite
     positive semidefinite matrix (see :func:`_clean_covariance`) and the
-    support radius finite and nonnegative.
+    support radius finite and nonnegative.  Mean and covariance are
+    write-locked copies, so later edits to the caller's arrays miss them.
     """
 
     mean: np.ndarray
@@ -90,14 +89,13 @@ class DisturbanceModel:
     support_radius: float
 
     def __post_init__(self) -> None:
-        mean = np.ascontiguousarray(np.asarray(self.mean, dtype=float))
+        mean = _frozen(self.mean)
         if mean.ndim != 1 or not np.isfinite(mean).all():
             raise ValueError("mean must be a finite vector")
         cov = _clean_covariance(self.cov)
         if cov.shape[0] != mean.shape[0]:
             raise ValueError("mean and covariance dimensions disagree")
         _check_radius(self.support_radius, "support_radius")
-        mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "support_radius", float(self.support_radius))
@@ -105,20 +103,17 @@ class DisturbanceModel:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Paired flow and latency observations, one row per record."""
+    """Paired flow and latency observations, one row per record, as write-locked copies."""
 
     flows: np.ndarray
     latencies: np.ndarray
 
     def __post_init__(self) -> None:
-        flows = np.ascontiguousarray(np.asarray(self.flows, dtype=float))
-        lats = np.ascontiguousarray(np.asarray(self.latencies, dtype=float))
+        flows, lats = _frozen(self.flows), _frozen(self.latencies)
         if flows.ndim != 2 or lats.shape != flows.shape:
             raise ValueError("flows and latencies must be matching (records, edges) arrays")
         if flows.shape[0] < 1:
             raise ValueError("a sample set needs at least one record")
-        flows.setflags(write=False)
-        lats.setflags(write=False)
         object.__setattr__(self, "flows", flows)
         object.__setattr__(self, "latencies", lats)
 

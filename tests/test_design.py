@@ -766,6 +766,24 @@ def test_a_start_with_no_interior_is_a_numerical_degeneracy():
         run_experiment(scenario)
 
 
+def test_a_ceiling_below_the_spacing_of_the_tolls_is_a_numerical_degeneracy():
+    # Two roads with slopes 1e-6, demand 1e-6 and mean (1e4, 0): the
+    # ceiling is 5e-13, and the bound and the start, both about
+    # (-5e9, 5e9), leave a slack of 5e-7, below their rounding.  No node
+    # potential shift helps: the route costs really differ by 1e4 over
+    # slopes of 1e-6, and the optimal toll difference 1e4 - 1e-12 lies
+    # below the spacing of doubles near 1e4.  So no computed toll can be
+    # the design, and the typed error is the honest outcome.
+    net = Network(num_nodes=2, edges=(Edge("e1", 0, 1), Edge("e2", 0, 1)), demand=1e-6)
+    blocks = kkt_blocks(incidence(net), LatencyModel(np.full(2, 1e-6)))
+    model = DisturbanceModel(mean=np.array([1e4, 0.0]), cov=np.zeros((2, 2)), support_radius=0.0)
+    ceiling = epsilon_max(blocks, model)[0]
+    assert ceiling == pytest.approx(5e-13, rel=1e-9)
+    for fraction in (0.0, 0.5, 0.9):
+        with pytest.raises(NumericalDegeneracyError, match="least slack"):
+            solve_dro_tolls(blocks, model, fraction * ceiling)
+
+
 def test_designs_a_few_ulps_below_the_ceiling_solve_or_raise_the_typed_error():
     # Support radii 1 to 4 ulps below t*/||gamma|| leave a ceiling of zero
     # up to rounding.  Whether the projected start keeps any slack is up to

@@ -1,11 +1,12 @@
 """Tests for network construction, validation, incidence, and file loading."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from randnets import enumerate_paths, random_dag_network
+from randnets import enumerate_paths, layered_dag_network, random_dag_network
 from robusttolls.exceptions import FileFormatError, InvalidNetworkError
 from robusttolls.network import (
     Edge,
@@ -196,6 +197,38 @@ def test_incidence_arrays_are_read_only():
         data.tails[0] = 1
     with pytest.raises(ValueError):
         data.heads[0] = 0
+
+
+def test_max_min_flow_matches_the_flow_form_lp():
+    # t*, the least entry of the max-min flow, is the optimum of max t
+    # s.t. R f = eta, f >= t.  HiGHS's tolerances are absolute, so it
+    # solves the LP with the injections divided by the demand, which keeps
+    # its numbers near 1 for demands from 1e-6 to 1e6.
+    hypothesis = pytest.importorskip("hypothesis")
+    strategies = pytest.importorskip("hypothesis.strategies")
+    optimize = pytest.importorskip("scipy.optimize")
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @hypothesis.given(seed=strategies.integers(0, 2**32 - 1), layered=strategies.booleans(),
+                      decades=strategies.floats(-6.0, 6.0))
+    def check(seed, layered, decades):
+        rng = np.random.default_rng(seed)
+        if layered:
+            n = int(rng.choice([6, 8, 10, 12]))
+            net = layered_dag_network(rng, n, 2 * n, 1.0)
+        else:
+            net = random_dag_network(rng, 10, 20)
+        demand = 10.0 ** decades
+        inc = incidence(dataclasses.replace(net, demand=demand))
+        k, m = inc.matrix.shape
+        lp = optimize.linprog(np.r_[np.zeros(m), -1.0],
+                              A_ub=np.hstack([-np.eye(m), np.ones((m, 1))]), b_ub=np.zeros(m),
+                              A_eq=np.hstack([inc.matrix, np.zeros((k, 1))]),
+                              b_eq=inc.injections / demand, bounds=(None, None), method="highs")
+        assert lp.status == 0, lp.message
+        assert float(inc.max_min_flow.min()) == pytest.approx(-lp.fun * demand, rel=1e-9)
+
+    check()
 
 
 # The path oracle in randnets, checked here because two tests lean on it.

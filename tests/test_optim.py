@@ -243,12 +243,6 @@ def test_composite_linear_matches_lp():
     assert x == pytest.approx([2.0, -2.0], abs=1e-9)
 
 
-def test_composite_rejects_negative_eps():
-    with pytest.raises(ValueError):
-        _barrier_newton(-1.0, np.ones(1), np.zeros(1), np.zeros(1), _null_basis(np.zeros((0, 1))),
-                        np.ones(1), np.zeros(1))
-
-
 def test_composite_infeasible_polytope():
     # y1 + y2 = 0 with both below -1 is empty, so no start can be strict.
     with pytest.raises(NumericalDegeneracyError):

@@ -20,6 +20,27 @@ from robusttolls.uncertainty import (
 from test_equilibrium import PIGOU_BETA, pigou_blocks
 
 
+def test_models_lock_their_own_copies():
+    # Each model keeps a write-locked, C-contiguous float copy: the
+    # caller's arrays stay writable, and writing to them afterwards leaves
+    # the model's copy as it was.
+    beta, mean = np.array([1.0, 2.0]), np.array([20.0, 30.0])
+    flows = np.array([[40.0, 60.0], [50.0, 50.0]])
+    lats = np.asfortranarray([[80.0, 36.0], [95.0, 35.0]])
+    samples = SampleSet(flows=flows, latencies=lats)
+    pairs = [(LatencyModel(beta).beta, beta),
+             (DisturbanceModel(mean=mean, cov=np.eye(2), support_radius=0.2).mean, mean),
+             (samples.flows, flows), (samples.latencies, lats)]
+    for kept, given in pairs:
+        before = kept.copy()
+        assert given.flags.writeable
+        given[0] = -1.0
+        assert np.array_equal(kept, before)
+        assert not kept.flags.writeable and kept.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 7.0
+
+
 def test_disturbance_model_validation():
     good = DisturbanceModel(mean=np.zeros(2), cov=np.eye(2), support_radius=0.5)
     assert good.support_radius == 0.5
