@@ -33,7 +33,7 @@ import numpy as np
 from .equilibrium import KktBlocks
 from .exceptions import InfeasibleError
 from .network import IncidenceData, _reduced_costs, _vector
-from .optim import _barrier_newton
+from .optim import _barrier_newton, _dual_newton
 from .uncertainty import DisturbanceModel, _check_radius
 
 
@@ -77,6 +77,8 @@ class DesignResult:
     finished on a certified optimal face (complementary by construction;
     the few Newton steps on the face are not counted in ``iterations``),
     and the interior-point gap when it stopped on its own rule instead.
+    At ``eps = 0`` the face usually comes from the nominal equilibrium
+    before any interior-point step, so ``iterations`` is 0 there.
     Both are zero on single-route networks, which leave nothing to optimize.
     """
 
@@ -222,7 +224,13 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     ``||gamma|| epsilon_max`` on every row up to rounding.  The kernel
     alone judges that start, once projected onto ``R y = 0``: with no
     positive slack left (a ceiling of zero up to rounding, or bounds whose
-    slack cancels) it raises :class:`NumericalDegeneracyError`.  The
+    slack cancels) it raises :class:`NumericalDegeneracyError`.  At
+    ``eps = 0`` the design is a Wardrop equilibrium of its slack
+    ``v = rhs - y >= 0``: weights ``1/(2 beta)``, edge cost
+    ``-(2 beta rhs + mean)`` and injections ``R rhs``.  After the start
+    check, :func:`~robusttolls.optim._dual_newton` solves it, and its
+    face (``v == 0.0``) is tried before any interior-point step; a
+    certified finish reports 0 iterations.  The
     solve finishes on the optimal face once a guessed face passes its KKT
     certificate (feasibility, nonnegative multipliers, stationarity; see
     :func:`~robusttolls.optim._barrier_newton`), or else on the
@@ -240,8 +248,15 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     y, iterations, gap = np.zeros(blocks.gamma.shape[0]), 0, 0.0  # kept on single-route networks
     if start is not None:
         rhs = toll_polytope(blocks, model, 0.0).rhs
-        y, iterations, gap = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean,
-                                             blocks.inc.null_basis, rhs, start)
+        beta, matrix = blocks.lat.beta, blocks.inc.matrix
+
+        def nominal() -> np.ndarray | None:
+            # At eps = 0 the design is the equilibrium of its slack v = rhs - y.
+            cost = -(2.0 * beta * rhs + model.mean)
+            return _dual_newton(matrix, matrix @ rhs, 0.5 / beta, cost)[0]
+
+        y, iterations, gap = _barrier_newton(eps, blocks.c, beta, model.mean, blocks.inc.null_basis,
+                                             rhs, start, nominal if eps == 0.0 else None)
 
     q = y + blocks.c
     spread_and_quadratic = eps * float(np.linalg.norm(q)) + float(y @ (blocks.lat.beta * y))

@@ -126,6 +126,15 @@ def kkt_blocks(inc: IncidenceData, lat: LatencyModel) -> KktBlocks:
     return KktBlocks(gamma=gamma, lam=lam, s=s, gamma_norm=gamma_norm, c=c, inc=inc, lat=lat)
 
 
+def _perceived_cost(m: int, alpha, tau) -> np.ndarray:
+    """The edge cost ``alpha + tau``; each must be a finite vector of ``m`` entries."""
+    alpha, tau = _vector(alpha, m, "alpha"), _vector(tau, m, "tau")
+    for name, part in (("alpha", alpha), ("tau", tau)):
+        if not np.isfinite(part).all():
+            raise ValueError(f"{name} must be finite")
+    return alpha + tau
+
+
 def _regime_floor(blocks: KktBlocks, cost: np.ndarray) -> float:
     """How far below zero a closed-form flow ``c - gamma cost`` may dip and stay in regime.
 
@@ -160,10 +169,10 @@ def nash_flow_closed_form(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray)
     ``flow = -gamma (alpha + tau) + c``.  If any component falls below
     zero, beyond round-off, the closed form does not apply and
     :class:`OutOfRegimeError` is raised; callers should switch to
-    :func:`nash_flow_potential`, which handles flows pinned at zero.
+    :func:`nash_flow_potential`, which handles flows pinned at zero.  A
+    non-finite entry of ``alpha`` or ``tau`` raises ``ValueError`` naming it.
     """
-    m = blocks.gamma.shape[0]
-    cost = _vector(alpha, m, "alpha") + _vector(tau, m, "tau")
+    cost = _perceived_cost(blocks.gamma.shape[0], alpha, tau)
     flow = _regime_flow(blocks, cost)
     # The raw multiplier of the balance constraint is the negated trip
     # cost; flip it so potentials decrease along used edges and the
@@ -186,13 +195,11 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
     (``optim._DUAL_STEPS``) does not finish or a KKT term exceeds ``_KKT_TOL``
     times the demand (balance, negative flows; as ``is_feasible_flow``)
     or ``max(1, demand)`` (stationarity, negative multipliers, complementarity).
+    A non-finite entry of ``alpha`` or ``tau`` raises ``ValueError`` naming it.
     """
     matrix, eta = inc.matrix, inc.injections
-    m = matrix.shape[1]
-    cost = _vector(alpha, m, "alpha") + _vector(tau, m, "tau")
-    weights = 1.0 / lat.beta
-    start = np.linalg.solve((matrix * weights) @ matrix.T, eta + matrix @ (weights * cost))
-    flow, potentials, steps, grad_norm = _dual_newton(matrix, eta, weights, cost, start)
+    cost = _perceived_cost(matrix.shape[1], alpha, tau)
+    flow, potentials, steps, grad_norm = _dual_newton(matrix, eta, 1.0 / lat.beta, cost)
     if flow is None:
         raise ConvergenceError("potential minimization did not converge", steps, grad_norm)
     pinned = flow == 0.0
@@ -240,11 +247,10 @@ def equilibrium_latency_g(blocks: KktBlocks, alpha: np.ndarray, tau: np.ndarray)
 
     Evaluates the affine decomposition after confirming the closed-form
     flow stays nonnegative (same regime test as
-    :func:`nash_flow_closed_form`).  Tolls shift which equilibrium
-    arises but are not themselves counted as travel time.
+    :func:`nash_flow_closed_form`), and refusing non-finite ``alpha`` and
+    ``tau`` as it does.  Tolls shift which equilibrium arises but are not
+    themselves counted as travel time.
     """
-    m = blocks.gamma.shape[0]
-    alpha, tau = _vector(alpha, m, "alpha"), _vector(tau, m, "tau")
-    _regime_flow(blocks, alpha + tau)
+    _regime_flow(blocks, _perceived_cost(blocks.gamma.shape[0], alpha, tau))
     q, q0 = latency_decomposition(blocks, tau)
-    return float(q @ alpha + q0)
+    return float(q @ np.asarray(alpha, dtype=float) + q0)

@@ -5,7 +5,9 @@ from one complete QR (:func:`_null_basis`) that crosses over to a
 certified optimal face, solves the robust design.
 :func:`_dual_newton`, a semismooth Newton method on the dual of a
 separable quadratic over ``{v >= 0 : A v = b}``, lands on the optimal
-face exactly: it solves Wardrop equilibria in node potentials.
+face exactly: it solves Wardrop equilibria in node potentials, and the
+design at radius zero, which is such an equilibrium in the design's
+slack; that face is the first :func:`_barrier_newton` tries.
 Determinism matters here, not sparse scalability.  Whether a radius is
 admissible is decided before any solve, by the one rule of
 :mod:`robusttolls.design`; whether a start has an interior, by
@@ -16,6 +18,7 @@ own typed errors.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -48,8 +51,9 @@ def _null_basis(balance: np.ndarray) -> np.ndarray:
 
 
 def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np.ndarray,
-                    basis: np.ndarray, upper: np.ndarray,
-                    start: np.ndarray) -> tuple[np.ndarray, int, float]:
+                    basis: np.ndarray, upper: np.ndarray, start: np.ndarray,
+                    hint: Callable[[], np.ndarray | None] | None = None
+                    ) -> tuple[np.ndarray, int, float]:
     """Minimize ``eps*||y + offset|| + sum(weights*y**2) + lin @ y`` on a polyhedron.
 
     The feasible set is ``{y : balance @ y = 0, y <= upper}``, where
@@ -68,6 +72,15 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     norm curvature, barrier).  There is no phase one: a ``start`` whose
     projection onto that null space does not hold every bound strictly
     raises :class:`NumericalDegeneracyError` naming the least slack.
+
+    Only after that check, ``hint`` (if given) is called once.  It
+    returns None or a guessed optimum as its slack ``upper - y``, exactly
+    ``0.0`` on its face.  Before any interior-point step, one face try
+    (below) starts from that point projected onto the null space, with
+    stationarity judged against the norm of the gradient there, since
+    no interior-point multipliers exist yet.  If its certificate holds,
+    the result is ``(y, 0, 0.0)``; otherwise the solve runs as without a
+    hint.
 
     Once the relative duality gap is at most ``_CROSSOVER_GAP``, the
     method crosses over to the optimal face (Megiddo 1991; Ye 1992).  It
@@ -151,6 +164,15 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
                 return y if tight and float(excess.max(initial=0.0)) <= roundoff else None
         return None
 
+    guess = None if hint is None else hint()
+    if guess is not None:
+        # No multiplier exists yet, so the gradient sets the scale.
+        point = basis @ (basis.T @ (upper - guess))
+        grad = gradient(point)[2]
+        point = face_point(point, guess == 0.0, math.sqrt(grad @ grad))
+        if point is not None:
+            return point, 0, 0.0
+
     unit, size, grad = gradient(y)
     # Gap scale: the objective's terms at the start, plus the linear
     # term's reach across the slacks (the whole gap when it is an LP).
@@ -223,19 +245,21 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
                            f"is above {tol:g}", it, value)
 
 
-def _dual_newton(matrix: np.ndarray, b: np.ndarray, weights: np.ndarray, cost: np.ndarray,
-                 x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, int, float]:
-    """Maximize ``b'x - sum(weights * ((matrix' x - cost)_+)**2) / 2`` from ``x``.
+def _dual_newton(matrix: np.ndarray, b: np.ndarray, weights: np.ndarray,
+                 cost: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, int, float]:
+    """Maximize ``b'x - sum(weights * ((matrix' x - cost)_+)**2) / 2``.
 
     That is the dual of ``min sum(v**2 / weights) / 2 + cost @ v`` over
     ``v >= 0`` with ``matrix @ v = b``, and ``v = weights * (matrix' x -
-    cost)_+``.  Damped semismooth Newton (Qi & Sun 2006; Hintermueller,
-    Ito & Kunisch 2002): on the face ``P = {matrix' x > cost}`` the step
-    solves ``(H(P) + rho D) d = gradient``, with ``H(P) = matrix
-    diag(weights on P) matrix'``, ``D`` the diagonal of ``matrix
-    diag(weights) matrix'`` and ``rho = 1e-4 min(1, |gradient| / |b|)``
-    (0.01 took up to 283 steps on six-decade slopes); an exact line search
-    sets its length.  Once a full step keeps the face, one exact solve on
+    cost)_+``: a Wardrop equilibrium, or the design at radius zero in its
+    slack.  The start is the ``x`` that balances when no entry is clipped
+    at zero, the potentials that use every edge.  Damped semismooth
+    Newton (Qi & Sun 2006; Hintermueller, Ito & Kunisch 2002): on the
+    face ``P = {matrix' x > cost}`` the step solves ``(H(P) + rho D) d =
+    gradient``, with ``H(P) = matrix diag(weights on P) matrix'``, ``D``
+    the diagonal of ``matrix diag(weights) matrix'`` and ``rho = 1e-4
+    min(1, |gradient| / |b|)`` (0.01 took up to 283 steps on six-decade
+    slopes); an exact line search sets its length.  Once a full step keeps the face, one exact solve on
     ``P`` (over the rows it touches) finishes: ``v`` is exactly ``0.0``
     off ``P`` and where it is round-off.  Returns ``(v, x, steps taken,
     gradient norm)``, with ``v`` None if ``_DUAL_STEPS`` steps do not
@@ -246,6 +270,7 @@ def _dual_newton(matrix: np.ndarray, b: np.ndarray, weights: np.ndarray, cost: n
     b_norm = math.sqrt(b @ b)
     root = np.sqrt(weights)
     top_cost = float(np.abs(cost).max(initial=0.0))
+    x = np.linalg.solve((matrix * weights) @ matrix.T, b + matrix @ (weights * cost))
 
     def on_face(u: np.ndarray, face: np.ndarray) -> tuple[np.ndarray, float]:
         roundoff = m * _EPS * (float(np.abs(u).max(initial=0.0)) + top_cost)

@@ -349,6 +349,18 @@ def _assert_kkt_optimal(blocks, model, eps, y):
     assert residual <= 1e-8 * (np.linalg.norm(grad) + np.linalg.norm(mult))
 
 
+def _handed_circulation(monkeypatch, blocks, model, eps):
+    """The design at ``eps`` and the circulation the solve hands to the toll map."""
+    handed = []
+
+    def spy(blocks, y):
+        handed.append(y)
+        return _toll_for_circulation(blocks, y)
+
+    monkeypatch.setattr(design, "_toll_for_circulation", spy)
+    return solve_dro_tolls(blocks, model, eps), handed[-1]
+
+
 @pytest.mark.parametrize("instance", [
     pytest.param(_m250_design_at_radius_zero, id="m250-radius0"),
     pytest.param(lambda: _twelve_decade_design(12, 479), id="seed12-instance479"),
@@ -362,18 +374,58 @@ def test_former_kernel_failures_are_kkt_optimal(instance, monkeypatch):
     # with a worst-case latency 1.9e-4 above the optimum.  The face
     # crossover certifies each; the checker judges the circulation the
     # kernel hands to the toll map.
-    handed = []
-
-    def spy(blocks, y):
-        handed.append(y)
-        return _toll_for_circulation(blocks, y)
-
-    monkeypatch.setattr(design, "_toll_for_circulation", spy)
     _, blocks, model, eps = instance()
-    result = solve_dro_tolls(blocks, model, eps)
-    _assert_kkt_optimal(blocks, model, eps, handed[-1])
+    result, y = _handed_circulation(monkeypatch, blocks, model, eps)
+    _assert_kkt_optimal(blocks, model, eps, y)
     poly = toll_polytope(blocks, model, 0.0)
     assert poly.contains(result.tau_star, tol=1e-9 * max(1.0, float(np.abs(poly.rhs).max())))
+
+
+def _ladder_m250():
+    """The first rung of the design ladder: m = 250, seed 2024, with a mean."""
+    rng = np.random.default_rng(2024)
+    net = layered_dag_network(rng, 100, 250, 2500.0)
+    blocks = kkt_blocks(incidence(net), LatencyModel(rng.uniform(0.5, 2.0, 250)))
+    return blocks, DisturbanceModel(mean=rng.uniform(10.0, 30.0, 250), cov=np.zeros((250, 250)),
+                                    support_radius=0.2)
+
+
+@pytest.mark.parametrize("instance, worst_case", [
+    pytest.param(lambda: (pigou_blocks(), PIGOU_MODEL), PIGOU_WORST_CASE[0], id="pigou"),
+    pytest.param(_ladder_m250, None, id="ladder-m250"),
+])
+def test_a_nominal_design_finishes_on_its_equilibrium_face(instance, worst_case, monkeypatch):
+    # At eps = 0 the design is a Wardrop equilibrium of its slack; that
+    # equilibrium's face certifies before any interior-point step (the
+    # cold solves took 6 and 16).
+    blocks, model = instance()
+    result, y = _handed_circulation(monkeypatch, blocks, model, 0.0)
+    assert (result.iterations, result.residual) == (0, 0.0)
+    _assert_kkt_optimal(blocks, model, 0.0, y)
+    if worst_case is not None:
+        assert result.worst_case_latency == pytest.approx(worst_case, rel=1e-9)
+
+
+def test_nominal_designs_with_a_mean_finish_warm_and_certified(monkeypatch):
+    # With a mean the nominal optimum sits on a face.  The cold kernel
+    # finished none of these 100 designs without interior-point steps;
+    # most now finish on the equilibrium's face, and each such finish is
+    # optimal by the independent check.
+    rng = np.random.default_rng(112)
+    warm = 0
+    for net, beta in _twelve_decade_networks(100, 12):
+        m = net.num_edges
+        blocks = kkt_blocks(incidence(net), LatencyModel(beta))
+        model = DisturbanceModel(mean=rng.uniform(10.0, 30.0, m), cov=np.zeros((m, m)),
+                                 support_radius=0.0)
+        if blocks.inc.matrix.shape[0] == m:
+            continue
+        result, y = _handed_circulation(monkeypatch, blocks, model, 0.0)
+        if result.iterations == 0:
+            warm += 1
+            assert result.residual == 0.0
+            _assert_kkt_optimal(blocks, model, 0.0, y)
+    assert warm >= 45
 
 
 def test_twelve_decade_instance_86_names_the_dual_residual():

@@ -182,6 +182,25 @@ def test_closed_form_dimension_checks():
         nash_flow_closed_form(blocks, np.zeros(2), np.zeros(1))
 
 
+@pytest.mark.parametrize("alpha, tau, name", [
+    ([np.inf, 0.0], [0.0, 0.0], "alpha"),
+    ([-np.inf, 0.0], [0.0, 0.0], "alpha"),
+    ([np.nan, 0.0], [0.0, 0.0], "alpha"),
+    ([20.0, 30.0], [0.0, np.inf], "tau"),
+])
+def test_non_finite_costs_are_refused_by_name(alpha, tau, name):
+    # An infinite cost made the closed form's flow (-inf, inf) and its
+    # latency inf, and kept the potential solver stepping on NaNs until
+    # its budget ran out.
+    blocks = pigou_blocks()
+    alpha, tau = np.array(alpha), np.array(tau)
+    for solve in (lambda: nash_flow_closed_form(blocks, alpha, tau),
+                  lambda: nash_flow_potential(blocks.inc, blocks.lat, alpha, tau),
+                  lambda: equilibrium_latency_g(blocks, alpha, tau)):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            solve()
+
+
 def test_potential_solver_handles_pigou_boundary():
     # Huge constant cost on the second road pushes everyone onto the first.
     data = incidence(pigou())

@@ -274,3 +274,26 @@ def test_convergence_error_carries_diagnostics():
     assert err.iterations == 12
     assert err.residual == 0.5
     assert "stalled" in str(err)
+
+
+def test_a_hint_is_asked_for_after_the_start_check_and_kept_only_if_certified():
+    def unreachable():
+        raise AssertionError("the hint was asked for before the start check")
+
+    # The empty polytope's start is refused before the hint is called.
+    with pytest.raises(NumericalDegeneracyError):
+        _barrier_newton(1.0, np.ones(2), np.zeros(2), np.zeros(2),
+                        _null_basis(np.array([[1.0, 1.0]])), -np.ones(2), np.zeros(2), unreachable)
+    # min y1^2 + y2^2 - 10 y1 on y1 + y2 = 0, y <= (2, 3) is (2, -2), whose
+    # slack (0, 5) is tight on the first bound only.
+    problem = (0.0, np.zeros(2), np.ones(2), np.array([-10.0, 0.0]),
+               _null_basis(np.array([[1.0, 1.0]])), np.array([2.0, 3.0]), np.zeros(2))
+    y, iterations, gap = _barrier_newton(*problem, lambda: np.array([0.0, 5.0]))
+    assert y == pytest.approx([2.0, -2.0], abs=1e-12)
+    assert (iterations, gap) == (0, 0.0)
+    # A hint on the wrong face, or none at all, leaves the cold solve as it is.
+    cold = _barrier_newton(*problem)
+    assert cold[1] >= 1
+    for hint in (lambda: np.array([5.0, 0.0]), lambda: None):
+        warm = _barrier_newton(*problem, hint)
+        assert np.array_equal(warm[0], cold[0]) and warm[1:] == cold[1:]
