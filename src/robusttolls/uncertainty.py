@@ -47,12 +47,15 @@ _NUMPY_ROW = re.compile(r"at row (\d+)(, column)?")
 _NUMPY_ADVICE = "; use `usecols` to select a subset and avoid this error"
 
 
-def _clean_covariance(cov: np.ndarray) -> np.ndarray:
-    """A square, finite, symmetric, PSD covariance, with round-off negatives clamped to zero.
+def _checked_covariance(cov: np.ndarray) -> np.ndarray:
+    """A square, finite, symmetric, PSD covariance, validated and kept as given.
 
     Round-off may leave asymmetry and negative eigenvalues up to
     ``_PSD_TOL`` relative to the largest entry or eigenvalue (at least 1);
-    anything beyond that raises ``ValueError``.
+    anything beyond that raises ``ValueError``.  The matrix is returned
+    as ``0.5 * (cov + cov.T)``, which is ``cov`` bit for bit when it is
+    symmetric.  Round-off negative eigenvalues stay: the worst case keeps
+    the plug-in covariance, so no computation reads it.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -62,12 +65,11 @@ def _clean_covariance(cov: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
     if float(np.abs(cov - cov.T).max(initial=0.0)) > _PSD_TOL * scale:
         raise ValueError("covariance must be symmetric")
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals = np.linalg.eigvalsh(cov)
     if eigvals.size and eigvals[0] < -_PSD_TOL * max(float(eigvals[-1]), 1.0):
         raise ValueError(f"covariance is not positive semidefinite "
                          f"(min eigenvalue {eigvals[0]:.3e})")
-    cleaned = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
-    return _locked(0.5 * (cleaned + cleaned.T))
+    return _locked(0.5 * (cov + cov.T))
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,11 @@ class DisturbanceModel:
     strays from the mean (Euclidean norm); it is configuration, not
     something estimated from data.  Construction raises ``ValueError``
     unless the mean is a finite vector, the covariance a matching finite
-    positive semidefinite matrix (see :func:`_clean_covariance`) and the
-    support radius finite and nonnegative.  Mean and covariance are
-    write-locked copies, so later edits to the caller's arrays miss them.
+    positive semidefinite matrix (see :func:`_checked_covariance`) and the
+    support radius finite and nonnegative.  The covariance is validated
+    and kept as given, symmetrized; the worst case never reads it.  Mean
+    and covariance are write-locked copies, so later edits to the
+    caller's arrays miss them.
     """
 
     mean: np.ndarray
@@ -92,7 +96,7 @@ class DisturbanceModel:
         mean = _frozen(self.mean)
         if mean.ndim != 1 or not np.isfinite(mean).all():
             raise ValueError("mean must be a finite vector")
-        cov = _clean_covariance(self.cov)
+        cov = _checked_covariance(self.cov)
         if cov.shape[0] != mean.shape[0]:
             raise ValueError("mean and covariance dimensions disagree")
         _check_radius(self.support_radius, "support_radius")

@@ -290,7 +290,7 @@ def test_design_exits_three_when_the_start_has_no_interior(tmp_path, capsys):
     assert err.startswith("solver failure: ") and "least slack" in err
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "ten"])
 def test_design_non_finite_radius_exits_two(capsys, eps):
     # A radius that is not a number is unusable input, not a radius past
     # the robustness ceiling.
@@ -298,7 +298,8 @@ def test_design_non_finite_radius_exits_two(capsys, eps):
         main(["design", "--scenario", SCENARIO, "--eps", eps])
     assert info.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and "finite" in err and "ceiling" not in err
+    assert out == "" and f"--eps: must be a finite number, got {eps!r}" in err
+    assert "ceiling" not in err
 
 
 def test_design_rejects_csv_format(capsys):
@@ -349,13 +350,13 @@ def test_estimate_missing_samples_flag(capsys):
     assert "--samples" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("delta", ["nan", "inf"])
+@pytest.mark.parametrize("delta", ["nan", "inf", "0.2x"])
 def test_estimate_non_finite_delta_exits_two(capsys, delta):
     with pytest.raises(SystemExit) as info:
         main(["estimate", "--network", NETWORK, "--samples", "records.csv", "--delta", delta])
     assert info.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and "--delta: must be a finite number" in err
+    assert out == "" and f"--delta: must be a finite number, got {delta!r}" in err
 
 
 # Each command with the options it needs, and every option it does not read.
@@ -552,3 +553,13 @@ def test_non_finite_vector_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "equilibrium", "--network", NETWORK, "--alpha", str(vec))
     assert code == 2
     assert str(vec) in err
+
+
+@pytest.mark.parametrize("text", ['{"alpha": [20.0, 30.0]}', '["20", "30"]', '[true, 30.0]'],
+                         ids=["object", "strings", "bool"])
+def test_vector_file_without_a_numeric_array_exits_two(tmp_path, capsys, text):
+    vec = tmp_path / "alpha.json"
+    vec.write_text(text)
+    code, out, err = run(capsys, "equilibrium", "--network", NETWORK, "--alpha", str(vec))
+    assert code == 2 and out == ""
+    assert f"alpha file {vec} must hold a JSON array of finite numbers" in err

@@ -278,6 +278,15 @@ def test_run_experiment_computes_one_latency_slope_per_design(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_mask(monkeypatch, count, usable):
+    # Where the OS has no affinity call, the CPU count stands in, and one
+    # CPU when even that is unknown.
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: count)
+    assert harness._usable_cpus() == usable
+
+
 def test_run_experiment_reraises_a_worker_exception(monkeypatch):
     scenario = small_scenario(load_scenario(BUNDLED_SCENARIO), mc_samples=10)
     ball_blocks = harness._ball_blocks

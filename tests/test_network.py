@@ -74,6 +74,11 @@ def test_validate_rejects_nonpositive_demand():
         assert report.problems == (f"demand must be a finite number, got {demand:g}",)
 
 
+def test_validate_rejects_a_one_node_network():
+    report = validate_network(Network(num_nodes=1, edges=(), demand=1.0))
+    assert report.problems == ("need at least two nodes for a source and a destination",)
+
+
 def test_validate_self_loop_is_cycle():
     net = Network(num_nodes=3,
                   edges=(Edge("e1", 0, 1), Edge("loop", 1, 1), Edge("e2", 1, 2)),

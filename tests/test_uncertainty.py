@@ -10,6 +10,7 @@ from robusttolls.equilibrium import LatencyModel, kkt_blocks
 from robusttolls.exceptions import FileFormatError, InsufficientDataError
 from robusttolls.network import Edge, IncidenceData, Network, incidence
 from robusttolls.uncertainty import (
+    _PSD_TOL,
     DisturbanceModel,
     SampleSet,
     estimate_nominal,
@@ -46,6 +47,8 @@ def test_disturbance_model_validation():
     assert good.support_radius == 0.5
     with pytest.raises(ValueError):
         DisturbanceModel(mean=np.zeros(2), cov=np.eye(3), support_radius=0.5)
+    with pytest.raises(ValueError, match=r"covariance must be square, got \(2, 3\)"):
+        DisturbanceModel(mean=np.zeros(2), cov=np.ones((2, 3)), support_radius=0.5)
     with pytest.raises(ValueError):
         DisturbanceModel(mean=np.zeros(2), cov=np.array([[1.0, 0.5], [0.4, 1.0]]),
                          support_radius=0.5)
@@ -70,19 +73,93 @@ def test_disturbance_model_rejects_non_finite_cov(bad):
                          support_radius=0.5)
 
 
-def test_disturbance_model_clamps_round_off():
+def test_disturbance_model_keeps_round_off_as_given():
     # A covariance whose smallest eigenvalue is round-off negative is
-    # accepted and stored as exactly positive semidefinite.
+    # accepted and stored as its symmetrized input: nothing clamps it.
     vecs = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     cov = (vecs * np.array([1.0, -1e-14])) @ vecs.T
+    cov[0, 1] += 1e-16
     model = DisturbanceModel(mean=np.zeros(2), cov=cov, support_radius=0.1)
-    assert np.linalg.eigvalsh(model.cov)[0] >= 0.0
+    assert np.array_equal(model.cov, 0.5 * (cov + cov.T))
+    assert not np.array_equal(model.cov, cov)
+
+
+def _covariance_case(seed: int, m: int, kind: str, rank: int, decades: float) -> np.ndarray:
+    """A seeded ``m x m`` test covariance of one ``kind``, scaled by ``10**decades``.
+
+    ``psd`` is ``G G'`` for a Gaussian ``G`` with ``rank`` columns, as
+    computed (so it may carry round-off negatives), with one
+    off-diagonal entry moved by up to half the asymmetry tolerance;
+    ``negative`` has one eigenvalue and ``asymmetric`` one entry beyond
+    the tolerance, by 2 to 2e6 times it, and ``non_finite`` is ``psd``
+    with a NaN or an infinity in one entry.
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((m, rank)) * 10.0 ** decades
+    cov = g @ g.T
+    i, j = rng.choice(m, size=2, replace=False)
+    cov[i, j] += rng.uniform(-0.5, 0.5) * _PSD_TOL * max(1.0, float(np.abs(cov).max()))
+    if kind == "negative":
+        # One negative eigenvalue, rank - 1 positive ones (the squared
+        # norms of G's other columns) and zeros, in a random orthonormal basis.
+        basis = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        eigvals = np.zeros(m)
+        eigvals[1:rank] = (g[:, 1:] ** 2).sum(axis=0)
+        eigvals[0] = -10.0 ** rng.uniform(0.31, 6.31) * _PSD_TOL * max(eigvals.max(), 1.0)
+        cov = (basis * eigvals) @ basis.T
+    elif kind == "asymmetric":
+        scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
+        cov[i, j] = cov[j, i] + 10.0 ** rng.uniform(0.31, 6.31) * _PSD_TOL * scale
+    elif kind == "non_finite":
+        cov[rng.integers(m), rng.integers(m)] = rng.choice([np.nan, np.inf, -np.inf])
+    return cov
+
+
+def test_covariance_rule_matches_an_eigvalsh_judge():
+    # Positive semidefinite inputs of every rank are accepted and stored
+    # as their symmetrized input; inputs negative or asymmetric beyond the
+    # tolerance, or holding a non-finite entry, are refused with their
+    # message.  The judge reads the eigenvalues of the symmetrized input,
+    # with a factor 2 of margin on the tolerance.
+    hypothesis = pytest.importorskip("hypothesis")
+    strategies = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @hypothesis.given(seed=strategies.integers(0, 2**32 - 1), m=strategies.integers(2, 12),
+                      kind=strategies.sampled_from(["psd", "negative", "asymmetric",
+                                                    "non_finite"]),
+                      rank_share=strategies.floats(0.0, 1.0),
+                      decades=strategies.floats(-6.0, 6.0))
+    def check(seed, m, kind, rank_share, decades):
+        cov = _covariance_case(seed, m, kind, round(rank_share * m), decades)
+        scale = max(1.0, float(np.abs(cov).max()))
+        if kind == "non_finite":
+            refusal = r"covariance must be finite"
+        elif float(np.abs(cov - cov.T).max()) > 2 * _PSD_TOL * scale:
+            refusal = r"covariance must be symmetric"
+        else:
+            eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+            refusal = None
+            if eigvals[0] < -2 * _PSD_TOL * max(float(eigvals[-1]), 1.0):
+                refusal = (r"covariance is not positive semidefinite "
+                           r"\(min eigenvalue -\d\.\d{3}e[+-]\d+\)")
+        if refusal is not None:
+            with pytest.raises(ValueError, match=f"^{refusal}$"):
+                DisturbanceModel(mean=np.zeros(m), cov=cov, support_radius=0.1)
+            return
+        assert kind == "psd"
+        model = DisturbanceModel(mean=np.zeros(m), cov=cov, support_radius=0.1)
+        assert np.array_equal(model.cov, 0.5 * (cov + cov.T))
+
+    check()
 
 
 def test_sample_set_validation():
     flows = np.ones((3, 2))
     lats = np.ones((3, 2))
     assert SampleSet(flows, lats).num_records == 3
+    with pytest.raises(ValueError, match="at least one record"):
+        SampleSet(np.ones((0, 2)), np.ones((0, 2)))
     with pytest.raises(ValueError):
         SampleSet(np.ones((3, 2)), np.ones((4, 2)))
     with pytest.raises(ValueError):
