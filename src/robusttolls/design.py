@@ -32,7 +32,7 @@ import numpy as np
 
 from .equilibrium import KktBlocks
 from .exceptions import InfeasibleError
-from .network import IncidenceData, _reduced_costs, _vector
+from .network import IncidenceData, _net_outflow, _reduced_costs, _vector
 from .optim import _barrier_newton, _dual_newton
 from .uncertainty import DisturbanceModel, _check_radius
 
@@ -248,12 +248,12 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     y, iterations, gap = np.zeros(blocks.gamma.shape[0]), 0, 0.0  # kept on single-route networks
     if start is not None:
         rhs = toll_polytope(blocks, model, 0.0).rhs
-        beta, matrix = blocks.lat.beta, blocks.inc.matrix
+        beta, inc = blocks.lat.beta, blocks.inc
 
         def nominal() -> np.ndarray | None:
             # At eps = 0 the design is the equilibrium of its slack v = rhs - y.
             cost = -(2.0 * beta * rhs + model.mean)
-            return _dual_newton(matrix, matrix @ rhs, 0.5 / beta, cost)[0]
+            return _dual_newton(inc, _net_outflow(inc, rhs), 0.5 / beta, cost)[0]
 
         y, iterations, gap = _barrier_newton(eps, blocks.c, beta, model.mean, blocks.inc.null_basis,
                                              rhs, start, nominal if eps == 0.0 else None)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, OutOfRegimeError
-from .network import IncidenceData, _frozen, _locked, _reduced_costs, _vector
+from .network import (IncidenceData, _drop, _frozen, _locked, _net_outflow, _reduced_costs,
+                      _vector)
 from .optim import _dual_newton
 
 # How far below zero (relative to the demand, on top of the round-off of
@@ -190,23 +191,25 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
     the node potentials ``p`` by :func:`~robusttolls.optim._dual_newton`,
     with the weighted Laplacians ``R B^-1 R'`` of the used edges as
     Hessians, from the potentials that use every edge.  ``f = (R' p -
-    cost)_+ / beta`` is exactly ``0.0`` on unused edges.  Raises
+    cost)_+ / beta`` is exactly ``0.0`` on unused edges.  The KKT terms
+    take ``R' p`` and ``R f`` from the edge-list products of
+    :mod:`robusttolls.network`, as the solve does.  Raises
     :class:`ConvergenceError` if the dual Newton budget
     (``optim._DUAL_STEPS``) does not finish or a KKT term exceeds ``_KKT_TOL``
     times the demand (balance, negative flows; as ``is_feasible_flow``)
     or ``max(1, demand)`` (stationarity, negative multipliers, complementarity).
     A non-finite entry of ``alpha`` or ``tau`` raises ``ValueError`` naming it.
     """
-    matrix, eta = inc.matrix, inc.injections
-    cost = _perceived_cost(matrix.shape[1], alpha, tau)
-    flow, potentials, steps, grad_norm = _dual_newton(matrix, eta, 1.0 / lat.beta, cost)
+    eta = inc.injections
+    cost = _perceived_cost(inc.tails.shape[0], alpha, tau)
+    flow, potentials, steps, grad_norm = _dual_newton(inc, eta, 1.0 / lat.beta, cost)
     if flow is None:
         raise ConvergenceError("potential minimization did not converge", steps, grad_norm)
     pinned = flow == 0.0
-    drop = matrix.T @ potentials
+    drop = _drop(inc, potentials)
     multipliers = np.where(pinned, cost - drop, 0.0)
     demand = float(np.abs(eta).max(initial=0.0))
-    terms = ((max(float(np.abs(matrix @ flow - eta).max(initial=0.0)),
+    terms = ((max(float(np.abs(_net_outflow(inc, flow) - eta).max(initial=0.0)),
                   -float(flow.min(initial=0.0))), demand),
              (max(float(np.abs(lat.beta * flow + cost - drop - multipliers).max(initial=0.0)),
                   -float(multipliers.min(initial=0.0)),

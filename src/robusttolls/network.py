@@ -12,9 +12,12 @@ injection vector that the equilibrium layer consumes, and
 largest, the design's robustness ceiling.  Validation and the max-min
 flow share one edge-list form and one breadth-first search; a cycle
 witness comes from the standard library's topological sort
-(``graphlib``).  Nothing here lists paths: everything downstream works
-on the incidence matrix, so the number of source-destination paths,
-exponential in general, never enters.
+(``graphlib``).  The module owns the incidence algebra: ``R' x``,
+``R v`` and the weighted Laplacian ``R diag(w) R'`` act on the stored
+edge ends (:func:`_drop`, :func:`_net_outflow`, :func:`_laplacian`).
+Nothing here lists paths: everything downstream works on the incidence,
+so the number of source-destination paths, exponential in general,
+never enters.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import FileFormatError, InvalidNetworkError
-from .optim import _EPS, _null_basis
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,10 @@ class IncidenceData:
     edge's end nodes as integer indices, the destination being node ``k``.
     Arrays are write-locked; treat them as shared immutable state.
 
-    The max-min flow and the orthonormal null basis of ``matrix`` are the
-    per-network work every design on the network shares; each is computed
-    on first use and kept, write-locked, on the object.
+    The max-min flow, the orthonormal null basis of ``matrix`` and the
+    Laplacian's scatter positions are the per-network work every solve on
+    the network shares; each is computed on first use and kept,
+    write-locked, on the object.
     """
 
     matrix: np.ndarray
@@ -123,6 +128,13 @@ class IncidenceData:
     def null_basis(self) -> np.ndarray:
         """An orthonormal basis, as columns, of the null space of ``matrix``."""
         return _locked(_null_basis(self.matrix))
+
+    @cached_property
+    def _laplacian_index(self) -> np.ndarray:
+        """Each edge's four positions in the flattened node Laplacian (:func:`_laplacian`)."""
+        n, tails, heads = self.injections.shape[0] + 1, self.tails, self.heads
+        return _locked(np.concatenate([tails * (n + 1), heads * (n + 1), tails * n + heads,
+                                       heads * n + tails]))
 
 
 def _locked(array: np.ndarray) -> np.ndarray:
@@ -275,15 +287,51 @@ def incidence(net: Network) -> IncidenceData:
                          tails=_locked(tails), heads=_locked(heads))
 
 
+def _null_basis(balance: np.ndarray) -> np.ndarray:
+    """An orthonormal basis, as columns, of the null space of ``balance``.
+
+    ``balance`` must have full row rank; the basis is the trailing
+    columns of the complete QR factor of ``balance'``.
+    """
+    return np.linalg.qr(balance.T, mode="complete")[0][:, balance.shape[0]:]
+
+
+def _drop(inc: IncidenceData, x: np.ndarray) -> np.ndarray:
+    """``R' x``, the drop of ``x`` along each edge, gathered with the destination at 0."""
+    full = np.zeros(x.shape[0] + 1)
+    full[:-1] = x
+    return full[inc.tails] - full[inc.heads]
+
+
+def _net_outflow(inc: IncidenceData, v: np.ndarray) -> np.ndarray:
+    """``R v``, each non-destination node's outflow less its inflow, by scatters."""
+    n = inc.injections.shape[0] + 1
+    return (np.bincount(inc.tails, v, n) - np.bincount(inc.heads, v, n))[:-1]
+
+
+def _laplacian(inc: IncidenceData, weights: np.ndarray) -> np.ndarray:
+    """The weighted Laplacian ``R diag(weights) R'`` (k x k), by one scatter.
+
+    Each edge adds its weight at (tail, tail) and (head, head) of the full
+    node Laplacian and subtracts it at (tail, head) and (head, tail), at
+    positions computed once per network; the destination's row and column
+    are dropped (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11).
+    """
+    n, negated = inc.injections.shape[0] + 1, -weights
+    signed = np.concatenate([weights, weights, negated, negated])
+    return np.bincount(inc._laplacian_index, signed, n * n).reshape(n, n)[:-1, :-1]
+
+
 def is_feasible_flow(inc: IncidenceData, flow: np.ndarray, tol: float = 1e-9) -> bool:
     """Whether ``flow`` is nonnegative and balances the nodal injections.
 
     Both tests are relative to the demand, however small: the balance
     residual and the most negative flow may each reach ``tol`` times it.
     """
-    flow = _vector(flow, inc.matrix.shape[1], "flow")
+    flow = _vector(flow, inc.tails.shape[0], "flow")
     scale = float(np.abs(inc.injections).max(initial=0.0))
-    balanced = float(np.abs(inc.matrix @ flow - inc.injections).max(initial=0.0)) <= tol * scale
+    residual = float(np.abs(_net_outflow(inc, flow) - inc.injections).max(initial=0.0))
+    balanced = residual <= tol * scale
     return bool(balanced and float(flow.min(initial=0.0)) >= -tol * scale)
 
 

@@ -1,13 +1,15 @@
-"""Deterministic dense Newton methods in plain numpy, for small instances.
+"""Deterministic Newton methods in plain numpy, for small instances.
 
 :func:`_barrier_newton`, an interior-point method in a null-space basis
-from one complete QR (:func:`_null_basis`) that crosses over to a
-certified optimal face, solves the robust design.
-:func:`_dual_newton`, a semismooth Newton method on the dual of a
-separable quadratic over ``{v >= 0 : A v = b}``, lands on the optimal
-face exactly: it solves Wardrop equilibria in node potentials, and the
-design at radius zero, which is such an equilibrium in the design's
-slack; that face is the first :func:`_barrier_newton` tries.
+from one complete QR (:func:`~robusttolls.network._null_basis`) that
+crosses over to a certified optimal face, solves the robust design.
+:func:`_dual_newton`, a semismooth Newton method in node potentials on
+the dual of a separable quadratic over a network's flows, lands on the
+optimal face exactly: it solves Wardrop equilibria, and the design at
+radius zero, which is such an equilibrium in the design's slack; that
+face is the first :func:`_barrier_newton` tries.  Its Hessians are
+weighted Laplacians, and it reaches the incidence only through the
+edge-list products that :mod:`robusttolls.network` owns.
 Determinism matters here, not sparse scalability.  Whether a radius is
 admissible is decided before any solve, by the one rule of
 :mod:`robusttolls.design`; whether a start has an interior, by
@@ -23,6 +25,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .exceptions import ConvergenceError, NumericalDegeneracyError
+from .network import _EPS, IncidenceData, _drop, _laplacian, _net_outflow
 
 # Interior-point budget and stopping tolerances (relative, see
 # :func:`_barrier_newton`).
@@ -38,16 +41,6 @@ _FACE_STEPS = 3
 # Step budget of :func:`_dual_newton`: equilibria took at most 44 steps
 # on slopes spanning six decades.
 _DUAL_STEPS = 100
-_EPS = float(np.finfo(float).eps)
-
-
-def _null_basis(balance: np.ndarray) -> np.ndarray:
-    """An orthonormal basis, as columns, of the null space of ``balance``.
-
-    ``balance`` must have full row rank; the basis is the trailing
-    columns of the complete QR factor of ``balance'``.
-    """
-    return np.linalg.qr(balance.T, mode="complete")[0][:, balance.shape[0]:]
 
 
 def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np.ndarray,
@@ -57,8 +50,9 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     """Minimize ``eps*||y + offset|| + sum(weights*y**2) + lin @ y`` on a polyhedron.
 
     The feasible set is ``{y : balance @ y = 0, y <= upper}``, where
-    ``basis`` is :func:`_null_basis` of ``balance``.  Nothing is checked:
-    the caller (:func:`~robusttolls.design.solve_dro_tolls`) guarantees
+    ``basis`` is :func:`~robusttolls.network._null_basis` of ``balance``.
+    Nothing is checked: the caller
+    (:func:`~robusttolls.design.solve_dro_tolls`) guarantees
     ``eps >= 0`` and float vectors of ``upper``'s length.  This is a
     primal-dual interior-point method (Boyd & Vandenberghe, *Convex
     Optimization*, sec. 11.7) with one multiplier per bound and a
@@ -245,69 +239,84 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
                            f"is above {tol:g}", it, value)
 
 
-def _dual_newton(matrix: np.ndarray, b: np.ndarray, weights: np.ndarray,
+def _dual_newton(inc: IncidenceData, b: np.ndarray, weights: np.ndarray,
                  cost: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, int, float]:
-    """Maximize ``b'x - sum(weights * ((matrix' x - cost)_+)**2) / 2``.
+    """Maximize ``b'x - sum(weights * ((R' x - cost)_+)**2) / 2`` over potentials ``x``.
 
     That is the dual of ``min sum(v**2 / weights) / 2 + cost @ v`` over
-    ``v >= 0`` with ``matrix @ v = b``, and ``v = weights * (matrix' x -
-    cost)_+``: a Wardrop equilibrium, or the design at radius zero in its
-    slack.  The start is the ``x`` that balances when no entry is clipped
-    at zero, the potentials that use every edge.  Damped semismooth
-    Newton (Qi & Sun 2006; Hintermueller, Ito & Kunisch 2002): on the
-    face ``P = {matrix' x > cost}`` the step solves ``(H(P) + rho D) d =
-    gradient``, with ``H(P) = matrix diag(weights on P) matrix'``, ``D``
-    the diagonal of ``matrix diag(weights) matrix'`` and ``rho = 1e-4
-    min(1, |gradient| / |b|)`` (0.01 took up to 283 steps on six-decade
-    slopes); an exact line search sets its length.  Once a full step keeps the face, one exact solve on
-    ``P`` (over the rows it touches) finishes: ``v`` is exactly ``0.0``
-    off ``P`` and where it is round-off.  Returns ``(v, x, steps taken,
-    gradient norm)``, with ``v`` None if ``_DUAL_STEPS`` steps do not
-    finish or a damped system is singular.
+    ``v >= 0`` with ``R v = b``, ``R`` the reduced incidence of ``inc``, and
+    ``v = weights * (R' x - cost)_+``: a Wardrop equilibrium, or the design
+    at radius zero in its slack.  ``R`` acts only through the edge-list
+    products of :mod:`robusttolls.network`.  The start is the ``x`` that
+    balances when no entry is clipped at zero, the potentials that use
+    every edge.  Damped semismooth Newton (Qi & Sun 2006; Hintermueller,
+    Ito & Kunisch 2002): on the face ``P = {R' x > cost}`` the step solves
+    ``(H(P) + rho D) d = gradient``, with ``H(P)`` the Laplacian of the
+    weights on ``P``, ``D`` the diagonal of the Laplacian of all weights and
+    ``rho = 1e-4 min(1, |gradient| / |b|)`` (0.01 took up to 283 steps on
+    six-decade slopes; :func:`_norm` keeps both norms finite and nonzero).
+    An exact line search on ``R' d`` sets its length.  Once a full step
+    keeps the face, one exact solve on ``P`` (over the rows it touches)
+    finishes: ``v`` is exactly ``0.0`` off ``P`` and where it is
+    round-off.  Returns ``(v, x, steps taken, gradient norm)``, with ``v``
+    None if ``_DUAL_STEPS`` steps do not finish or a damped system is
+    singular.
     """
     m = cost.shape[0]
-    damping = (matrix * matrix) @ weights
-    b_norm = math.sqrt(b @ b)
+    full = _laplacian(inc, weights)
+    damping = np.diagonal(full)
+    b_norm = _norm(b)
     root = np.sqrt(weights)
     top_cost = float(np.abs(cost).max(initial=0.0))
-    x = np.linalg.solve((matrix * weights) @ matrix.T, b + matrix @ (weights * cost))
+    x = np.linalg.solve(full, b + _net_outflow(inc, weights * cost))
 
     def on_face(u: np.ndarray, face: np.ndarray) -> tuple[np.ndarray, float]:
         roundoff = m * _EPS * (float(np.abs(u).max(initial=0.0)) + top_cost)
         return np.where(face & (u > roundoff), weights * u, 0.0), roundoff
 
     for it in range(_DUAL_STEPS):
-        u = matrix.T @ x - cost
+        u = _drop(inc, x) - cost
         face = u > 0.0
         weighted = weights * u
-        grad = b - matrix @ np.where(face, weighted, 0.0)
-        grad_norm = math.sqrt(grad @ grad)
+        grad = b - _net_outflow(inc, np.where(face, weighted, 0.0))
+        grad_norm = _norm(grad)
         if grad_norm <= m * _EPS * float(np.abs(weighted).max(initial=0.0)):
             return on_face(u, face)[0], x, it, grad_norm
-        hess = (matrix[:, face] * weights[face]) @ matrix[:, face].T
+        hess = _laplacian(inc, np.where(face, weights, 0.0))
         damped = hess.copy()
         damped.flat[::damped.shape[0] + 1] += 1e-4 * min(1.0, grad_norm / b_norm) * damping
         try:
             step = np.linalg.solve(damped, grad)
         except np.linalg.LinAlgError:
             return None, x, it, grad_norm
-        if np.array_equal(matrix.T @ (x + step) - cost > 0.0, face):
+        moved = _drop(inc, step)
+        if np.array_equal(u + moved > 0.0, face):
             rows = np.diagonal(hess) > 0.0
-            rhs = b + matrix @ np.where(face, weights * cost, 0.0)
+            rhs = b + _net_outflow(inc, np.where(face, weights * cost, 0.0))
             exact = x.copy()
             try:
                 exact[rows] = np.linalg.solve(hess[np.ix_(rows, rows)], rhs[rows])
             except np.linalg.LinAlgError:
                 pass  # the face leaves a direction free; keep stepping
             else:
-                exact_u = matrix.T @ exact - cost
+                exact_u = _drop(inc, exact) - cost
                 v, roundoff = on_face(exact_u, face)
                 if (not b[~rows].any()
                         and exact_u[face].min(initial=0.0) >= -roundoff
                         and exact_u[~face].max(initial=0.0) <= roundoff):
                     return v, exact, it + 1, grad_norm
-        x = x + _dual_line_max(root * u, root * (matrix.T @ step), float(b @ step)) * step
+        x = x + _dual_line_max(root * u, root * moved, float(b @ step)) * step
     return None, x, _DUAL_STEPS, grad_norm
+
+
+def _norm(vector: np.ndarray) -> float:
+    """``sqrt(vector @ vector)``, in units of a power of two near its largest entry.
+
+    The units are exact, so only squares that would under- or overflow change.
+    """
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(vector).max(initial=0.0)))[1])
+    scaled = vector / unit
+    return unit * math.sqrt(scaled @ scaled)
 
 
 def _dual_line_max(u: np.ndarray, w: np.ndarray, slope: float) -> float:

@@ -174,6 +174,23 @@ def test_equilibrium_bad_vector_argument(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("demand", [1e-200, 1e-300])
+def test_equilibrium_at_a_vanishing_demand_exits_zero_or_three(tmp_path, capsys, demand):
+    # The potential solver either certifies or fails typed (exit 3); a
+    # demand whose square underflows is no reason for a traceback.
+    (tmp_path / "net.json").write_text(json.dumps({
+        "nodes": ["s", "m", "d"],
+        "edges": [{"id": "a", "from": "s", "to": "m", "beta": 1},
+                  {"id": "b", "from": "s", "to": "m", "beta": 2},
+                  {"id": "c", "from": "m", "to": "d", "beta": 1},
+                  {"id": "e", "from": "s", "to": "d", "beta": 3}],
+        "source": "s", "destination": "d", "demand": demand}))
+    code, _, err = run(capsys, "equilibrium", "--network", str(tmp_path / "net.json"),
+                       "--alpha", "0,5,0,1", "--method", "potential")
+    assert code in (0, 3)
+    assert code == 0 or "solver failure" in err
+
+
 def test_epsmax_text_and_json(capsys, tmp_path):
     code, out, _ = run(capsys, "epsmax", "--scenario", SCENARIO)
     assert code == 0

@@ -135,6 +135,27 @@ def test_closed_form_out_of_regime():
     assert "potential-based solver" in str(info.value)
 
 
+def two_hop_network(demand: float) -> Network:
+    """Nodes s, m, d: edges a and b from s to m, c from m to d, e from s to d."""
+    return Network(num_nodes=3, demand=demand, node_ids=("s", "m", "d"),
+                   edges=(Edge("a", 0, 1), Edge("b", 0, 1), Edge("c", 1, 2), Edge("e", 0, 2)))
+
+
+@pytest.mark.parametrize("demand", [1e-150, 1e-200, 1e-300, 5e-324, 1e200])
+def test_potential_solver_fails_typed_or_feasible_at_any_demand(demand):
+    # Below a demand of about 1e-160 the squared norm of the injections
+    # underflows to zero, and above 1e154 it overflows; the dual solver's
+    # damping divides the gradient's norm by it.  The equilibrium either
+    # certifies or raises the solver's typed error.
+    data = incidence(two_hop_network(demand))
+    try:
+        sol = nash_flow_potential(data, LatencyModel(np.array([1.0, 2.0, 1.0, 3.0])),
+                                  np.array([0.0, 5.0, 0.0, 1.0]), np.zeros(4))
+    except ConvergenceError:
+        return
+    assert is_feasible_flow(data, sol.flow)
+
+
 def test_regime_and_feasibility_scale_with_a_tiny_demand():
     # At demand 1e-12 the closed form puts -6.2e-11 on e1, 62 times the
     # demand: out of regime and infeasible, however small in absolute terms.

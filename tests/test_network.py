@@ -6,11 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from randnets import enumerate_paths, layered_dag_network, random_dag_network
+from randnets import enumerate_paths, layered_dag_network, random_dag_network, random_instance
 from robusttolls.exceptions import FileFormatError, InvalidNetworkError
 from robusttolls.network import (
     Edge,
     Network,
+    _drop,
+    _laplacian,
+    _net_outflow,
     incidence,
     is_feasible_flow,
     load_network,
@@ -255,6 +258,40 @@ def test_is_feasible_flow():
     assert not is_feasible_flow(data, np.array([-0.5, 1.5, -0.5, 1.5, 0.0]))
     with pytest.raises(ValueError):
         is_feasible_flow(data, np.zeros(3))
+
+
+def _edge_list_nets():
+    """Parallel edges (also into the destination), Braess, a one-route chain, random instances."""
+    yield "parallel", Network(num_nodes=3, demand=4.0, edges=(
+        Edge("a", 0, 1), Edge("b", 0, 1), Edge("c", 1, 2), Edge("d", 1, 2), Edge("e", 0, 2),
+        Edge("f", 0, 2)))
+    yield "braess", braess()
+    yield "chain", Network(num_nodes=4, demand=2.0,
+                           edges=(Edge("a", 0, 1), Edge("b", 1, 2), Edge("c", 2, 3)))
+    rng = np.random.default_rng(1100)
+    for i in range(12):
+        yield f"random-{i}", random_instance(rng)[0]
+
+
+@pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in _edge_list_nets()])
+def test_edge_list_products_match_the_dense_incidence(net):
+    # With dyadic weights and vectors every product and sum is exact, so
+    # the scatter and gather forms must equal the dense products bit for
+    # bit, also on a face whose zero weights leave a node's row all zero.
+    rng = np.random.default_rng(net.num_edges)
+    data = incidence(net)
+    r = data.matrix
+    k, m = r.shape
+    x, v = rng.integers(-64, 65, k) / 8.0, rng.integers(-64, 65, m) / 16.0
+    assert np.array_equal(_drop(data, x), r.T @ x)
+    assert np.array_equal(_net_outflow(data, v), r @ v)
+    weights = rng.integers(1, 256, m) / 32.0
+    node = int(rng.integers(0, k))
+    face = np.where((data.tails == node) | (data.heads == node), 0.0, weights)
+    for w in (weights, face):
+        assert np.array_equal(_laplacian(data, w), (r * w) @ r.T)
+    zeroed = _laplacian(data, face)
+    assert not zeroed[node].any() and not zeroed[:, node].any()
 
 
 def test_random_networks_validate_and_route():

@@ -8,7 +8,8 @@ import pytest
 from randnets import STATUS_OPTIMAL, active_set_qp, brute_force_qp
 from robusttolls import optim
 from robusttolls.exceptions import ConvergenceError, NumericalDegeneracyError
-from robusttolls.optim import _barrier_newton, _null_basis
+from robusttolls.network import _null_basis
+from robusttolls.optim import _barrier_newton
 
 
 def _kernel_lp(cost, rows, rhs, start, lower=None):
