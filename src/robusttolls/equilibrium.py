@@ -15,20 +15,21 @@ that pins unused edges at exactly zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError, OutOfRegimeError
-from .network import (IncidenceData, _drop, _frozen, _locked, _net_outflow, _reduced_costs,
-                      _vector)
-from .optim import _dual_newton
+from .exceptions import ConvergenceError, NumericalDegeneracyError, OutOfRegimeError
+from .network import IncidenceData, _frozen, _locked, _reduced_costs, _vector
+from .optim import _certificate, _dual_newton
 
 # How far below zero (relative to the demand, on top of the round-off of
 # the flow's own evaluation) a closed-form flow may dip and still count as
 # in regime.
 _REGIME_TOL = 1e-9
-# Bound on the potential solver's KKT terms, per demand (see nash_flow_potential).
+# Bound on the potential solver's certificate, per demand or per the gap's
+# terms (see nash_flow_potential).
 _KKT_TOL = 1e-8
 
 
@@ -127,13 +128,17 @@ def kkt_blocks(inc: IncidenceData, lat: LatencyModel) -> KktBlocks:
     return KktBlocks(gamma=gamma, lam=lam, s=s, gamma_norm=gamma_norm, c=c, inc=inc, lat=lat)
 
 
+def _finite(value, m: int, name: str) -> np.ndarray:
+    """``value`` as a float vector of ``m`` entries, which must all be finite."""
+    value = _vector(value, m, name)
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
 def _perceived_cost(m: int, alpha, tau) -> np.ndarray:
     """The edge cost ``alpha + tau``; each must be a finite vector of ``m`` entries."""
-    alpha, tau = _vector(alpha, m, "alpha"), _vector(tau, m, "tau")
-    for name, part in (("alpha", alpha), ("tau", tau)):
-        if not np.isfinite(part).all():
-            raise ValueError(f"{name} must be finite")
-    return alpha + tau
+    return _finite(alpha, m, "alpha") + _finite(tau, m, "tau")
 
 
 def _regime_floor(blocks: KktBlocks, cost: np.ndarray) -> float:
@@ -191,33 +196,33 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
     the node potentials ``p`` by :func:`~robusttolls.optim._dual_newton`,
     with the weighted Laplacians ``R B^-1 R'`` of the used edges as
     Hessians, from the potentials that use every edge.  ``f = (R' p -
-    cost)_+ / beta`` is exactly ``0.0`` on unused edges.  The KKT terms
-    take ``R' p`` and ``R f`` from the edge-list products of
-    :mod:`robusttolls.network`, as the solve does.  Raises
-    :class:`ConvergenceError` if the dual Newton budget
-    (``optim._DUAL_STEPS``) does not finish or a KKT term exceeds ``_KKT_TOL``
-    times the demand (balance, negative flows; as ``is_feasible_flow``)
-    or ``max(1, demand)`` (stationarity, negative multipliers, complementarity).
-    A non-finite entry of ``alpha`` or ``tau`` raises ``ValueError`` naming it.
+    cost)_+ / beta`` is exactly ``0.0`` on unused edges.  The answer is
+    accepted only through :func:`~robusttolls.optim._certificate`: the
+    worst node's balance residual and the most negative flow must be at
+    most ``_KKT_TOL`` times the demand (as in ``is_feasible_flow``), and
+    the duality gap between the potential at ``f`` and its dual at ``p``
+    at most ``_KKT_TOL`` times the terms it sums, a test that does not
+    depend on the units.  Raises :class:`ConvergenceError` if the dual
+    Newton budget (``optim._DUAL_STEPS``) does not finish, or, naming the
+    term and its ratio to its scale, if the answer fails that check.  A
+    non-finite entry of ``alpha`` or ``tau`` raises ``ValueError`` naming it.
     """
     eta = inc.injections
     cost = _perceived_cost(inc.tails.shape[0], alpha, tau)
-    flow, potentials, steps, grad_norm = _dual_newton(inc, eta, 1.0 / lat.beta, cost)
+    weights = 1.0 / lat.beta
+    flow, potentials, steps, grad_norm = _dual_newton(inc, eta, weights, cost)
     if flow is None:
         raise ConvergenceError("potential minimization did not converge", steps, grad_norm)
-    pinned = flow == 0.0
-    drop = _drop(inc, potentials)
-    multipliers = np.where(pinned, cost - drop, 0.0)
+    balance, lowest, gap, terms = _certificate(inc, eta, weights, cost, flow, potentials)
     demand = float(np.abs(eta).max(initial=0.0))
-    terms = ((max(float(np.abs(_net_outflow(inc, flow) - eta).max(initial=0.0)),
-                  -float(flow.min(initial=0.0))), demand),
-             (max(float(np.abs(lat.beta * flow + cost - drop - multipliers).max(initial=0.0)),
-                  -float(multipliers.min(initial=0.0)),
-                  float(np.abs(multipliers * flow).max(initial=0.0))), max(1.0, demand)))
-    failing = [value for value, scale in terms if value > _KKT_TOL * scale]
-    if failing:
-        raise ConvergenceError(f"the optimal face with {int(pinned.sum())} pinned edges fails "
-                               "the KKT check", steps, max(failing))
+    for name, value, scale, of in (("balance residual", balance, demand, "the demand"),
+                                   ("most negative flow", -lowest, demand, "the demand"),
+                                   ("duality gap", gap, terms, "its terms")):
+        if not value <= _KKT_TOL * scale:
+            ratio = value / scale if scale > 0.0 else math.inf
+            raise ConvergenceError(f"the optimal face with {int((flow == 0.0).sum())} pinned edges "
+                                   f"fails the KKT check: its {name} is {ratio:.3e} of {of}",
+                                   steps, ratio)
     return NashSolution(flow=flow, node_potentials=potentials, method="potential")
 
 
@@ -225,11 +230,19 @@ def system_latency(flow: np.ndarray, lat: LatencyModel, alpha: np.ndarray) -> fl
     """Total travel time ``sum f_e (beta_e f_e + alpha_e)`` of a flow.
 
     Tolls are deliberately absent: they move money, not time, so the
-    system performance measure ignores them.
+    system performance measure ignores them.  A non-finite entry of
+    ``flow`` or ``alpha`` raises ``ValueError`` naming it; a total beyond
+    the float range (``beta f^2`` overflows from flows near 1e154 at unit
+    slopes) raises :class:`NumericalDegeneracyError` naming the overflow.
     """
     m = lat.beta.shape[0]
-    flow, alpha = _vector(flow, m, "flow"), _vector(alpha, m, "alpha")
-    return float(flow @ (lat.beta * flow + alpha))
+    flow, alpha = _finite(flow, m, "flow"), _finite(alpha, m, "alpha")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(flow @ (lat.beta * flow + alpha))
+    if not math.isfinite(total):
+        raise NumericalDegeneracyError(f"the system latency of flows up to "
+                                       f"{float(np.abs(flow).max()):.3e} overflows the float range")
+    return total
 
 
 def latency_decomposition(blocks: KktBlocks, tau: np.ndarray) -> tuple[np.ndarray, float]:

@@ -26,11 +26,13 @@ class InvalidNetworkError(TollDesignError):
 
 
 class NumericalDegeneracyError(TollDesignError):
-    """A solve has no interior to start from.
+    """A solve has no interior to start from, or a result leaves the float range.
 
     Raised by the design kernel when its start, projected onto the
     balance rows, keeps no positive slack on some bound: a ceiling of
-    zero up to rounding, or bounds whose slack cancels in rounding.
+    zero up to rounding, or bounds whose slack cancels in rounding.  Also
+    raised by :func:`~robusttolls.equilibrium.system_latency` when the
+    total travel time overflows.
     """
 
 

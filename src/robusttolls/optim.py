@@ -10,6 +10,8 @@ radius zero, which is such an equilibrium in the design's slack; that
 face is the first :func:`_barrier_newton` tries.  Its Hessians are
 weighted Laplacians, and it reaches the incidence only through the
 edge-list products that :mod:`robusttolls.network` owns.
+:func:`_certificate` judges a proposed answer of that problem by its
+balance, its sign and its duality gap.
 Determinism matters here, not sparse scalability.  Whether a radius is
 admissible is decided before any solve, by the one rule of
 :mod:`robusttolls.design`; whether a start has an interior, by
@@ -309,12 +311,49 @@ def _dual_newton(inc: IncidenceData, b: np.ndarray, weights: np.ndarray,
     return None, x, _DUAL_STEPS, grad_norm
 
 
+def _certificate(inc: IncidenceData, b: np.ndarray, weights: np.ndarray, cost: np.ndarray,
+                 v: np.ndarray, x: np.ndarray) -> tuple[float, float, float, float]:
+    """How far flows ``v`` and potentials ``x`` are from solving :func:`_dual_newton`'s problem.
+
+    That is ``min f(v) = sum(v**2 / weights) / 2 + cost @ v`` over ``v >= 0``
+    with ``R v = b``, whose dual ``g(x) = b'x - sum(weights * u_+**2) / 2``,
+    ``u = R'x - cost``, is what :func:`_dual_newton` maximizes.  Returns
+    ``(balance, lowest, gap, terms)``: the worst node's ``|R v - b|``, the
+    least entry of ``v`` (0.0 if none is negative), the duality gap
+    ``f(v) - g(x)``, and the sum of the absolute values of the terms of
+    ``f(v)`` and ``g(x)``.  For a feasible ``v`` the gap bounds how far
+    ``f(v)`` lies above the optimum (weak duality; Boyd & Vandenberghe,
+    *Convex Optimization*, ch. 5).  It is summed as its per-edge
+    Fenchel-Young parts ``(v - weights u_+)**2 / (2 weights) + v (u_+ -
+    u)`` plus the balance's share ``(R v - b) @ x``, each exactly zero at an
+    exact solution, so no two large terms cancel.  ``gap`` and ``terms``
+    are in the same unit, a power of two near the largest flow or
+    injection, so they stay finite however large or small the demand and
+    only their ratio means anything.
+    """
+    unit = _power_of_two(float(max(np.abs(v).max(initial=0.0), np.abs(b).max(initial=0.0))))
+    u = _drop(inc, x) - cost
+    used = np.maximum(u, 0.0)
+    latency, scaled = v / weights, v / unit
+    excess = _net_outflow(inc, v) - b
+    gap = (float(((v - weights * used) / unit) @ (latency - used)) / 2.0
+           + float(scaled @ (used - u)) + float((excess / unit) @ x))
+    terms = (float(scaled @ latency) / 2.0 + float(np.abs(cost) @ np.abs(scaled))
+             + float(np.abs(b / unit) @ np.abs(x)) + float((weights * used / unit) @ used) / 2.0)
+    return float(np.abs(excess).max(initial=0.0)), float(v.min(initial=0.0)), gap, terms
+
+
+def _power_of_two(value: float) -> float:
+    """The power of two just above ``value >= 0`` (1.0 for zero), an exact unit of measure."""
+    return math.ldexp(1.0, math.frexp(value)[1])
+
+
 def _norm(vector: np.ndarray) -> float:
     """``sqrt(vector @ vector)``, in units of a power of two near its largest entry.
 
     The units are exact, so only squares that would under- or overflow change.
     """
-    unit = math.ldexp(1.0, math.frexp(float(np.abs(vector).max(initial=0.0)))[1])
+    unit = _power_of_two(float(np.abs(vector).max(initial=0.0)))
     scaled = vector / unit
     return unit * math.sqrt(scaled @ scaled)
 

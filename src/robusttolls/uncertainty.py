@@ -50,8 +50,9 @@ _NUMPY_ADVICE = "; use `usecols` to select a subset and avoid this error"
 def _checked_covariance(cov: np.ndarray) -> np.ndarray:
     """A square, finite, symmetric, PSD covariance, validated and kept as given.
 
-    Round-off may leave asymmetry and negative eigenvalues up to
-    ``_PSD_TOL`` relative to the largest entry or eigenvalue (at least 1);
+    Round-off may leave asymmetry up to ``_PSD_TOL`` of the largest entry
+    and negative eigenvalues up to ``_PSD_TOL`` of the largest eigenvalue,
+    so the rule does not depend on the units (a zero covariance passes);
     anything beyond that raises ``ValueError``.  The matrix is returned
     as ``0.5 * (cov + cov.T)``, which is ``cov`` bit for bit when it is
     symmetric.  Round-off negative eigenvalues stay: the worst case keeps
@@ -62,11 +63,11 @@ def _checked_covariance(cov: np.ndarray) -> np.ndarray:
         raise ValueError(f"covariance must be square, got {cov.shape}")
     if not np.isfinite(cov).all():
         raise ValueError("covariance must be finite")
-    scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
-    if float(np.abs(cov - cov.T).max(initial=0.0)) > _PSD_TOL * scale:
+    top = float(np.abs(cov).max(initial=0.0))
+    if float(np.abs(cov - cov.T).max(initial=0.0)) > _PSD_TOL * top:
         raise ValueError("covariance must be symmetric")
     eigvals = np.linalg.eigvalsh(cov)
-    if eigvals.size and eigvals[0] < -_PSD_TOL * max(float(eigvals[-1]), 1.0):
+    if eigvals.size and eigvals[0] < -_PSD_TOL * float(eigvals[-1]):
         raise ValueError(f"covariance is not positive semidefinite "
                          f"(min eigenvalue {eigvals[0]:.3e})")
     return _locked(0.5 * (cov + cov.T))

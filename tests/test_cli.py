@@ -174,10 +174,8 @@ def test_equilibrium_bad_vector_argument(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("demand", [1e-200, 1e-300])
-def test_equilibrium_at_a_vanishing_demand_exits_zero_or_three(tmp_path, capsys, demand):
-    # The potential solver either certifies or fails typed (exit 3); a
-    # demand whose square underflows is no reason for a traceback.
+def two_hop_equilibrium(tmp_path, capsys, demand):
+    """``equilibrium --method potential`` on nodes s, m, d: edges a, b s->m, c m->d, e s->d."""
     (tmp_path / "net.json").write_text(json.dumps({
         "nodes": ["s", "m", "d"],
         "edges": [{"id": "a", "from": "s", "to": "m", "beta": 1},
@@ -185,10 +183,27 @@ def test_equilibrium_at_a_vanishing_demand_exits_zero_or_three(tmp_path, capsys,
                   {"id": "c", "from": "m", "to": "d", "beta": 1},
                   {"id": "e", "from": "s", "to": "d", "beta": 3}],
         "source": "s", "destination": "d", "demand": demand}))
-    code, _, err = run(capsys, "equilibrium", "--network", str(tmp_path / "net.json"),
-                       "--alpha", "0,5,0,1", "--method", "potential")
+    return run(capsys, "equilibrium", "--network", str(tmp_path / "net.json"),
+               "--alpha", "0,5,0,1", "--method", "potential")
+
+
+@pytest.mark.parametrize("demand", [1e-200, 1e-300])
+def test_equilibrium_at_a_vanishing_demand_exits_zero_or_three(tmp_path, capsys, demand):
+    # The potential solver either certifies or fails typed (exit 3); a
+    # demand whose square underflows is no reason for a traceback.
+    code, _, err = two_hop_equilibrium(tmp_path, capsys, demand)
     assert code in (0, 3)
     assert code == 0 or "solver failure" in err
+
+
+def test_equilibrium_whose_system_latency_overflows_exits_three(tmp_path, capsys):
+    # At demand 1e200 the equilibrium certifies, with flows near 1e200, but
+    # its system latency, about 1e400, is beyond the float range: a
+    # numerical failure, not a printed inf.
+    code, out, err = two_hop_equilibrium(tmp_path, capsys, 1e200)
+    assert code == 3
+    assert "system latency of flows up to 6.429e+199 overflows the float range" in err
+    assert out == ""
 
 
 def test_epsmax_text_and_json(capsys, tmp_path):

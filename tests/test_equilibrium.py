@@ -15,8 +15,9 @@ from robusttolls.equilibrium import (
     nash_flow_potential,
     system_latency,
 )
-from robusttolls.exceptions import ConvergenceError, OutOfRegimeError
+from robusttolls.exceptions import ConvergenceError, NumericalDegeneracyError, OutOfRegimeError
 from robusttolls.network import Edge, Network, _max_min_flow, incidence, is_feasible_flow
+from robusttolls.optim import _certificate
 from test_network import braess, pigou
 
 PIGOU_BETA = np.array([1.5, 0.1])
@@ -154,6 +155,64 @@ def test_potential_solver_fails_typed_or_feasible_at_any_demand(demand):
     except ConvergenceError:
         return
     assert is_feasible_flow(data, sol.flow)
+
+
+def test_system_latency_refuses_to_overflow():
+    # At demand 1e200 the equilibrium certifies, but sum(beta f^2) is near
+    # 1e400: a typed error naming the overflow, never inf.
+    lat = LatencyModel(np.array([1.0, 2.0, 1.0, 3.0]))
+    alpha = np.array([0.0, 5.0, 0.0, 1.0])
+    sol = nash_flow_potential(incidence(two_hop_network(1e200)), lat, alpha, np.zeros(4))
+    assert np.isfinite(sol.flow).all() and float(sol.flow.max()) > 1e199
+    with pytest.raises(NumericalDegeneracyError, match="overflows the float range"):
+        system_latency(sol.flow, lat, alpha)
+    # A non-finite flow or cost is an input fault, named as such.
+    for flow, cost, name in (([np.inf, 0.0, 0.0, 0.0], alpha, "flow"),
+                             (sol.flow, [0.0, np.nan, 0.0, 0.0], "alpha")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            system_latency(np.array(flow), lat, np.array(cost))
+
+
+@pytest.mark.parametrize("flow, potential, balance, gap", [
+    # Pigou's equilibrium is dyadic: flows 12.5 and 87.5 at the common
+    # latency 38.75, so its balance residual and its gap are exactly 0.0.
+    ([12.5, 87.5], 38.75, 0.0, 0.0),
+    # No flow: the balance misses by the whole demand, and the gap is
+    # negative, as the flow is infeasible.
+    ([0.0, 0.0], 38.75, 100.0, -(100.0 * 38.75 - 500.0)),
+    # All of the demand on the dear road, at its latency 40, leaves the
+    # cheap road unused with R'x - cost = 20 > 0: 20**2 / (2 * 1.5).
+    ([0.0, 100.0], 40.0, 0.0, 400.0 / 3.0),
+    # The equilibrium flows under the potential 10, below both costs:
+    # each flow pays its cost less its drop, 12.5 * 10 + 87.5 * 20, on
+    # top of the potential at it, 500.
+    ([12.5, 87.5], 10.0, 0.0, 2375.0),
+], ids=["equilibrium", "off-balance", "unused-edge-cheaper-than-its-drop",
+        "used-edges-dearer-than-their-drop"])
+def test_certificate_on_pigou(flow, potential, balance, gap):
+    # The gap is f(v) - g(x), in units of 128, the power of two above the
+    # demand, and it refuses (beyond _KKT_TOL of its terms) where positive.
+    got_balance, lowest, got_gap, terms = _certificate(
+        incidence(pigou()), np.array([100.0]), 1.0 / PIGOU_BETA, np.array([20.0, 30.0]),
+        np.array(flow), np.array([potential]))
+    assert (got_balance, lowest) == (balance, 0.0)
+    assert 128.0 * got_gap == pytest.approx(gap, rel=1e-12, abs=0.0)
+    assert (got_gap > equilibrium._KKT_TOL * terms) == (gap > 0.0)
+
+
+@pytest.mark.parametrize("demand", [1e-300, 1e200])
+def test_certificate_stays_finite_at_extreme_demands(demand):
+    # With zero costs Pigou splits any demand as 1/16 and 15/16 at the
+    # common latency 1.5 * demand / 16.  At 1e200 the potential is near
+    # 1e399, and at 1e-300 its squares underflow; the certificate's
+    # power-of-two units keep every value finite and its terms positive.
+    data = incidence(Network(num_nodes=2, edges=pigou().edges, demand=demand))
+    flow = np.array([demand / 16.0, 15.0 * demand / 16.0])
+    balance, lowest, gap, terms = _certificate(data, np.array([demand]), 1.0 / PIGOU_BETA,
+                                               np.zeros(2), flow, np.array([1.5 * flow[0]]))
+    assert all(np.isfinite([balance, lowest, gap, terms]))
+    assert balance <= 4.0 * np.finfo(float).eps * demand and lowest == 0.0
+    assert 0.0 < terms and abs(gap) <= 1e-14 * terms
 
 
 def test_regime_and_feasibility_scale_with_a_tiny_demand():
@@ -303,15 +362,15 @@ def test_potential_solver_iteration_budget(monkeypatch):
     # balances and is stationary, but leaves the cheap road pinned with a
     # negative multiplier (20 - 180).
     (pigou(), [20.0, 30.0], lambda flow, potentials: ([0.0, 100.0], [180.0]),
-     "1 pinned edges fails"),
+     "1 pinned edges fails the KKT check: its duality gap"),
     # Pinning Braess's edges into the destination leaves a face that
     # never reaches it, so no flow on it balances.
     (braess(), [0.0] * 5, lambda flow, potentials: (flow * [1, 1, 0, 0, 1], potentials),
-     "2 pinned edges fails"),
+     "2 pinned edges fails the KKT check: its balance residual"),
 ], ids=["negative-multiplier", "singular"])
 def test_potential_solver_refuses_a_wrong_face(monkeypatch, net, alpha, mislead, message):
-    # The KKT check certifies the face the dual solve returns; an answer
-    # that points at the wrong one raises instead of returning.
+    # The certificate judges the face the dual solve returns; an answer
+    # that points at the wrong one raises, naming the term that fails.
     solve = equilibrium._dual_newton
 
     def misleading(*args):

@@ -92,23 +92,26 @@ def _covariance_case(seed: int, m: int, kind: str, rank: int, decades: float) ->
     off-diagonal entry moved by up to half the asymmetry tolerance;
     ``negative`` has one eigenvalue and ``asymmetric`` one entry beyond
     the tolerance, by 2 to 2e6 times it, and ``non_finite`` is ``psd``
-    with a NaN or an infinity in one entry.
+    with a NaN or an infinity in one entry.  Where ``G G'`` is zero (rank
+    0, or 1 for ``negative``), ``10**(2 * decades)`` stands in for the
+    largest entry or eigenvalue.
     """
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((m, rank)) * 10.0 ** decades
     cov = g @ g.T
     i, j = rng.choice(m, size=2, replace=False)
-    cov[i, j] += rng.uniform(-0.5, 0.5) * _PSD_TOL * max(1.0, float(np.abs(cov).max()))
+    cov[i, j] += rng.uniform(-0.5, 0.5) * _PSD_TOL * float(np.abs(cov).max())
     if kind == "negative":
         # One negative eigenvalue, rank - 1 positive ones (the squared
         # norms of G's other columns) and zeros, in a random orthonormal basis.
         basis = np.linalg.qr(rng.standard_normal((m, m)))[0]
         eigvals = np.zeros(m)
         eigvals[1:rank] = (g[:, 1:] ** 2).sum(axis=0)
-        eigvals[0] = -10.0 ** rng.uniform(0.31, 6.31) * _PSD_TOL * max(eigvals.max(), 1.0)
+        top = eigvals.max() if eigvals.any() else 10.0 ** (2 * decades)
+        eigvals[0] = -10.0 ** rng.uniform(0.31, 6.31) * _PSD_TOL * top
         cov = (basis * eigvals) @ basis.T
     elif kind == "asymmetric":
-        scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
+        scale = float(np.abs(cov).max()) if cov.any() else 10.0 ** (2 * decades)
         cov[i, j] = cov[j, i] + 10.0 ** rng.uniform(0.31, 6.31) * _PSD_TOL * scale
     elif kind == "non_finite":
         cov[rng.integers(m), rng.integers(m)] = rng.choice([np.nan, np.inf, -np.inf])
@@ -120,7 +123,8 @@ def test_covariance_rule_matches_an_eigvalsh_judge():
     # as their symmetrized input; inputs negative or asymmetric beyond the
     # tolerance, or holding a non-finite entry, are refused with their
     # message.  The judge reads the eigenvalues of the symmetrized input,
-    # with a factor 2 of margin on the tolerance.
+    # with a factor 2 of margin on the tolerance, which is relative to the
+    # largest entry and to the largest eigenvalue alone, whatever the units.
     hypothesis = pytest.importorskip("hypothesis")
     strategies = pytest.importorskip("hypothesis.strategies")
 
@@ -132,7 +136,7 @@ def test_covariance_rule_matches_an_eigvalsh_judge():
                       decades=strategies.floats(-6.0, 6.0))
     def check(seed, m, kind, rank_share, decades):
         cov = _covariance_case(seed, m, kind, round(rank_share * m), decades)
-        scale = max(1.0, float(np.abs(cov).max()))
+        scale = float(np.abs(cov).max())
         if kind == "non_finite":
             refusal = r"covariance must be finite"
         elif float(np.abs(cov - cov.T).max()) > 2 * _PSD_TOL * scale:
@@ -140,7 +144,7 @@ def test_covariance_rule_matches_an_eigvalsh_judge():
         else:
             eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
             refusal = None
-            if eigvals[0] < -2 * _PSD_TOL * max(float(eigvals[-1]), 1.0):
+            if eigvals[0] < -2 * _PSD_TOL * float(eigvals[-1]):
                 refusal = (r"covariance is not positive semidefinite "
                            r"\(min eigenvalue -\d\.\d{3}e[+-]\d+\)")
         if refusal is not None:
@@ -152,6 +156,16 @@ def test_covariance_rule_matches_an_eigvalsh_judge():
         assert np.array_equal(model.cov, 0.5 * (cov + cov.T))
 
     check()
+
+
+@pytest.mark.parametrize("power", range(-20, 6))
+def test_covariance_rule_does_not_depend_on_the_units(power):
+    # diag(1, -1e-3) has a negative eigenvalue a thousandth of its largest
+    # one in any units; at 4^-20 its entries are near 9e-13, below the
+    # absolute floor the rule once had.
+    cov = np.diag([1.0, -1e-3]) * 4.0 ** power
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        DisturbanceModel(mean=np.zeros(2), cov=cov, support_radius=0.1)
 
 
 def test_sample_set_validation():
