@@ -15,25 +15,28 @@ stays the nominal (radius-zero) polytope, so designs anticipating
 different radii remain comparable on a common footing and the ceiling
 acts as a validity bound on ``eps`` rather than shrinking the feasible
 set.  The objective only sees tolls through the flow response
-``y = gamma @ tau``, so the design is solved in that circulation by the
-interior-point method of :mod:`robusttolls.optim`, which finishes on a
-certified optimal face.  The tolls with one response differ by node
-potentials, and one map (:func:`_toll_for_circulation`) picks the toll
-for both the design and the ceiling's certificate: the least-potential
-nonnegative member, which leaves every node a toll-free route to the
-destination, with exact zero tolls.
+``y = gamma @ tau``, so the design is solved in that circulation: at
+radius zero as the certified Wardrop equilibrium of its slack, and
+otherwise by the interior-point method of :mod:`robusttolls.optim`,
+which finishes on a certified optimal face.  The tolls with one
+response differ by node potentials, and one map
+(:func:`_toll_for_circulation`) picks the toll for both the design and
+the ceiling's certificate: the least-potential nonnegative member, which
+leaves every node a toll-free route to the destination, with exact zero
+tolls.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import KktBlocks
-from .exceptions import InfeasibleError
-from .network import IncidenceData, _net_outflow, _reduced_costs, _vector
-from .optim import _barrier_newton, _dual_newton
+from .exceptions import ConvergenceError, InfeasibleError
+from .network import IncidenceData, _drop, _laplacian, _net_outflow, _reduced_costs, _vector
+from .optim import _barrier_newton, _interior_start, _solve_certified
 from .uncertainty import DisturbanceModel, _check_radius
 
 
@@ -77,9 +80,10 @@ class DesignResult:
     finished on a certified optimal face (complementary by construction;
     the few Newton steps on the face are not counted in ``iterations``),
     and the interior-point gap when it stopped on its own rule instead.
-    At ``eps = 0`` the face usually comes from the nominal equilibrium
-    before any interior-point step, so ``iterations`` is 0 there.
-    Both are zero on single-route networks, which leave nothing to optimize.
+    At ``eps = 0`` the design is usually its nominal equilibrium, accepted
+    by the equilibrium's certificate with no interior-point step, so both
+    are 0 there.  Both are zero on single-route networks, which leave
+    nothing to optimize.
     """
 
     tau_star: np.ndarray
@@ -210,6 +214,39 @@ def _toll_for_circulation(blocks: KktBlocks, y: np.ndarray) -> np.ndarray:
     return _reduced_costs(blocks.inc, blocks.lat.beta * y)
 
 
+def _nominal_design(blocks: KktBlocks, model: DisturbanceModel, rhs: np.ndarray) -> np.ndarray | None:
+    """The radius-zero design ``y`` as the certified equilibrium of its slack, or None.
+
+    ``min sum beta y^2 + mean @ y`` over ``R y = 0``, ``y <= rhs`` is, in
+    ``v = rhs - y >= 0``, the equilibrium problem with weights
+    ``w = 1/(2 beta)``, edge cost ``-(2 beta rhs + mean)`` and injections
+    ``R rhs``, which :func:`~robusttolls.optim._solve_certified` solves
+    and accepts; None if it raises.  ``rhs - v`` balances only to the
+    accuracy of that solve, so it is projected onto ``R y = 0`` in the
+    Hessian's metric restricted to edges ``d``: ``y -= d R' L^-1 R y``
+    with ``L = R diag(d) R'`` (identity rows for nodes no edge of ``d``
+    touches), which moves the gradient ``2 beta y + mean`` by ``R' p``
+    on ``d`` and so keeps it stationary.  The first pass moves only the
+    free edges (``v > 0``), so the bounds tight at the face stay tight;
+    the second, with all edges, balances what the free edges cannot
+    reach: nodes whose edges are all tight, where ``R rhs`` is rounding,
+    and free components that miss the destination, whose singular
+    ``L`` skips the first pass.
+    """
+    inc, beta, weights = blocks.inc, blocks.lat.beta, 0.5 / blocks.lat.beta
+    try:
+        v = _solve_certified(inc, _net_outflow(inc, rhs), weights, -(2.0 * beta * rhs + model.mean))[0]
+    except ConvergenceError:
+        return None
+    y = rhs - v
+    for metric in (np.where(v > 0.0, weights, 0.0), weights):
+        lap = _laplacian(inc, metric)
+        lap += np.diag(np.diagonal(lap) == 0.0)
+        with suppress(np.linalg.LinAlgError):
+            y = y - metric * _drop(inc, np.linalg.solve(lap, _net_outflow(inc, y)))
+    return y
+
+
 def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> DesignResult:
     """Design the toll minimizing worst-case expected latency at radius ``eps``.
 
@@ -218,21 +255,21 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     raises :class:`InfeasibleError` carrying the ceiling.  The search
     runs over the nominal admissible polytope, in the circulation
     ``y = gamma @ tau``: minimize ``eps ||y + c|| + sum beta y^2 + mean @ y``
-    subject to ``R y = 0`` and ``y <= rhs(0)``, by the interior-point
-    Newton method started at the circulation of the ceiling's certificate,
-    whose slack, the max-min flow less ``||gamma|| delta``, is at least
-    ``||gamma|| epsilon_max`` on every row up to rounding.  The kernel
-    alone judges that start, once projected onto ``R y = 0``: with no
-    positive slack left (a ceiling of zero up to rounding, or bounds whose
-    slack cancels) it raises :class:`NumericalDegeneracyError`.  At
-    ``eps = 0`` the design is a Wardrop equilibrium of its slack
-    ``v = rhs - y >= 0``: weights ``1/(2 beta)``, edge cost
-    ``-(2 beta rhs + mean)`` and injections ``R rhs``.  After the start
-    check, :func:`~robusttolls.optim._dual_newton` solves it, and its
-    face (``v == 0.0``) is tried before any interior-point step; a
-    certified finish reports 0 iterations.  The
-    solve finishes on the optimal face once a guessed face passes its KKT
-    certificate (feasibility, nonnegative multipliers, stationarity; see
+    subject to ``R y = 0`` and ``y <= rhs(0)``.  Its start is the
+    circulation of the ceiling's certificate, whose slack, the max-min
+    flow less ``||gamma|| delta``, is at least ``||gamma|| epsilon_max``
+    on every row up to rounding.  That start is judged first, and once,
+    by :func:`~robusttolls.optim._interior_start` after projecting it
+    onto ``R y = 0``: with no positive slack left (a ceiling of zero up
+    to rounding, or bounds whose slack cancels) it raises
+    :class:`NumericalDegeneracyError`, at every radius.  At ``eps = 0``
+    the design is the Wardrop equilibrium of its slack
+    (:func:`_nominal_design`), accepted by the equilibrium's own
+    certificate with 0 iterations and a residual of 0.0.  Otherwise, and
+    where that equilibrium does not certify, the interior-point Newton
+    method runs from the start and finishes on the optimal face once a
+    guessed face passes its KKT certificate (feasibility, nonnegative
+    multipliers, stationarity; see
     :func:`~robusttolls.optim._barrier_newton`), or else on the
     interior-point stopping rule.  Every number is read off ``y``: the
     least-potential toll (:func:`_toll_for_circulation`), the latency
@@ -248,15 +285,11 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     y, iterations, gap = np.zeros(blocks.gamma.shape[0]), 0, 0.0  # kept on single-route networks
     if start is not None:
         rhs = toll_polytope(blocks, model, 0.0).rhs
-        beta, inc = blocks.lat.beta, blocks.inc
-
-        def nominal() -> np.ndarray | None:
-            # At eps = 0 the design is the equilibrium of its slack v = rhs - y.
-            cost = -(2.0 * beta * rhs + model.mean)
-            return _dual_newton(inc, _net_outflow(inc, rhs), 0.5 / beta, cost)[0]
-
-        y, iterations, gap = _barrier_newton(eps, blocks.c, beta, model.mean, blocks.inc.null_basis,
-                                             rhs, start, nominal if eps == 0.0 else None)
+        start = _interior_start(blocks.inc.null_basis, rhs, start)
+        y = _nominal_design(blocks, model, rhs) if eps == 0.0 else None
+        if y is None:
+            y, iterations, gap = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean,
+                                                 blocks.inc.null_basis, rhs, start)
 
     q = y + blocks.c
     spread_and_quadratic = eps * float(np.linalg.norm(q)) + float(y @ (blocks.lat.beta * y))

@@ -20,17 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError, NumericalDegeneracyError, OutOfRegimeError
+from .exceptions import NumericalDegeneracyError, OutOfRegimeError
 from .network import IncidenceData, _frozen, _locked, _reduced_costs, _vector
-from .optim import _certificate, _dual_newton
+from .optim import _solve_certified
 
 # How far below zero (relative to the demand, on top of the round-off of
 # the flow's own evaluation) a closed-form flow may dip and still count as
 # in regime.
 _REGIME_TOL = 1e-9
-# Bound on the potential solver's certificate, per demand or per the gap's
-# terms (see nash_flow_potential).
-_KKT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -197,32 +194,19 @@ def nash_flow_potential(inc: IncidenceData, lat: LatencyModel, alpha: np.ndarray
     with the weighted Laplacians ``R B^-1 R'`` of the used edges as
     Hessians, from the potentials that use every edge.  ``f = (R' p -
     cost)_+ / beta`` is exactly ``0.0`` on unused edges.  The answer is
-    accepted only through :func:`~robusttolls.optim._certificate`: the
-    worst node's balance residual and the most negative flow must be at
-    most ``_KKT_TOL`` times the demand (as in ``is_feasible_flow``), and
-    the duality gap between the potential at ``f`` and its dual at ``p``
-    at most ``_KKT_TOL`` times the terms it sums, a test that does not
-    depend on the units.  Raises :class:`ConvergenceError` if the dual
-    Newton budget (``optim._DUAL_STEPS``) does not finish, or, naming the
-    term and its ratio to its scale, if the answer fails that check.  A
-    non-finite entry of ``alpha`` or ``tau`` raises ``ValueError`` naming it.
+    accepted only through :func:`~robusttolls.optim._solve_certified`:
+    the worst node's balance residual and the most negative flow must be
+    at most ``optim._KKT_TOL`` times the demand (as in
+    ``is_feasible_flow``), and the duality gap between the potential at
+    ``f`` and its dual at ``p`` at most ``optim._KKT_TOL`` times the terms
+    it sums, a test that does not depend on the units.  Raises
+    :class:`ConvergenceError` if the dual Newton budget
+    (``optim._DUAL_STEPS``) does not finish, or, naming the term and its
+    ratio to its scale, if the answer fails that check.  A non-finite
+    entry of ``alpha`` or ``tau`` raises ``ValueError`` naming it.
     """
-    eta = inc.injections
     cost = _perceived_cost(inc.tails.shape[0], alpha, tau)
-    weights = 1.0 / lat.beta
-    flow, potentials, steps, grad_norm = _dual_newton(inc, eta, weights, cost)
-    if flow is None:
-        raise ConvergenceError("potential minimization did not converge", steps, grad_norm)
-    balance, lowest, gap, terms = _certificate(inc, eta, weights, cost, flow, potentials)
-    demand = float(np.abs(eta).max(initial=0.0))
-    for name, value, scale, of in (("balance residual", balance, demand, "the demand"),
-                                   ("most negative flow", -lowest, demand, "the demand"),
-                                   ("duality gap", gap, terms, "its terms")):
-        if not value <= _KKT_TOL * scale:
-            ratio = value / scale if scale > 0.0 else math.inf
-            raise ConvergenceError(f"the optimal face with {int((flow == 0.0).sum())} pinned edges "
-                                   f"fails the KKT check: its {name} is {ratio:.3e} of {of}",
-                                   steps, ratio)
+    flow, potentials = _solve_certified(inc, inc.injections, 1.0 / lat.beta, cost)
     return NashSolution(flow=flow, node_potentials=potentials, method="potential")
 
 

@@ -2,27 +2,27 @@
 
 :func:`_barrier_newton`, an interior-point method in a null-space basis
 from one complete QR (:func:`~robusttolls.network._null_basis`) that
-crosses over to a certified optimal face, solves the robust design.
+crosses over to a certified optimal face, solves the robust design from
+the start :func:`_interior_start` projects and checks.
 :func:`_dual_newton`, a semismooth Newton method in node potentials on
 the dual of a separable quadratic over a network's flows, lands on the
 optimal face exactly: it solves Wardrop equilibria, and the design at
-radius zero, which is such an equilibrium in the design's slack; that
-face is the first :func:`_barrier_newton` tries.  Its Hessians are
-weighted Laplacians, and it reaches the incidence only through the
-edge-list products that :mod:`robusttolls.network` owns.
+radius zero, which is such an equilibrium in the design's slack.  Its
+Hessians are weighted Laplacians, and it reaches the incidence only
+through the edge-list products that :mod:`robusttolls.network` owns.
 :func:`_certificate` judges a proposed answer of that problem by its
-balance, its sign and its duality gap.
+balance, its sign and its duality gap, and :func:`_solve_certified`
+returns only what it accepts: both the equilibrium and the design at
+radius zero go through it.
 Determinism matters here, not sparse scalability.  Whether a radius is
 admissible is decided before any solve, by the one rule of
 :mod:`robusttolls.design`; whether a start has an interior, by
-:func:`_barrier_newton` alone on the start it projects.  It raises its
-own typed errors.
+:func:`_interior_start` alone.  Each routine raises its own typed errors.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 import numpy as np
 
@@ -43,11 +43,26 @@ _FACE_STEPS = 3
 # Step budget of :func:`_dual_newton`: equilibria took at most 44 steps
 # on slopes spanning six decades.
 _DUAL_STEPS = 100
+# Bound on a certified answer of :func:`_dual_newton`'s problem, per
+# injection or per the gap's terms (see :func:`_solve_certified`).
+_KKT_TOL = 1e-8
+
+
+def _interior_start(basis: np.ndarray, upper: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """``start`` projected onto the null space that ``basis`` spans, checked to be interior.
+
+    A projection that does not hold every bound ``y < upper`` strictly
+    raises :class:`NumericalDegeneracyError` naming the least slack.
+    """
+    y = basis @ (basis.T @ start)
+    least = float((upper - y).min(initial=np.inf))
+    if not least > 0.0:
+        raise NumericalDegeneracyError(f"projected start has no interior: least slack {least:.3e}")
+    return y
 
 
 def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np.ndarray,
-                    basis: np.ndarray, upper: np.ndarray, start: np.ndarray,
-                    hint: Callable[[], np.ndarray | None] | None = None
+                    basis: np.ndarray, upper: np.ndarray, y: np.ndarray
                     ) -> tuple[np.ndarray, int, float]:
     """Minimize ``eps*||y + offset|| + sum(weights*y**2) + lin @ y`` on a polyhedron.
 
@@ -55,7 +70,9 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     ``basis`` is :func:`~robusttolls.network._null_basis` of ``balance``.
     Nothing is checked: the caller
     (:func:`~robusttolls.design.solve_dro_tolls`) guarantees
-    ``eps >= 0`` and float vectors of ``upper``'s length.  This is a
+    ``eps >= 0``, float vectors of ``upper``'s length, and a start ``y``
+    from :func:`_interior_start`: in the null space of ``balance`` and
+    strictly inside every bound.  This is a
     primal-dual interior-point method (Boyd & Vandenberghe, *Convex
     Optimization*, sec. 11.7) with one multiplier per bound and a
     backtracking search on the residual norm.  There is no epigraph
@@ -65,18 +82,7 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     basis ``N`` of the null space of ``balance`` (full row rank), so they
     keep the equality exactly and each Newton system is the reduced
     ``N' (D - (eps/||u||) u_hat u_hat') N`` with ``D`` diagonal (weights,
-    norm curvature, barrier).  There is no phase one: a ``start`` whose
-    projection onto that null space does not hold every bound strictly
-    raises :class:`NumericalDegeneracyError` naming the least slack.
-
-    Only after that check, ``hint`` (if given) is called once.  It
-    returns None or a guessed optimum as its slack ``upper - y``, exactly
-    ``0.0`` on its face.  Before any interior-point step, one face try
-    (below) starts from that point projected onto the null space, with
-    stationarity judged against the norm of the gradient there, since
-    no interior-point multipliers exist yet.  If its certificate holds,
-    the result is ``(y, 0, 0.0)``; otherwise the solve runs as without a
-    hint.
+    norm curvature, barrier).  There is no phase one.
 
     Once the relative duality gap is at most ``_CROSSOVER_GAP``, the
     method crosses over to the optimal face (Megiddo 1991; Ye 1992).  It
@@ -105,11 +111,7 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
     one with an infinite residual.
     """
     m = upper.shape[0]
-    y = basis @ (basis.T @ start)
     slack = upper - y
-    least = float(slack.min(initial=np.inf))
-    if not least > 0.0:
-        raise NumericalDegeneracyError(f"projected start has no interior: least slack {least:.3e}")
 
     def gradient(point: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         resid = point + offset
@@ -124,7 +126,7 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
         return (basis.T * (2.0 * weights + curvature + barrier)) @ basis \
             - curvature * (reduced_unit[:, None] * reduced_unit)
 
-    def face_point(y: np.ndarray, face: np.ndarray, dual_scale: float) -> np.ndarray | None:
+    def face_point(y: np.ndarray, face: np.ndarray) -> np.ndarray | None:
         # Newton steps of the objective on the face {y[face] = upper[face]}
         # from y, each the face's KKT system solved in the null basis: the
         # SVD of the face rows gives the step that makes them tight, the
@@ -154,20 +156,11 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
             pulled = grad.copy()
             pulled[face] += mult
             reduced = basis.T @ pulled
-            if math.sqrt(reduced @ reduced) <= _DUAL_TOL * dual_scale:
+            if math.sqrt(reduced @ reduced) <= _DUAL_TOL * (grad_scale + math.sqrt(lam @ lam)):
                 excess = y - upper
                 tight = float(np.abs(excess[face]).max(initial=0.0)) <= roundoff
                 return y if tight and float(excess.max(initial=0.0)) <= roundoff else None
         return None
-
-    guess = None if hint is None else hint()
-    if guess is not None:
-        # No multiplier exists yet, so the gradient sets the scale.
-        point = basis @ (basis.T @ (upper - guess))
-        grad = gradient(point)[2]
-        point = face_point(point, guess == 0.0, math.sqrt(grad @ grad))
-        if point is not None:
-            return point, 0, 0.0
 
     unit, size, grad = gradient(y)
     # Gap scale: the objective's terms at the start, plus the linear
@@ -193,7 +186,7 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
         if gap_rel <= _CROSSOVER_GAP:
             face = lam > slack
             if not np.array_equal(face, tried):
-                point = face_point(y, face, grad_scale + math.sqrt(lam @ lam))
+                point = face_point(y, face)
                 if point is not None:
                     return point, it, 0.0
                 tried = face
@@ -242,7 +235,7 @@ def _barrier_newton(eps: float, offset: np.ndarray, weights: np.ndarray, lin: np
 
 
 def _dual_newton(inc: IncidenceData, b: np.ndarray, weights: np.ndarray,
-                 cost: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, int, float]:
+                 cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Maximize ``b'x - sum(weights * ((R' x - cost)_+)**2) / 2`` over potentials ``x``.
 
     That is the dual of ``min sum(v**2 / weights) / 2 + cost @ v`` over
@@ -260,9 +253,9 @@ def _dual_newton(inc: IncidenceData, b: np.ndarray, weights: np.ndarray,
     An exact line search on ``R' d`` sets its length.  Once a full step
     keeps the face, one exact solve on ``P`` (over the rows it touches)
     finishes: ``v`` is exactly ``0.0`` off ``P`` and where it is
-    round-off.  Returns ``(v, x, steps taken, gradient norm)``, with ``v``
-    None if ``_DUAL_STEPS`` steps do not finish or a damped system is
-    singular.
+    round-off.  Returns ``(v, x, steps taken)``.  Raises
+    :class:`ConvergenceError`, with the gradient norm as its residual, if
+    ``_DUAL_STEPS`` steps do not finish or a damped system is singular.
     """
     m = cost.shape[0]
     full = _laplacian(inc, weights)
@@ -283,14 +276,14 @@ def _dual_newton(inc: IncidenceData, b: np.ndarray, weights: np.ndarray,
         grad = b - _net_outflow(inc, np.where(face, weighted, 0.0))
         grad_norm = _norm(grad)
         if grad_norm <= m * _EPS * float(np.abs(weighted).max(initial=0.0)):
-            return on_face(u, face)[0], x, it, grad_norm
+            return on_face(u, face)[0], x, it
         hess = _laplacian(inc, np.where(face, weights, 0.0))
         damped = hess.copy()
         damped.flat[::damped.shape[0] + 1] += 1e-4 * min(1.0, grad_norm / b_norm) * damping
         try:
             step = np.linalg.solve(damped, grad)
         except np.linalg.LinAlgError:
-            return None, x, it, grad_norm
+            raise ConvergenceError("potential minimization did not converge", it, grad_norm) from None
         moved = _drop(inc, step)
         if np.array_equal(u + moved > 0.0, face):
             rows = np.diagonal(hess) > 0.0
@@ -306,9 +299,9 @@ def _dual_newton(inc: IncidenceData, b: np.ndarray, weights: np.ndarray,
                 if (not b[~rows].any()
                         and exact_u[face].min(initial=0.0) >= -roundoff
                         and exact_u[~face].max(initial=0.0) <= roundoff):
-                    return v, exact, it + 1, grad_norm
+                    return v, exact, it + 1
         x = x + _dual_line_max(root * u, root * moved, float(b @ step)) * step
-    return None, x, _DUAL_STEPS, grad_norm
+    raise ConvergenceError("potential minimization did not converge", _DUAL_STEPS, grad_norm)
 
 
 def _certificate(inc: IncidenceData, b: np.ndarray, weights: np.ndarray, cost: np.ndarray,
@@ -341,6 +334,32 @@ def _certificate(inc: IncidenceData, b: np.ndarray, weights: np.ndarray, cost: n
     terms = (float(scaled @ latency) / 2.0 + float(np.abs(cost) @ np.abs(scaled))
              + float(np.abs(b / unit) @ np.abs(x)) + float((weights * used / unit) @ used) / 2.0)
     return float(np.abs(excess).max(initial=0.0)), float(v.min(initial=0.0)), gap, terms
+
+
+def _solve_certified(inc: IncidenceData, b: np.ndarray, weights: np.ndarray,
+                     cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flows ``v`` and potentials ``x`` solving :func:`_dual_newton`'s problem, certified.
+
+    :func:`_dual_newton` proposes the answer and :func:`_certificate`
+    judges it: the worst node's balance residual and the most negative
+    flow must be at most ``_KKT_TOL`` times ``max|b|`` (as in
+    ``is_feasible_flow``), and the duality gap at most ``_KKT_TOL`` times
+    the terms it sums, a test that does not depend on the units.  Raises
+    :class:`ConvergenceError` as :func:`_dual_newton` does, or, naming
+    the term and its ratio to its scale, if the answer fails that check.
+    """
+    v, x, steps = _dual_newton(inc, b, weights, cost)
+    balance, lowest, gap, terms = _certificate(inc, b, weights, cost, v, x)
+    demand = float(np.abs(b).max(initial=0.0))
+    for name, value, scale, of in (("balance residual", balance, demand, "the demand"),
+                                   ("most negative flow", -lowest, demand, "the demand"),
+                                   ("duality gap", gap, terms, "its terms")):
+        if not value <= _KKT_TOL * scale:
+            ratio = value / scale if scale > 0.0 else math.inf
+            raise ConvergenceError(f"the optimal face with {int((v == 0.0).sum())} pinned edges "
+                                   f"fails the KKT check: its {name} is {ratio:.3e} of {of}",
+                                   steps, ratio)
+    return v, x
 
 
 def _power_of_two(value: float) -> float:

@@ -9,7 +9,13 @@ from randnets import STATUS_OPTIMAL, active_set_qp, brute_force_qp
 from robusttolls import optim
 from robusttolls.exceptions import ConvergenceError, NumericalDegeneracyError
 from robusttolls.network import _null_basis
-from robusttolls.optim import _barrier_newton
+from robusttolls.optim import _barrier_newton, _interior_start
+
+
+def _kernel(eps, offset, weights, lin, basis, upper, start):
+    """The kernel's answer from ``start``, projected and judged first as the design does."""
+    return _barrier_newton(eps, offset, weights, lin, basis, upper,
+                           _interior_start(basis, upper, start))
 
 
 def _kernel_lp(cost, rows, rhs, start, lower=None):
@@ -24,11 +30,11 @@ def _kernel_lp(cost, rows, rhs, start, lower=None):
     k, n = rows.shape
     lower = np.zeros(n) if lower is None else lower
     w = lower - start
-    y, _, gap = _barrier_newton(0.0, np.zeros(n + k), np.zeros(n + k),
-                                np.concatenate([cost, np.zeros(k)]),
-                                _null_basis(np.hstack([rows, np.eye(k)])),
-                                np.concatenate([np.zeros(n), rhs - rows @ lower]),
-                                np.concatenate([w, -rows @ w]))
+    y, _, gap = _kernel(0.0, np.zeros(n + k), np.zeros(n + k),
+                        np.concatenate([cost, np.zeros(k)]),
+                        _null_basis(np.hstack([rows, np.eye(k)])),
+                        np.concatenate([np.zeros(n), rhs - rows @ lower]),
+                        np.concatenate([w, -rows @ w]))
     return lower - y[:n], gap
 
 
@@ -74,11 +80,11 @@ def test_lp_iteration_cap(monkeypatch):
 
 def test_lp_shape_validation():
     with pytest.raises(ValueError):
-        _barrier_newton(0.0, np.zeros(2), np.zeros(2), np.array([1.0]),
-                        _null_basis(np.array([[1.0, 1.0]])), np.ones(2), np.zeros(2))
+        _kernel(0.0, np.zeros(2), np.zeros(2), np.array([1.0]),
+                _null_basis(np.array([[1.0, 1.0]])), np.ones(2), np.zeros(2))
     with pytest.raises(ValueError):
-        _barrier_newton(0.0, np.zeros(2), np.zeros(2), np.zeros(2),
-                        _null_basis(np.array([[1.0, 1.0, 1.0]])), np.ones(2), np.zeros(2))
+        _kernel(0.0, np.zeros(2), np.zeros(2), np.zeros(2),
+                _null_basis(np.array([[1.0, 1.0, 1.0]])), np.ones(2), np.zeros(2))
 
 
 def test_lp_matches_vertex_enumeration():
@@ -178,8 +184,8 @@ def _circulation_instance(rng, n, k):
 def test_projection_known_answer():
     # eps = 1, offset = -p and nothing else leaves the distance to p.
     # Projecting (3, 1) onto {y1 = y2, y <= 1} gives (1, 1).
-    y, _, _ = _barrier_newton(1.0, np.array([-3.0, -1.0]), np.zeros(2), np.zeros(2),
-                              _null_basis(np.array([[1.0, -1.0]])), np.ones(2), np.zeros(2))
+    y, _, _ = _kernel(1.0, np.array([-3.0, -1.0]), np.zeros(2), np.zeros(2),
+                      _null_basis(np.array([[1.0, -1.0]])), np.ones(2), np.zeros(2))
     assert y == pytest.approx([1.0, 1.0], abs=1e-8)
 
 
@@ -189,8 +195,8 @@ def test_projection_variational_inequality():
         n = int(rng.integers(2, 6))
         balance, upper, anchor, _ = _circulation_instance(rng, n, int(rng.integers(1, n)))
         target = rng.normal(size=n) * 4.0
-        proj, _, _ = _barrier_newton(1.0, -target, np.zeros(n), np.zeros(n),
-                                     _null_basis(balance), upper, anchor)
+        proj, _, _ = _kernel(1.0, -target, np.zeros(n), np.zeros(n),
+                             _null_basis(balance), upper, anchor)
         assert float(np.max(proj - upper)) <= 1e-12
         assert float(np.abs(balance @ proj).max()) <= 1e-12
         # Nearest-point characterization: (target - proj) . (z - proj) <= 0
@@ -209,8 +215,8 @@ def test_composite_reduces_to_projection():
         n = int(rng.integers(2, 5))
         balance, upper, anchor, basis = _circulation_instance(rng, n, 1)
         p = rng.normal(size=n) * 3.0
-        x, _, _ = _barrier_newton(1.0, -p, np.zeros(n), np.zeros(n), _null_basis(balance),
-                                  upper, anchor)
+        x, _, _ = _kernel(1.0, -p, np.zeros(n), np.zeros(n), _null_basis(balance),
+                          upper, anchor)
         z = brute_force_qp(2.0 * basis.T @ basis, -2.0 * basis.T @ p, basis, upper)
         dist = float(np.linalg.norm(basis @ z - p))
         assert float(np.linalg.norm(x - p)) == pytest.approx(dist, abs=1e-9 * (1.0 + dist))
@@ -223,8 +229,8 @@ def test_composite_pure_quadratic_matches_enumeration():
         balance, upper, anchor, basis = _circulation_instance(rng, n, int(rng.integers(0, n)))
         weights = rng.uniform(0.1, 3.0, n)
         lin = rng.normal(size=n) * 2.0
-        x, _, gap = _barrier_newton(0.0, np.zeros(n), weights, lin, _null_basis(balance),
-                                    upper, anchor)
+        x, _, gap = _kernel(0.0, np.zeros(n), weights, lin, _null_basis(balance),
+                            upper, anchor)
         # The kernel minimizes sum(w y^2) + g'y; the subset oracle uses
         # (1/2)z'Hz + g'z, so H = 2 N'WN in null-space coordinates.
         z = brute_force_qp(2.0 * (basis.T * weights) @ basis, basis.T @ lin, basis, upper)
@@ -238,17 +244,17 @@ def test_composite_pure_quadratic_matches_enumeration():
 def test_composite_linear_matches_lp():
     # eps = 0 and no quadratic term is a plain LP: maximize y1 subject to
     # y1 + y2 = 0 and y <= (2, 3), whose optimum is the vertex (2, -2).
-    x, _, _ = _barrier_newton(0.0, np.zeros(2), np.zeros(2), np.array([-1.0, 0.0]),
-                              _null_basis(np.array([[1.0, 1.0]])), np.array([2.0, 3.0]),
-                              np.zeros(2))
+    x, _, _ = _kernel(0.0, np.zeros(2), np.zeros(2), np.array([-1.0, 0.0]),
+                      _null_basis(np.array([[1.0, 1.0]])), np.array([2.0, 3.0]),
+                      np.zeros(2))
     assert x == pytest.approx([2.0, -2.0], abs=1e-9)
 
 
 def test_composite_infeasible_polytope():
     # y1 + y2 = 0 with both below -1 is empty, so no start can be strict.
     with pytest.raises(NumericalDegeneracyError):
-        _barrier_newton(1.0, np.ones(2), np.zeros(2), np.zeros(2),
-                        _null_basis(np.array([[1.0, 1.0]])), -np.ones(2), np.zeros(2))
+        _kernel(1.0, np.ones(2), np.zeros(2), np.zeros(2),
+                _null_basis(np.array([[1.0, 1.0]])), -np.ones(2), np.zeros(2))
 
 
 def test_projection_infeasible_raises():
@@ -256,16 +262,16 @@ def test_projection_infeasible_raises():
     # set is y1 + y2 = 0, y <= (-1, 0), which is empty, and the kernel
     # refuses it.
     with pytest.raises(NumericalDegeneracyError):
-        _barrier_newton(1.0, np.zeros(2), np.zeros(2), np.zeros(2),
-                        _null_basis(np.array([[1.0, 1.0]])), np.array([-1.0, 0.0]), np.zeros(2))
+        _kernel(1.0, np.zeros(2), np.zeros(2), np.zeros(2),
+                _null_basis(np.array([[1.0, 1.0]])), np.array([-1.0, 0.0]), np.zeros(2))
 
 
 def test_composite_iteration_cap_reports_its_state(monkeypatch):
     monkeypatch.setattr(optim, "_NEWTON_ITERS", 2)
     with pytest.raises(ConvergenceError, match="design solve did not converge: the relative "
                                                "duality gap .* is above 1e-12") as info:
-        _barrier_newton(0.0, np.zeros(2), np.ones(2), np.array([-1.0, 0.0]),
-                        _null_basis(np.array([[1.0, 1.0]])), np.array([2.0, 3.0]), np.zeros(2))
+        _kernel(0.0, np.zeros(2), np.ones(2), np.array([-1.0, 0.0]),
+                _null_basis(np.array([[1.0, 1.0]])), np.array([2.0, 3.0]), np.zeros(2))
     assert info.value.iterations == 2
     assert 1e-12 < info.value.residual < np.inf
 
@@ -275,26 +281,3 @@ def test_convergence_error_carries_diagnostics():
     assert err.iterations == 12
     assert err.residual == 0.5
     assert "stalled" in str(err)
-
-
-def test_a_hint_is_asked_for_after_the_start_check_and_kept_only_if_certified():
-    def unreachable():
-        raise AssertionError("the hint was asked for before the start check")
-
-    # The empty polytope's start is refused before the hint is called.
-    with pytest.raises(NumericalDegeneracyError):
-        _barrier_newton(1.0, np.ones(2), np.zeros(2), np.zeros(2),
-                        _null_basis(np.array([[1.0, 1.0]])), -np.ones(2), np.zeros(2), unreachable)
-    # min y1^2 + y2^2 - 10 y1 on y1 + y2 = 0, y <= (2, 3) is (2, -2), whose
-    # slack (0, 5) is tight on the first bound only.
-    problem = (0.0, np.zeros(2), np.ones(2), np.array([-10.0, 0.0]),
-               _null_basis(np.array([[1.0, 1.0]])), np.array([2.0, 3.0]), np.zeros(2))
-    y, iterations, gap = _barrier_newton(*problem, lambda: np.array([0.0, 5.0]))
-    assert y == pytest.approx([2.0, -2.0], abs=1e-12)
-    assert (iterations, gap) == (0, 0.0)
-    # A hint on the wrong face, or none at all, leaves the cold solve as it is.
-    cold = _barrier_newton(*problem)
-    assert cold[1] >= 1
-    for hint in (lambda: np.array([5.0, 0.0]), lambda: None):
-        warm = _barrier_newton(*problem, hint)
-        assert np.array_equal(warm[0], cold[0]) and warm[1:] == cold[1:]

@@ -8,8 +8,9 @@ flows by ``b`` and leaves the rest alone.  Every floating-point operation
 commutes with such a scaling, barring over- and underflow, and powers of
 four keep the square roots exact too.  So each answer must come back
 scaled bit for bit, or as the same typed error.  The cases cover the
-equilibrium solver (calm and stormy costs) and the robustness ceiling,
-on the ladder and on seeded subsets of the twelve-decade families.
+equilibrium solver (calm and stormy costs), the robustness ceiling and
+the radius-zero design, on the ladder and on seeded subsets of the
+twelve-decade families.
 """
 
 from dataclasses import replace
@@ -19,32 +20,14 @@ import numpy as np
 import pytest
 
 from randnets import layered_dag_network
-from robusttolls.design import epsilon_max
+from robusttolls.design import epsilon_max, solve_dro_tolls
 from robusttolls.equilibrium import LatencyModel, kkt_blocks, nash_flow_potential
 from robusttolls.exceptions import TollDesignError
 from robusttolls.network import incidence
 from robusttolls.uncertainty import DisturbanceModel
-from test_design import _twelve_decade_networks
+from test_design import _twelve_decade_family
 
 POWERS = (5, -5)
-
-
-@lru_cache(maxsize=None)
-def _twelve_decade_family(seed):
-    """Seed ``seed``'s 600 twelve-decade networks, each with its mean and stormy costs.
-
-    The mean is U[10, 30] from ``default_rng(seed + 100)``; the stormy
-    costs add 100 to it on a random third of the edges, drawn next.
-    """
-    rng = np.random.default_rng(seed + 100)
-    family = []
-    for net, beta in _twelve_decade_networks(600, seed):
-        m = net.num_edges
-        mean = rng.uniform(10.0, 30.0, m)
-        stormy = mean.copy()
-        stormy[rng.choice(m, m // 3, replace=False)] += 100.0
-        family.append((net, beta, mean, stormy))
-    return tuple(family)
 
 
 @lru_cache(maxsize=None)
@@ -74,15 +57,25 @@ def _answer(kind, net, beta, mean, stormy, delta):
     """What the library returns for one case, as arrays, or the type of its typed error."""
     m = net.num_edges
     inc, lat = incidence(net), LatencyModel(beta)
+    model = DisturbanceModel(mean=mean, cov=np.zeros((m, m)), support_radius=delta)
     try:
         if kind == "ceiling":
-            model = DisturbanceModel(mean=mean, cov=np.zeros((m, m)), support_radius=delta)
             ceiling, certificate = epsilon_max(kkt_blocks(inc, lat), model)
             return np.array([ceiling]), np.array([] if certificate is None else certificate)
+        if kind == "design":
+            result = solve_dro_tolls(kkt_blocks(inc, lat), model, 0.0)
+            return result.tau_star, result.slope
         sol = nash_flow_potential(inc, lat, stormy if kind == "stormy" else mean, np.zeros(m))
         return sol.flow, sol.node_potentials
     except TollDesignError as err:
         return type(err)
+
+
+# The unit of each of a case's two answers: the flow and the potentials of
+# an equilibrium, the ceiling and its certificate toll, the design's toll
+# and its latency slope on the disturbance.
+UNITS = {"calm": ("flow", "latency"), "stormy": ("flow", "latency"),
+         "ceiling": ("latency", "latency"), "design": ("latency", "flow")}
 
 
 def _check(family, key, kind):
@@ -95,11 +88,10 @@ def _check(family, key, kind):
             if unit == "latency":
                 scaled = _answer(kind, net, beta * factor, mean * factor, stormy * factor,
                                  delta * factor)
-                factors = (factor, factor) if kind == "ceiling" else (1.0, factor)
             else:
                 scaled = _answer(kind, replace(net, demand=net.demand * factor), beta / factor,
                                  mean, stormy, delta)
-                factors = (1.0, 1.0) if kind == "ceiling" else (factor, 1.0)
+            factors = [factor if answer == unit else 1.0 for answer in UNITS[kind]]
             where = f"{unit} units x4^{power}"
             if isinstance(base, type) or isinstance(scaled, type):
                 assert scaled == base, f"{where}: {scaled} against {base}"
@@ -119,8 +111,13 @@ UNIT_DEPENDENT = {
 } | {(family, (seed, index), kind)
      for seed, index in ((12, 197), (12, 251), (12, 335), (12, 485), (13, 217), (13, 255))
      for family, kind in (("zero-mean", "calm"), ("with-mean", "calm"), ("with-mean", "stormy"))}
-FAMILY_KINDS = {"ladder": ("calm", "stormy", "ceiling"), "zero-mean": ("calm", "ceiling"),
-                "with-mean": ("calm", "stormy")}
+# Radius-zero designs whose equilibrium does not certify, so that the
+# interior-point kernel solves them cold; its face guess `lam > slack`
+# compares a multiplier with a slack, so the units change which faces it
+# tries (ROADMAP item 2(d)).
+UNIT_DEPENDENT_DESIGNS = {(11, 74), (11, 291), (13, 40), (13, 503)}
+FAMILY_KINDS = {"ladder": ("calm", "stormy", "ceiling", "design"),
+                "zero-mean": ("calm", "ceiling"), "with-mean": ("calm", "stormy", "design")}
 
 
 def _cases():
@@ -135,7 +132,11 @@ def _cases():
         for key in keys[family]:
             for kind in kinds:
                 name = f"{family}-{key if family == 'ladder' else '%d-%d' % key}-{kind}"
-                yield pytest.param(family, key, kind, id=name)
+                marks = ()
+                if kind == "design" and key in UNIT_DEPENDENT_DESIGNS:
+                    marks = pytest.mark.xfail(strict=True, reason="ROADMAP item 2(d): the "
+                                              "kernel's face guess depends on the units")
+                yield pytest.param(family, key, kind, id=name, marks=marks)
 
 
 @pytest.mark.parametrize("family, key, kind", _cases())
