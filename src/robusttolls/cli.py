@@ -8,7 +8,11 @@ only the options it reads, and argparse refuses any other.  A command
 returns its exit code and output, which :func:`main` writes to stdout or
 ``--out``.  Exit codes are part of the contract: 0 on success, 1 when
 the input fails a domain rule, 2 when a file or argument cannot be
-parsed or the output file cannot be written, 3 when a solver gives up.
+parsed or the output file cannot be written, 3 on a numerical failure,
+printed as ``solver failure:`` when a solver stops short or fails its
+certificate (:class:`ConvergenceError`) and as ``numerical failure:``
+when floating point cannot carry the computation
+(:class:`NumericalDegeneracyError`).
 """
 
 from __future__ import annotations
@@ -314,7 +318,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ConvergenceError, NumericalDegeneracyError) as err:
-        print(f"solver failure: {err}", file=sys.stderr)
+        cause = "solver" if isinstance(err, ConvergenceError) else "numerical"
+        print(f"{cause} failure: {err}", file=sys.stderr)
         return 3
     except (TollDesignError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

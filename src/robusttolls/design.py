@@ -28,7 +28,6 @@ tolls.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,17 +220,13 @@ def _nominal_design(blocks: KktBlocks, model: DisturbanceModel, rhs: np.ndarray)
     ``v = rhs - y >= 0``, the equilibrium problem with weights
     ``w = 1/(2 beta)``, edge cost ``-(2 beta rhs + mean)`` and injections
     ``R rhs``, which :func:`~robusttolls.optim._solve_certified` solves
-    and accepts; None if it raises.  ``rhs - v`` balances only to the
-    accuracy of that solve, so it is projected onto ``R y = 0`` in the
-    Hessian's metric restricted to edges ``d``: ``y -= d R' L^-1 R y``
-    with ``L = R diag(d) R'`` (identity rows for nodes no edge of ``d``
-    touches), which moves the gradient ``2 beta y + mean`` by ``R' p``
-    on ``d`` and so keeps it stationary.  The first pass moves only the
-    free edges (``v > 0``), so the bounds tight at the face stay tight;
-    the second, with all edges, balances what the free edges cannot
-    reach: nodes whose edges are all tight, where ``R rhs`` is rounding,
-    and free components that miss the destination, whose singular
-    ``L`` skips the first pass.
+    and accepts; None if it raises.  That solve's finish refines the
+    balance of ``v`` on its face, so ``rhs - v`` misses ``R y = 0`` by at
+    most the residual the certificate accepted.  One projection onto
+    ``R y = 0`` in the Hessian's metric ``d = 1/(2 beta)`` over all edges
+    balances it to rounding: ``y -= d R' L^-1 R y`` with
+    ``L = R diag(d) R'``, which moves the gradient ``2 beta y + mean`` by
+    ``R' p`` and so keeps it stationary.
     """
     inc, beta, weights = blocks.inc, blocks.lat.beta, 0.5 / blocks.lat.beta
     try:
@@ -239,12 +234,7 @@ def _nominal_design(blocks: KktBlocks, model: DisturbanceModel, rhs: np.ndarray)
     except ConvergenceError:
         return None
     y = rhs - v
-    for metric in (np.where(v > 0.0, weights, 0.0), weights):
-        lap = _laplacian(inc, metric)
-        lap += np.diag(np.diagonal(lap) == 0.0)
-        with suppress(np.linalg.LinAlgError):
-            y = y - metric * _drop(inc, np.linalg.solve(lap, _net_outflow(inc, y)))
-    return y
+    return y - weights * _drop(inc, np.linalg.solve(_laplacian(inc, weights), _net_outflow(inc, y)))
 
 
 def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> DesignResult:
@@ -265,7 +255,8 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     :class:`NumericalDegeneracyError`, at every radius.  At ``eps = 0``
     the design is the Wardrop equilibrium of its slack
     (:func:`_nominal_design`), accepted by the equilibrium's own
-    certificate with 0 iterations and a residual of 0.0.  Otherwise, and
+    certificate with 0 iterations and a residual of 0.0, and projected
+    once onto ``R y = 0``.  Otherwise, and
     where that equilibrium does not certify, the interior-point Newton
     method runs from the start and finishes on the optimal face once a
     guessed face passes its KKT certificate (feasibility, nonnegative

@@ -6,10 +6,12 @@ crosses over to a certified optimal face, solves the robust design from
 the start :func:`_interior_start` projects and checks.
 :func:`_dual_newton`, a semismooth Newton method in node potentials on
 the dual of a separable quadratic over a network's flows, lands on the
-optimal face exactly: it solves Wardrop equilibria, and the design at
-radius zero, which is such an equilibrium in the design's slack.  Its
-Hessians are weighted Laplacians, and it reaches the incidence only
-through the edge-list products that :mod:`robusttolls.network` owns.
+optimal face exactly and refines its balance there, the one place an
+answer's balance is repaired: it solves Wardrop equilibria, and the
+design at radius zero, which is such an equilibrium in the design's
+slack.  Its Hessians are weighted Laplacians, and it reaches the
+incidence only through the edge-list products that
+:mod:`robusttolls.network` owns.
 :func:`_certificate` judges a proposed answer of that problem by its
 balance, its sign and its duality gap, and :func:`_solve_certified`
 returns only what it accepts: both the equilibrium and the design at
@@ -251,11 +253,18 @@ def _dual_newton(inc: IncidenceData, b: np.ndarray, weights: np.ndarray,
     ``rho = 1e-4 min(1, |gradient| / |b|)`` (0.01 took up to 283 steps on
     six-decade slopes; :func:`_norm` keeps both norms finite and nonzero).
     An exact line search on ``R' d`` sets its length.  Once a full step
-    keeps the face, one exact solve on ``P`` (over the rows it touches)
-    finishes: ``v`` is exactly ``0.0`` off ``P`` and where it is
-    round-off.  Returns ``(v, x, steps taken)``.  Raises
-    :class:`ConvergenceError`, with the gradient norm as its residual, if
-    ``_DUAL_STEPS`` steps do not finish or a damped system is singular.
+    keeps the face, an exact solve on ``P`` (over the rows it touches)
+    finishes, followed by two steps of iterative refinement on the same
+    block, ``x[rows] += H(P)^-1 (b - R v)[rows]`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 12): one face solve
+    balances only as well as the block's conditioning allows.  Of the
+    three points whose signs hold on the face, the one with the least
+    worst-node residual ``max|R v - b|``, the balance
+    :func:`_certificate` judges, is returned; ``v`` is exactly ``0.0``
+    off ``P`` and where it is round-off.  Returns ``(v, x, steps
+    taken)``.  Raises :class:`ConvergenceError`, with the gradient norm
+    as its residual, if ``_DUAL_STEPS`` steps do not finish or a damped
+    system is singular.
     """
     m = cost.shape[0]
     full = _laplacian(inc, weights)
@@ -285,21 +294,26 @@ def _dual_newton(inc: IncidenceData, b: np.ndarray, weights: np.ndarray,
         except np.linalg.LinAlgError:
             raise ConvergenceError("potential minimization did not converge", it, grad_norm) from None
         moved = _drop(inc, step)
-        if np.array_equal(u + moved > 0.0, face):
-            rows = np.diagonal(hess) > 0.0
-            rhs = b + _net_outflow(inc, np.where(face, weights * cost, 0.0))
-            exact = x.copy()
+        rows = np.diagonal(hess) > 0.0
+        if np.array_equal(u + moved > 0.0, face) and not b[~rows].any():
+            block = hess[np.ix_(rows, rows)]
+            residual = b + _net_outflow(inc, np.where(face, weights * cost, 0.0))
+            exact, signed = x.copy(), []  # (worst residual, v, x) where the signs hold
             try:
-                exact[rows] = np.linalg.solve(hess[np.ix_(rows, rows)], rhs[rows])
+                for refine in range(3):
+                    correction = np.linalg.solve(block, residual[rows])
+                    exact[rows] = exact[rows] + correction if refine else correction
+                    exact_u = _drop(inc, exact) - cost
+                    v, roundoff = on_face(exact_u, face)
+                    residual = b - _net_outflow(inc, v)
+                    if (exact_u[face].min(initial=0.0) >= -roundoff
+                            and exact_u[~face].max(initial=0.0) <= roundoff):
+                        signed.append((float(np.abs(residual).max(initial=0.0)), v, exact.copy()))
             except np.linalg.LinAlgError:
                 pass  # the face leaves a direction free; keep stepping
-            else:
-                exact_u = _drop(inc, exact) - cost
-                v, roundoff = on_face(exact_u, face)
-                if (not b[~rows].any()
-                        and exact_u[face].min(initial=0.0) >= -roundoff
-                        and exact_u[~face].max(initial=0.0) <= roundoff):
-                    return v, exact, it + 1
+            if signed:
+                _, v, exact = min(signed, key=lambda point: point[0])
+                return v, exact, it + 1
         x = x + _dual_line_max(root * u, root * moved, float(b @ step)) * step
     raise ConvergenceError("potential minimization did not converge", _DUAL_STEPS, grad_norm)
 

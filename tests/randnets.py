@@ -12,6 +12,7 @@ the package used to ship; the tests keep it as a reference solver.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,6 +117,36 @@ def layered_dag_network(rng: np.random.Generator, n: int, m: int, demand: float)
                   demand=demand)
     assert validate_network(net).ok
     return net
+
+
+def twelve_decade_networks(count, seed=11):
+    """Seeded random and layered DAGs with slopes log-uniform on [1e-6, 1e6]."""
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        if index % 2:
+            net = random_dag_network(rng, 10, 20)
+        else:
+            n = int(rng.choice([6, 8, 10, 12]))
+            net = layered_dag_network(rng, n, 2 * n, 50.0)
+        yield net, 10.0 ** rng.uniform(-6.0, 6.0, net.num_edges)
+
+
+@lru_cache(maxsize=None)
+def twelve_decade_family(seed):
+    """Seed ``seed``'s 600 twelve-decade networks, each with its mean and stormy costs.
+
+    The mean is U[10, 30] from ``default_rng(seed + 100)``; the stormy
+    costs add 100 to it on a random third of the edges, drawn next.
+    """
+    rng = np.random.default_rng(seed + 100)
+    family = []
+    for net, beta in twelve_decade_networks(600, seed):
+        m = net.num_edges
+        mean = rng.uniform(10.0, 30.0, m)
+        stormy = mean.copy()
+        stormy[rng.choice(m, m // 3, replace=False)] += 100.0
+        family.append((net, beta, mean, stormy))
+    return tuple(family)
 
 
 def sample_strict_toll(rng: np.random.Generator, blocks, model, eps: float) -> np.ndarray:

@@ -199,9 +199,10 @@ def test_equilibrium_at_a_vanishing_demand_exits_zero_or_three(tmp_path, capsys,
 def test_equilibrium_whose_system_latency_overflows_exits_three(tmp_path, capsys):
     # At demand 1e200 the equilibrium certifies, with flows near 1e200, but
     # its system latency, about 1e400, is beyond the float range: a
-    # numerical failure, not a printed inf.
+    # numerical failure, not a printed inf, and no solver failed.
     code, out, err = two_hop_equilibrium(tmp_path, capsys, 1e200)
     assert code == 3
+    assert err.startswith("numerical failure: ")
     assert "system latency of flows up to 6.429e+199 overflows the float range" in err
     assert out == ""
 
@@ -306,7 +307,7 @@ def test_design_exits_three_on_a_singular_newton_system(tmp_path, capsys):
 def test_design_exits_three_when_the_start_has_no_interior(tmp_path, capsys):
     # Two equal roads at a support radius of t*/||gamma|| = 25: the
     # ceiling is zero up to rounding and the projected start keeps no
-    # slack, a typed solver failure (exit 3).
+    # slack, a typed numerical failure (exit 3) before any solver runs.
     (tmp_path / "net.json").write_text(json.dumps({
         "nodes": ["s", "d"],
         "edges": [{"id": "e1", "from": "s", "to": "d", "beta": 0.5},
@@ -319,7 +320,7 @@ def test_design_exits_three_when_the_start_has_no_interior(tmp_path, capsys):
         "grid": [0.0], "mc_samples": 10, "seed": 1}))
     code, out, err = run(capsys, "design", "--scenario", str(scenario), "--eps", "0")
     assert code == 3 and out == ""
-    assert err.startswith("solver failure: ") and "least slack" in err
+    assert err.startswith("numerical failure: ") and "least slack" in err
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "ten"])

@@ -2,13 +2,12 @@
 
 import decimal
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from randnets import (golden_section, layered_dag_network, random_dag_network, random_instance,
-                      sample_strict_toll)
+                      sample_strict_toll, twelve_decade_family, twelve_decade_networks)
 from robusttolls import design, optim
 from robusttolls.design import (
     DesignResult,
@@ -245,42 +244,12 @@ def test_solve_dro_tolls_starts_inside_on_wide_slope_spreads():
         assert poly.contains(result.tau_star, tol=1e-9 * float(np.abs(poly.rhs).max()))
 
 
-def _twelve_decade_networks(count, seed=11):
-    """Seeded random and layered DAGs with slopes log-uniform on [1e-6, 1e6]."""
-    rng = np.random.default_rng(seed)
-    for index in range(count):
-        if index % 2:
-            net = random_dag_network(rng, 10, 20)
-        else:
-            n = int(rng.choice([6, 8, 10, 12]))
-            net = layered_dag_network(rng, n, 2 * n, 50.0)
-        yield net, 10.0 ** rng.uniform(-6.0, 6.0, net.num_edges)
-
-
-@lru_cache(maxsize=None)
-def _twelve_decade_family(seed):
-    """Seed ``seed``'s 600 twelve-decade networks, each with its mean and stormy costs.
-
-    The mean is U[10, 30] from ``default_rng(seed + 100)``; the stormy
-    costs add 100 to it on a random third of the edges, drawn next.
-    """
-    rng = np.random.default_rng(seed + 100)
-    family = []
-    for net, beta in _twelve_decade_networks(600, seed):
-        m = net.num_edges
-        mean = rng.uniform(10.0, 30.0, m)
-        stormy = mean.copy()
-        stormy[rng.choice(m, m // 3, replace=False)] += 100.0
-        family.append((net, beta, mean, stormy))
-    return tuple(family)
-
-
 def test_blocks_and_designs_hold_on_slopes_across_twelve_decades():
     # gamma = W W' is positive semidefinite and annihilates R by
     # construction, so no slope spread may break either property beyond
     # round-off relative to ||gamma||, nor keep the design from starting.
     stalled = set()
-    for index, (net, beta) in enumerate(_twelve_decade_networks(200)):
+    for index, (net, beta) in enumerate(twelve_decade_networks(200)):
         m = net.num_edges
         data = incidence(net)
         blocks = kkt_blocks(data, LatencyModel(beta))
@@ -311,7 +280,7 @@ def _twelve_decade_design(seed, index, fraction=0.5):
 
     Returns the network with its blocks, a zero disturbance model and the radius.
     """
-    for at, (net, beta) in enumerate(_twelve_decade_networks(index + 1, seed)):
+    for at, (net, beta) in enumerate(twelve_decade_networks(index + 1, seed)):
         if at == index:
             m = net.num_edges
             blocks = kkt_blocks(incidence(net), LatencyModel(beta))
@@ -411,7 +380,7 @@ def _ladder_rung(m):
 
 def _with_mean(seed, index):
     """Instance ``index`` of seed ``seed``'s twelve-decade family, with its mean, delta = 0."""
-    net, beta, mean, _ = _twelve_decade_family(seed)[index]
+    net, beta, mean, _ = twelve_decade_family(seed)[index]
     m = net.num_edges
     return (kkt_blocks(incidence(net), LatencyModel(beta)),
             DisturbanceModel(mean=mean, cov=np.zeros((m, m)), support_radius=0.0))
@@ -422,7 +391,8 @@ def _with_mean(seed, index):
     pytest.param(lambda: _ladder_rung(250), None, id="ladder-m250"),
     pytest.param(lambda: _ladder_rung(800), None, id="ladder-m800"),
 ] + [pytest.param(lambda key=key: _with_mean(*key), None, id="with-mean-%d-%d" % key)
-     for key in ((11, 8), (11, 10), (11, 18), (12, 6), (12, 16), (11, 135), (12, 266))])
+     for key in ((11, 8), (11, 10), (11, 18), (12, 6), (12, 16), (11, 135), (12, 266),
+                 (11, 454), (13, 143), (13, 288))])
 def test_a_nominal_design_finishes_on_its_equilibrium_face(instance, worst_case, monkeypatch):
     # At eps = 0 the design is a Wardrop equilibrium of its slack, accepted
     # by the equilibrium's certificate before any interior-point step.  The
@@ -430,8 +400,11 @@ def test_a_nominal_design_finishes_on_its_equilibrium_face(instance, worst_case,
     # m = 800 rung's face is degenerate, so the kernel's face test refused
     # it and fell back after 21 steps; with-mean designs 11/8 to 12/16 fell
     # back with gaps of 2.9e-7 to 3.2e-5 and failed the independent check.
-    # On 11/135 and 12/266 one projection onto R y = 0 over all edges moves
-    # tight bounds off the face and fails the check (a bound; stationarity).
+    # On 11/135 and 12/266 the one projection onto R y = 0 over all edges
+    # keeps the face's bounds tight only because the equilibrium solver
+    # refines the face's balance first; unrefined, they fail the check (a
+    # bound; stationarity).  11/454, 13/143 and 13/288 fell back to the
+    # kernel without that refinement.
     blocks, model = instance()
     result, y = _handed_circulation(monkeypatch, blocks, model, 0.0)
     assert (result.iterations, result.residual) == (0, 0.0)
@@ -448,7 +421,7 @@ def test_nominal_designs_with_a_mean_finish_warm_and_certified(monkeypatch):
     # independent check.
     rng = np.random.default_rng(112)
     warm = 0
-    for net, beta in _twelve_decade_networks(100, 12):
+    for net, beta in twelve_decade_networks(100, 12):
         m = net.num_edges
         blocks = kkt_blocks(incidence(net), LatencyModel(beta))
         model = DisturbanceModel(mean=rng.uniform(10.0, 30.0, m), cov=np.zeros((m, m)),
@@ -479,7 +452,7 @@ def test_round_off_tolls_on_a_degenerate_face_are_exact_zeros():
     # faces, and on instance 233 the longest paths leave 3.1e-16 on an
     # edge (of tolls up to 1.3).  A toll that is zero up to round-off of
     # the potentials must be exactly 0.0.
-    for index, (net, beta) in enumerate(_twelve_decade_networks(507)):
+    for index, (net, beta) in enumerate(twelve_decade_networks(507)):
         if index not in (25, 233, 506):
             continue
         m = net.num_edges
@@ -562,7 +535,7 @@ def test_tolls_are_the_exact_least_potential_tolls(monkeypatch):
     # round-off.  The design's circulation is the one the solve hands to
     # the toll map.
     cases = _canonicalization_cases()
-    for net, beta in _twelve_decade_networks(40, seed=12):
+    for net, beta in twelve_decade_networks(40, seed=12):
         m = net.num_edges
         cases.append((kkt_blocks(incidence(net), LatencyModel(beta)),
                       DisturbanceModel(mean=np.zeros(m), cov=np.zeros((m, m)), support_radius=0.0)))
@@ -702,7 +675,7 @@ def test_reported_worst_case_is_exact_to_round_off():
     # matches the exact worst case of the printed toll to round-off.
     judged = 0
     for seed, instances in _EXACTLY_JUDGED.items():
-        for index, (net, beta) in enumerate(_twelve_decade_networks(max(instances) + 1, seed)):
+        for index, (net, beta) in enumerate(twelve_decade_networks(max(instances) + 1, seed)):
             if index not in instances:
                 continue
             m = net.num_edges
@@ -728,7 +701,7 @@ def test_a_designs_toll_evaluates_to_its_own_worst_case():
     judged = 0
     for seed, index in ((11, 275), (12, 479)):
         rng = np.random.default_rng(seed + 100)
-        for net, beta in _twelve_decade_networks(index + 1, seed):
+        for net, beta in twelve_decade_networks(index + 1, seed):
             mean = rng.uniform(10.0, 30.0, net.num_edges)
         m = net.num_edges
         blocks = kkt_blocks(incidence(net), LatencyModel(beta))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from randnets import (STATUS_OPTIMAL, active_set_qp, enumerate_paths, layered_dag_network,
-                      random_dag_network)
+                      random_dag_network, twelve_decade_family)
 from robusttolls import optim
 from robusttolls.equilibrium import (
     LatencyModel,
@@ -628,3 +628,22 @@ def test_equilibrium_latency_g_out_of_regime():
     blocks = pigou_blocks()
     with pytest.raises(OutOfRegimeError):
         equilibrium_latency_g(blocks, np.array([0.0, 200.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("seed, index, kind", [
+    (11, 33, "calm"), (12, 2, "calm"), (11, 5, "stormy"), (13, 480, "stormy"),
+])
+def test_refined_face_balance_certifies_twelve_decade_equilibria(seed, index, kind):
+    # One solve on the face balanced these to 1.2e-8 to 2.1e-8 of the
+    # demand, just past the certificate's 1e-8, on slopes spanning twelve
+    # decades.  Refining that solve on the same face block balances them,
+    # and the dense products agree: balance within _KKT_TOL of the demand,
+    # used edges costing their potential drop and the rest no cheaper.
+    net, beta, mean, stormy = twelve_decade_family(seed)[index]
+    data = incidence(net)
+    lat = LatencyModel(beta)
+    alpha = mean if kind == "calm" else stormy
+    sol = nash_flow_potential(data, lat, alpha, np.zeros(net.num_edges))
+    assert float(np.abs(data.matrix @ sol.flow - data.injections).max()) \
+        <= optim._KKT_TOL * net.demand
+    _assert_wardrop_certificate(data, lat, alpha, sol)
