@@ -6,9 +6,12 @@ and ``design`` the design module, ``estimate`` the uncertainty module,
 and ``experiment`` the full Monte Carlo grid.  Each subcommand declares
 only the options it reads, and argparse refuses any other.  A command
 returns its exit code and output, which :func:`main` writes to stdout or
-``--out``.  Exit codes are part of the contract: 0 on success, 1 when
-the input fails a domain rule, 2 when a file or argument cannot be
-parsed or the output file cannot be written, 3 on a numerical failure,
+``--out``.  ``--out`` overwrites an existing file in place and cuts it to
+the new length, so the file keeps its inode and hard links, and a symlink
+is written through; the command never syncs the file.  Exit codes are
+part of the contract: 0 on success, 1 when the input fails a domain
+rule, 2 when a file or argument cannot be parsed or the output file
+cannot be written, 3 on a numerical failure,
 printed as ``solver failure:`` when a solver stops short or fails its
 certificate (:class:`ConvergenceError`) and as ``numerical failure:``
 when floating point cannot carry the computation
@@ -22,6 +25,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 from typing import Sequence
 
@@ -328,8 +332,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.write(content)
         return code
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        # Write over the old bytes and then cut the file to its new length.
+        # Opening with O_TRUNC instead makes ext4 (auto_da_alloc) flush the
+        # file to disk.  Devices and pipes cannot be cut, and need not be.
+        fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(content)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                handle.truncate()
     except OSError as err:
         # The OS error's own text repeats the path; its strerror does not.
         print(f"error: cannot write output file {args.out}: {err.strerror}", file=sys.stderr)

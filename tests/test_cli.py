@@ -1,7 +1,9 @@
 """Tests for the command-line interface: outputs, formats, and exit codes."""
 
 import json
+import os
 import pathlib
+import stat
 
 import numpy as np
 import pytest
@@ -228,6 +230,63 @@ def test_unwritable_out_file_exits_two_with_one_line(tmp_path, capsys):
     code, out, err = run(capsys, "validate", "--network", NETWORK, "--out", str(missing))
     assert code == 2 and out == ""
     assert err == f"error: cannot write output file {missing}: No such file or directory\n"
+
+
+def test_out_file_is_overwritten_in_place_with_no_stale_tail(tmp_path, capsys):
+    scenario = small_scenario_file(tmp_path)
+    out_file = tmp_path / "grid.out"
+    link = tmp_path / "grid.link"
+    code, _, _ = run(capsys, "experiment", "--scenario", scenario, "--format", "json",
+                     "--out", str(out_file))
+    assert code == 0
+    link.hardlink_to(out_file)
+    inode = out_file.stat().st_ino
+    code, _, _ = run(capsys, "experiment", "--scenario", scenario, "--format", "csv",
+                     "--out", str(out_file))
+    assert code == 0
+    code, csv, _ = run(capsys, "experiment", "--scenario", scenario, "--format", "csv")
+    assert code == 0
+    # The CSV is shorter than the JSON it replaces; none of the JSON remains.
+    assert out_file.read_bytes() == csv.encode()
+    assert out_file.stat().st_ino == inode
+    assert link.read_bytes() == csv.encode()
+
+
+def test_out_file_opens_without_truncation(tmp_path, capsys, monkeypatch):
+    flags, os_open = [], os.open
+
+    def recording_open(path, flag, *rest):
+        flags.append(flag)
+        return os_open(path, flag, *rest)
+
+    monkeypatch.setattr(robusttolls.cli.os, "open", recording_open)
+    code, _, _ = run(capsys, "validate", "--network", NETWORK, "--out", str(tmp_path / "v.txt"))
+    monkeypatch.undo()
+    assert code == 0
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    assert (tmp_path / "v.txt").read_text().startswith("network ok")
+
+
+def test_out_file_may_be_a_device(capsys):
+    code, out, err = run(capsys, "validate", "--network", NETWORK, "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+
+
+def test_out_file_that_is_a_directory_exits_two_with_one_line(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", "--network", NETWORK, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write output file {tmp_path}: Is a directory\n"
+
+
+def test_new_out_file_gets_the_umask_default_mode(tmp_path, capsys):
+    umask = os.umask(0o027)
+    try:
+        code, _, _ = run(capsys, "validate", "--network", NETWORK,
+                         "--out", str(tmp_path / "v.txt"))
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert stat.S_IMODE((tmp_path / "v.txt").stat().st_mode) == 0o640
 
 
 def test_epsmax_single_route_unbounded(tmp_path, capsys):
