@@ -28,14 +28,15 @@ tolls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import KktBlocks
-from .exceptions import ConvergenceError, InfeasibleError
+from .exceptions import ConvergenceError, InfeasibleError, NumericalDegeneracyError
 from .network import IncidenceData, _drop, _laplacian, _net_outflow, _reduced_costs, _vector
-from .optim import _barrier_newton, _interior_start, _solve_certified
+from .optim import _barrier_newton, _interior_start, _norm, _solve_certified, _unit
 from .uncertainty import DisturbanceModel, _check_radius
 
 
@@ -198,7 +199,7 @@ def dro_objective(blocks: KktBlocks, model: DisturbanceModel, eps: float, tau: n
     m = blocks.gamma.shape[0]
     tau, mean = _vector(tau, m, "tau"), _vector(model.mean, m, "the model's mean")
     y = blocks.gamma @ tau
-    return float(eps * np.linalg.norm(y + blocks.c) + y @ (blocks.lat.beta * y) + mean @ y)
+    return float(eps * _norm(y + blocks.c) + y @ (blocks.lat.beta * y) + mean @ y)
 
 
 def _toll_for_circulation(blocks: KktBlocks, y: np.ndarray) -> np.ndarray:
@@ -262,9 +263,14 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
     guessed face passes its KKT certificate (feasibility, nonnegative
     multipliers, stationarity; see
     :func:`~robusttolls.optim._barrier_newton`), or else on the
-    interior-point stopping rule.  Every number is read off ``y``: the
-    least-potential toll (:func:`_toll_for_circulation`), the latency
-    slope ``q = y + c`` and ``tau gamma tau = sum beta y^2``.
+    interior-point stopping rule.  That method runs in the unit
+    :func:`~robusttolls.optim._unit` of the demand, a power of two that is
+    1.0 unless the demand is beyond ``2**±128``, so a design at any such
+    scale is the same bits times the unit.  Every number is read off
+    ``y``: the least-potential toll (:func:`_toll_for_circulation`), the
+    latency slope ``q = y + c`` and ``tau gamma tau = sum beta y^2``; an
+    objective or worst case beyond the float range raises
+    :class:`NumericalDegeneracyError` naming the overflow.
     A solve that stops short of optimal raises :class:`ConvergenceError`
     naming the stopping test that failed, with its iterations and that
     test's relative value; a radius that is negative, NaN or infinite
@@ -279,13 +285,20 @@ def solve_dro_tolls(blocks: KktBlocks, model: DisturbanceModel, eps: float) -> D
         start = _interior_start(blocks.inc.null_basis, rhs, start)
         y = _nominal_design(blocks, model, rhs) if eps == 0.0 else None
         if y is None:
-            y, iterations, gap = _barrier_newton(eps, blocks.c, blocks.lat.beta, model.mean,
-                                                 blocks.inc.null_basis, rhs, start)
+            unit = _unit(float(blocks.inc.injections[0]))
+            y, iterations, gap = _barrier_newton(eps / unit, blocks.c / unit, blocks.lat.beta,
+                                                 model.mean / unit, blocks.inc.null_basis,
+                                                 rhs / unit, start / unit)
+            y, gap = unit * y, gap * unit * unit
 
     q = y + blocks.c
-    spread_and_quadratic = eps * float(np.linalg.norm(q)) + float(y @ (blocks.lat.beta * y))
-    worst_case = spread_and_quadratic + float(model.mean @ q) + blocks.demand_latency_term
-    return DesignResult(tau_star=_toll_for_circulation(blocks, y),
-                        objective=spread_and_quadratic + float(model.mean @ y),
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread_and_quadratic = eps * _norm(q) + float(y @ (blocks.lat.beta * y))
+        objective = spread_and_quadratic + float(model.mean @ y)
+        worst_case = spread_and_quadratic + float(model.mean @ q) + blocks.demand_latency_term
+    if not (math.isfinite(objective) and math.isfinite(worst_case)):
+        raise NumericalDegeneracyError(f"the worst-case latency of flows up to "
+                                       f"{float(np.abs(q).max()):.3e} overflows the float range")
+    return DesignResult(tau_star=_toll_for_circulation(blocks, y), objective=objective,
                         worst_case_latency=worst_case, eps=eps, iterations=iterations, residual=gap,
                         slope=q)

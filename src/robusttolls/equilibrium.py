@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import NumericalDegeneracyError, OutOfRegimeError
 from .network import IncidenceData, _frozen, _locked, _reduced_costs, _vector
-from .optim import _solve_certified
+from .optim import _norm, _solve_certified
 
 # How far below zero (relative to the demand, on top of the round-off of
 # the flow's own evaluation) a closed-form flow may dip and still count as
@@ -147,7 +147,7 @@ def _regime_floor(blocks: KktBlocks, cost: np.ndarray) -> float:
     ``gamma``'s own round-off puts into it, which cancellation can make
     far larger than the product itself.
     """
-    size = blocks.gamma_norm * float(np.linalg.norm(cost)) + float(np.abs(blocks.c).max())
+    size = blocks.gamma_norm * _norm(cost) + float(np.abs(blocks.c).max())
     return _REGIME_TOL * float(blocks.inc.injections[0]) + cost.shape[0] * np.finfo(float).eps * size
 
 

@@ -28,6 +28,7 @@ from .design import _ceiling, solve_dro_tolls
 from .equilibrium import LatencyModel, _regime_floor, kkt_blocks
 from .exceptions import FileFormatError, OutOfRegimeError
 from .network import Network, _number, _read_json, _require, incidence, load_network
+from .optim import _norm
 from .uncertainty import (DisturbanceModel, _ball_blocks, _check_radius, _is_whole, _shifted_mean,
                           estimate_nominal, load_samples)
 
@@ -224,7 +225,7 @@ def run_experiment(scenario: Scenario) -> ExperimentGrid:
             flow = float((blocks.c - blocks.gamma @ center - (q - blocks.c) - reach).min())
             if flow < -_regime_floor(blocks, center + tau):
                 outside.append((flow, eps, design.eps))
-            expectation = design.worst_case_latency + (eps - design.eps) * float(np.linalg.norm(q))
+            expectation = design.worst_case_latency + (eps - design.eps) * _norm(q)
             jobs.append((expectation, delta, q, scenario.mc_samples, (scenario.seed, i, j)))
             heads.append((eps, design.eps, expectation, tau))
     if outside:

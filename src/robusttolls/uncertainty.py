@@ -37,6 +37,7 @@ import numpy as np
 from .equilibrium import KktBlocks, LatencyModel, latency_decomposition
 from .exceptions import FileFormatError, InsufficientDataError
 from .network import _frozen, _locked, _vector
+from .optim import _norm
 
 _BALL_BLOCK = 4096
 # Relative asymmetry and negative eigenvalue a covariance may carry from round-off.
@@ -173,12 +174,12 @@ def worst_case_mean(blocks: KktBlocks, tau: np.ndarray, model: DisturbanceModel,
 
 def _shifted_mean(model: DisturbanceModel, q: np.ndarray, eps: float) -> np.ndarray:
     """:func:`worst_case_mean` along the latency slope ``q``, with nothing checked."""
-    norm = float(np.linalg.norm(q))
+    norm = _norm(q)
     if norm == 0.0:
         warnings.warn("worst-case disturbance direction is undefined (latency slope is zero); "
                       "returning the nominal mean", stacklevel=3)
         return model.mean.copy()
-    return model.mean + eps * q / norm
+    return model.mean + eps * (q / norm)
 
 
 def _row_norms(direction: np.ndarray) -> np.ndarray:

@@ -11,8 +11,18 @@ scaled bit for bit, or as the same typed error.  The cases cover the
 equilibrium solver (calm and stormy costs), the robustness ceiling and
 the radius-zero design, on the ladder and on seeded subsets of the
 twelve-decade families.
+
+Coarse scales are the other half: the demand, the disturbance mean,
+the support radius and the radius times ``2**(256 k)`` multiply the
+tolls by that factor and the worst case by its square, bit for bit, on
+the radius-zero and the interior-point designs alike, because the
+design kernel solves in one power-of-two unit near the demand.  Where
+the worst case leaves the float range the design raises
+:class:`NumericalDegeneracyError`.
 """
 
+import math
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 
@@ -22,9 +32,9 @@ import pytest
 from randnets import layered_dag_network, twelve_decade_family
 from robusttolls.design import epsilon_max, solve_dro_tolls
 from robusttolls.equilibrium import LatencyModel, kkt_blocks, nash_flow_potential
-from robusttolls.exceptions import TollDesignError
-from robusttolls.network import incidence
-from robusttolls.uncertainty import DisturbanceModel
+from robusttolls.exceptions import NumericalDegeneracyError, TollDesignError
+from robusttolls.network import Edge, Network, incidence
+from robusttolls.uncertainty import DisturbanceModel, worst_case_mean
 
 POWERS = (5, -5)
 
@@ -147,3 +157,66 @@ def _cases():
 @pytest.mark.parametrize("family, key, kind", _cases())
 def test_a_change_of_units_scales_the_answer(family, key, kind):
     _check(family, key, kind)
+
+
+@lru_cache(maxsize=None)
+def _coarse_instance(name):
+    """``(net, beta, mean, ceiling)``: two roads, or a 24-edge layered DAG; support radius 0.05."""
+    if name == "two-roads":
+        net = Network(num_nodes=2, edges=(Edge("e1", 0, 1), Edge("e2", 0, 1)), demand=100.0)
+        beta, mean = np.array([1.0, 2.0]), np.array([20.0, 30.0])
+    else:
+        rng = np.random.default_rng(2024)
+        net = layered_dag_network(rng, 10, 24, 240.0)
+        beta, mean = rng.uniform(0.5, 2.0, 24), rng.uniform(10.0, 30.0, 24)
+    ceiling = epsilon_max(kkt_blocks(incidence(net), LatencyModel(beta)), _model(mean, 0.05))[0]
+    return net, beta, mean, ceiling
+
+
+def _model(mean, delta):
+    return DisturbanceModel(mean=mean, cov=np.zeros((mean.shape[0],) * 2), support_radius=delta)
+
+
+def _coarse_design(name, fraction, power):
+    """The design at ``fraction`` of the ceiling, with every input scaled by ``2**(256 power)``.
+
+    Any warning is an error.
+    """
+    net, beta, mean, ceiling = _coarse_instance(name)
+    factor = math.ldexp(1.0, 256 * power)
+    blocks = kkt_blocks(incidence(replace(net, demand=net.demand * factor)), LatencyModel(beta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return solve_dro_tolls(blocks, _model(mean * factor, 0.05 * factor),
+                               fraction * ceiling * factor)
+
+
+COARSE_CASES = [(name, fraction) for name in ("two-roads", "layered-24")
+                for fraction in (0.0, 0.5, 0.9)]
+
+
+@pytest.mark.parametrize("power", (-3, -2, -1, 1))
+@pytest.mark.parametrize("name, fraction", COARSE_CASES)
+def test_a_coarse_change_of_scale_scales_the_design(name, fraction, power):
+    base, scaled = _coarse_design(name, fraction, 0), _coarse_design(name, fraction, power)
+    assert np.array_equal(scaled.tau_star, base.tau_star * math.ldexp(1.0, 256 * power))
+    want = math.ldexp(base.worst_case_latency, 512 * power)
+    if abs(want) >= np.finfo(float).tiny:
+        assert scaled.worst_case_latency == want
+
+
+@pytest.mark.parametrize("name, fraction", COARSE_CASES)
+def test_a_worst_case_beyond_the_float_range_is_a_numerical_degeneracy(name, fraction):
+    with pytest.raises(NumericalDegeneracyError, match="overflows the float range"):
+        _coarse_design(name, fraction, 2)
+
+
+def test_the_worst_case_mean_of_a_tiny_demand_is_shifted_along_the_slope():
+    net = Network(num_nodes=2, edges=(Edge("e1", 0, 1), Edge("e2", 0, 1)), demand=1e-170)
+    blocks = kkt_blocks(incidence(net), LatencyModel(np.array([1.5, 0.1])))
+    mean = np.array([20.0, 30.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shifted = worst_case_mean(blocks, np.zeros(2), _model(mean, 0.0), 2.0)
+    slope = blocks.c * 2.0 ** 600
+    assert shifted == pytest.approx(mean + 2.0 * slope / np.linalg.norm(slope), rel=1e-15)
